@@ -20,15 +20,13 @@ from .fields import (Equation, EquationParams, FieldFormatError, FormField,
 from .algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul, e_mu_form,
                       is_constant, left_mul, projector, projector_field,
                       right_mul, unit_form)
-from .calculus import (OperatorTag, apply_operator, d_c, delta_c,
-                       d_plus_delta, dk_apply, dk_residual, graded_residuals,
-                       hestenes_apply, hestenes_residual,
+from .calculus import (d_c, delta_c, d_plus_delta, dk_apply, dk_residual,
+                       graded_residuals, hestenes_apply, hestenes_residual,
                        hestenes_residual_componentwise,
                        pack_hestenes_components)
 from .spectral import (EigenPair, SingularBlockError, SymbolMatrix,
-                       all_momenta, build_dk_solution, build_symbol,
-                       eigen_solve, propagator_solve, spectrum_rows,
-                       write_spectrum_csv)
+                       build_dk_solution, build_symbol, eigen_solve,
+                       propagator_solve, spectrum_rows, write_spectrum_csv)
 from .transfer import (ConsistencyError, DecompositionResult,
                        HestenesQuadruple, IndependenceReport, Prop4Report,
                        decompose, hestenes_quadruple, omega_pm, verify_prop4,
@@ -48,11 +46,11 @@ __all__ = [
     "ConstantForm", "PROJECTOR_TAGS", "clifford_mul", "e_mu_form",
     "is_constant", "left_mul", "projector", "projector_field", "right_mul",
     "unit_form",
-    "OperatorTag", "apply_operator", "d_c", "delta_c", "d_plus_delta",
+    "d_c", "delta_c", "d_plus_delta",
     "dk_apply", "dk_residual", "graded_residuals", "hestenes_apply",
     "hestenes_residual", "hestenes_residual_componentwise",
     "pack_hestenes_components",
-    "EigenPair", "SingularBlockError", "SymbolMatrix", "all_momenta",
+    "EigenPair", "SingularBlockError", "SymbolMatrix",
     "build_dk_solution", "build_symbol", "eigen_solve", "propagator_solve",
     "spectrum_rows", "write_spectrum_csv",
     "ConsistencyError", "DecompositionResult", "HestenesQuadruple",

@@ -171,32 +171,24 @@ def clifford_mul(a: FormField, b: FormField) -> FormField:
     return FormField(a.dims, out)
 
 
+def _mul_by_matrix(a: FormField, matrix: np.ndarray) -> FormField:
+    flat = a.coeffs.reshape(-1, blades.NUM_BLADES) @ matrix
+    return FormField(a.dims, flat.reshape(a.coeffs.shape))
+
+
 def right_mul(a: FormField, c: ConstantForm) -> FormField:
     """Clifford product a * c with a constant right factor.
 
-    Runs over the nonzero blades of c only, so multiplication by a single
-    blade is a signed permutation of components with no rounding.
+    One (V, 16) @ (16, 16) matmul with matrix[a, k] = sum_b c[b] tensor[a, b, k].
+    Multiplication by a single blade is a signed permutation of components
+    with no rounding.
     """
-    vec = c.as_vector()
-    out = np.zeros_like(a.coeffs)
-    for b in np.flatnonzero(vec):
-        vb = vec[b]
-        for a_idx in blades.ALL_MASKS:
-            sign, mask = TABLE.mul_masks(a_idx, int(b))
-            out[..., mask] += (sign * vb) * a.coeffs[..., a_idx]
-    return FormField(a.dims, out)
+    return _mul_by_matrix(a, np.einsum("b,abc->ac", c.as_vector(), TABLE.tensor))
 
 
 def left_mul(c: ConstantForm, a: FormField) -> FormField:
-    """Clifford product c * a with a constant left factor."""
-    vec = c.as_vector()
-    out = np.zeros_like(a.coeffs)
-    for b in np.flatnonzero(vec):
-        vb = vec[b]
-        for a_idx in blades.ALL_MASKS:
-            sign, mask = TABLE.mul_masks(int(b), a_idx)
-            out[..., mask] += (sign * vb) * a.coeffs[..., a_idx]
-    return FormField(a.dims, out)
+    """Clifford product c * a with a constant left factor, as one matmul."""
+    return _mul_by_matrix(a, np.einsum("a,abc->bc", c.as_vector(), TABLE.tensor))
 
 
 def is_constant(omega: FormField, tol: float = 0.0) -> bool:

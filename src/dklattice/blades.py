@@ -11,7 +11,9 @@ are generated by
 
 extended bilinearly.  All 256 ordered blade products are precomputed once
 at import into sign/result lookup tables plus a dense (16, 16, 16) tensor
-laid out for einsum contractions over fields.
+laid out for einsum contractions over fields.  Every operator of the
+package (the difference stencils, the momentum symbol, products with
+constant forms) is derived from this one table.
 """
 
 from __future__ import annotations
@@ -124,3 +126,12 @@ def build_table() -> CliffordTable:
 
 
 TABLE = build_table()
+
+
+# Left multiplication by each generator as a signed gather of blade
+# coefficients: (e_mu w)[o] = GEN_SIGN[mu, o] * w[GEN_SRC[mu, o]], where
+# GEN_SRC[mu, o] = o ^ (1 << mu) is the one blade that e_mu maps onto o.
+GEN_SRC = np.array([[o ^ (1 << mu) for o in ALL_MASKS] for mu in AXES])
+GEN_SIGN = TABLE.sign[[[1 << mu] for mu in AXES], GEN_SRC]
+GEN_SRC.setflags(write=False)
+GEN_SIGN.setflags(write=False)

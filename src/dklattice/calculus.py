@@ -1,102 +1,60 @@
 """Grade-shifting difference operators and equation residuals.
 
-d_c raises the grade of a form by one and delta_c lowers it by one.  Both
-are assembled from per-blade forward-difference stencils: each table row
-(out_blade, sign, axis, in_blade) contributes
+Left multiplication by a generator e_mu is a signed permutation of the 16
+blades (blades.GEN_SIGN, blades.GEN_SRC), and the lattice operator is
 
-    out[out_blade] += sign * delta_axis(in[in_blade]).
+    (d_c + delta_c) omega = sum_mu e_mu delta_mu(omega),
 
-The same tables double as the recipe for momentum-space symbols, where the
-difference along an axis becomes multiplication by a complex scalar.  A
-second, independent route to d_c + delta_c multiplies the per-axis
-differences by the generators e_mu through the blade table; the two routes
-agreeing on random fields is the main transcription check.
+so output blade o collects sign * delta_mu(omega[src]) from every axis.
+d_c keeps the terms that raise the grade of the input blade and delta_c
+the terms that lower it.  The same signed gather, with delta_mu replaced by
+a complex scalar, gives the momentum-space symbol.  A second, independent
+route to d_c + delta_c multiplies the per-axis differences by the constant
+forms e_mu through the dense product matrix; the two routes agreeing on
+random fields is the main transcription check.
 """
 
 from __future__ import annotations
 
 import warnings
-from enum import Enum
 
 import numpy as np
 
 from . import blades
-from .blades import (X, E0, E1, E01, E2, E02, E12, E012,
-                     E3, E03, E13, E013, E23, E023, E123, E0123)
 from .algebra import ConstantForm, left_mul, right_mul
 from .fields import (Equation, EquationParams, FormField, grade_part, max_abs)
 from .lattice import delta_mu
 
-# Stencil of d_c, grouped by input grade.
-D_TERMS = (
-    # grade 0 -> 1
-    (E0, +1, 0, X),
-    (E1, +1, 1, X),
-    (E2, +1, 2, X),
-    (E3, +1, 3, X),
-    # grade 1 -> 2
-    (E01, +1, 0, E1), (E01, -1, 1, E0),
-    (E02, +1, 0, E2), (E02, -1, 2, E0),
-    (E03, +1, 0, E3), (E03, -1, 3, E0),
-    (E12, +1, 1, E2), (E12, -1, 2, E1),
-    (E13, +1, 1, E3), (E13, -1, 3, E1),
-    (E23, +1, 2, E3), (E23, -1, 3, E2),
-    # grade 2 -> 3
-    (E012, +1, 0, E12), (E012, -1, 1, E02), (E012, +1, 2, E01),
-    (E013, +1, 0, E13), (E013, -1, 1, E03), (E013, +1, 3, E01),
-    (E023, +1, 0, E23), (E023, -1, 2, E03), (E023, +1, 3, E02),
-    (E123, +1, 1, E23), (E123, -1, 2, E13), (E123, +1, 3, E12),
-    # grade 3 -> 4; grade 4 input contributes nothing
-    (E0123, +1, 0, E123), (E0123, -1, 1, E023),
-    (E0123, +1, 2, E013), (E0123, -1, 3, E012),
-)
-
-# Stencil of delta_c, grouped by input grade; grade 0 input contributes nothing.
-DELTA_TERMS = (
-    # grade 1 -> 0
-    (X, +1, 0, E0), (X, -1, 1, E1), (X, -1, 2, E2), (X, -1, 3, E3),
-    # grade 2 -> 1
-    (E0, +1, 1, E01), (E0, +1, 2, E02), (E0, +1, 3, E03),
-    (E1, +1, 0, E01), (E1, +1, 2, E12), (E1, +1, 3, E13),
-    (E2, +1, 0, E02), (E2, -1, 1, E12), (E2, +1, 3, E23),
-    (E3, +1, 0, E03), (E3, -1, 1, E13), (E3, -1, 2, E23),
-    # grade 3 -> 2
-    (E01, -1, 2, E012), (E01, -1, 3, E013),
-    (E02, +1, 1, E012), (E02, -1, 3, E023),
-    (E03, +1, 1, E013), (E03, +1, 2, E023),
-    (E12, +1, 0, E012), (E12, -1, 3, E123),
-    (E13, +1, 0, E013), (E13, +1, 2, E123),
-    (E23, +1, 0, E023), (E23, -1, 1, E123),
-    # grade 4 -> 3
-    (E012, +1, 3, E0123), (E013, -1, 2, E0123),
-    (E023, +1, 1, E0123), (E123, +1, 0, E0123),
-)
+# Signs of the d_c and delta_c stencils, shape (4, 16) like blades.GEN_SIGN:
+# the generator gather split by whether it raises or lowers the grade.
+_RAISES = blades.GRADES[blades.GEN_SRC] < blades.GRADES
+D_SIGN = np.where(_RAISES, blades.GEN_SIGN, 0)
+DELTA_SIGN = np.where(_RAISES, 0, blades.GEN_SIGN)
 
 
-def _apply_terms(terms, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(coeffs)
-    for out_b, sign, axis, in_b in terms:
-        diff = delta_mu(coeffs[..., in_b], axis)
-        if sign == 1:
-            out[..., out_b] += diff
-        else:
-            out[..., out_b] -= diff
+def _stencil(coeffs: np.ndarray, sign: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Sum over axes mu of sign[mu] * delta_mu(coeffs[..., src[mu]])."""
+    out = np.zeros(coeffs.shape[:-1] + sign.shape[1:], dtype=np.complex128)
+    for mu in blades.AXES:
+        diff = delta_mu(np.take(coeffs, src[mu], axis=-1), mu)
+        diff *= sign[mu]
+        out += diff
     return out
 
 
 def d_c(omega: FormField) -> FormField:
     """Grade-raising difference operator."""
-    return FormField(omega.dims, _apply_terms(D_TERMS, omega.coeffs))
+    return FormField(omega.dims, _stencil(omega.coeffs, D_SIGN, blades.GEN_SRC))
 
 
 def delta_c(omega: FormField) -> FormField:
     """Grade-lowering difference operator."""
-    return FormField(omega.dims, _apply_terms(DELTA_TERMS, omega.coeffs))
+    return FormField(omega.dims, _stencil(omega.coeffs, DELTA_SIGN, blades.GEN_SRC))
 
 
 def d_plus_delta(omega: FormField) -> FormField:
-    """(d_c + delta_c) applied blade by blade through the stencils."""
-    return d_c(omega) + delta_c(omega)
+    """(d_c + delta_c) applied as one signed gather per axis."""
+    return FormField(omega.dims, _stencil(omega.coeffs, blades.GEN_SIGN, blades.GEN_SRC))
 
 
 _E_CONST = tuple(ConstantForm.e(mu) for mu in blades.AXES)
@@ -106,8 +64,9 @@ _E0_CONST, _E1_CONST, _E2_CONST, _E3_CONST = _E_CONST
 def d_plus_delta_via_clifford(omega: FormField) -> FormField:
     """Cross-check route: sum over axes of e_mu times the forward difference.
 
-    Independent of the stencil tables; agreement with d_plus_delta on
-    arbitrary fields validates every stencil sign at once.
+    Goes through the dense product matrix of algebra.left_mul rather than
+    the signed gather; agreement with d_plus_delta on arbitrary fields
+    validates every stencil sign at once.
     """
     total = None
     for mu in blades.AXES:
@@ -162,20 +121,28 @@ def hestenes_residual(omega: FormField, params: EquationParams) -> FormField:
 
 
 # The eight componentwise Hestenes equations for an even-grade field.
-# Equation j states: sum of the listed difference terms = s * m * omega[rhs blade].
-# Ordered by the right-hand blade: x, e01, e02, e03, e12, e13, e23, e0123.
-HESTENES_EQUATION_BLADES = (X, E01, E02, E03, E12, E13, E23, E0123)
+# Equation j states: sum of its difference terms = s * m * omega[rhs blade].
+# Ordered by grade, then generator indices: x, e01, e02, e03, e12, e13, e23, e0123.
+HESTENES_EQUATION_BLADES = tuple(sorted(blades.EVEN_BLADES,
+                                        key=lambda m: (blades.grade(m), blades.indices(m))))
 
-_HESTENES_EQ_TERMS = (
-    ((+1, 0, E12), (-1, 1, E02), (+1, 2, E01), (+1, 3, E0123)),
-    ((+1, 2, X), (+1, 0, E02), (-1, 1, E12), (+1, 3, E23)),
-    ((-1, 1, X), (-1, 0, E01), (-1, 2, E12), (-1, 3, E13)),
-    ((-1, 1, E23), (+1, 2, E13), (-1, 3, E12), (-1, 0, E0123)),
-    ((-1, 0, X), (-1, 1, E01), (-1, 2, E02), (-1, 3, E03)),
-    ((-1, 0, E23), (+1, 2, E03), (-1, 3, E02), (-1, 1, E0123)),
-    ((+1, 0, E13), (-1, 1, E03), (+1, 3, E01), (-1, 2, E0123)),
-    ((+1, 3, X), (+1, 0, E03), (-1, 1, E13), (-1, 2, E23)),
-)
+
+def _hestenes_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Signed gather of the componentwise Hestenes terms, each of shape (4, 8).
+
+    Equation B is component B of -((d_c + delta_c) omega) e1 e2 e0 - s m omega,
+    because e0 e0 = 1: the generator gather followed by right multiplication
+    with the single blade e1 e2 e0.
+    """
+    s12, m12 = blades.TABLE.mul_masks(1 << 1, 1 << 2)
+    s120, m120 = blades.TABLE.mul_masks(m12, 1 << 0)
+    # blade of (d_c + delta_c) omega that e1 e2 e0 carries onto each rhs blade
+    pre = np.array(HESTENES_EQUATION_BLADES) ^ m120
+    sign = -s12 * s120 * blades.TABLE.sign[pre, m120] * blades.GEN_SIGN[:, pre]
+    return sign, blades.GEN_SRC[:, pre]
+
+
+HESTENES_SIGN, HESTENES_SRC = _hestenes_gather()
 
 
 def hestenes_residual_componentwise(omega: FormField, params: EquationParams,
@@ -193,17 +160,9 @@ def hestenes_residual_componentwise(omega: FormField, params: EquationParams,
     if odd > odd_rel_tol * max(max_abs(omega), 1.0):
         warnings.warn(f"odd-grade content of size {odd:.3e} is ignored by the "
                       "componentwise Hestenes equations", stacklevel=2)
-    out = np.zeros((8,) + coeffs.shape[:-1], dtype=np.complex128)
-    for j, (terms, rhs_b) in enumerate(zip(_HESTENES_EQ_TERMS, HESTENES_EQUATION_BLADES)):
-        acc = np.zeros(coeffs.shape[:-1], dtype=np.complex128)
-        for sign, axis, in_b in terms:
-            diff = delta_mu(coeffs[..., in_b], axis)
-            if sign == 1:
-                acc += diff
-            else:
-                acc -= diff
-        out[j] = acc - (s * params.mass) * coeffs[..., rhs_b]
-    return out
+    lhs = _stencil(coeffs, HESTENES_SIGN, HESTENES_SRC)
+    rhs = coeffs[..., list(HESTENES_EQUATION_BLADES)]
+    return np.moveaxis(lhs - (s * params.mass) * rhs, -1, 0)
 
 
 def pack_hestenes_components(residuals: np.ndarray, dims) -> FormField:
@@ -220,28 +179,3 @@ def pack_hestenes_components(residuals: np.ndarray, dims) -> FormField:
     for j, mask in enumerate(HESTENES_EQUATION_BLADES):
         coeffs[..., mask] = residuals[j]
     return FormField(dims, coeffs)
-
-
-class OperatorTag(Enum):
-    """Names for the applyable operators, used by the command line."""
-
-    D = "d"
-    DELTA = "delta"
-    D_PLUS_DELTA = "d_plus_delta"
-    DIRAC_KAHLER_LHS = "dirac_kahler_lhs"
-    HESTENES_LHS = "hestenes_lhs"
-
-
-_OPERATORS = {
-    OperatorTag.D: d_c,
-    OperatorTag.DELTA: delta_c,
-    OperatorTag.D_PLUS_DELTA: d_plus_delta,
-    OperatorTag.DIRAC_KAHLER_LHS: dk_apply,
-    OperatorTag.HESTENES_LHS: hestenes_apply,
-}
-
-
-def apply_operator(tag: OperatorTag, omega: FormField) -> FormField:
-    if tag not in _OPERATORS:
-        raise ValueError(f"unknown operator tag {tag!r}")
-    return _OPERATORS[tag](omega)

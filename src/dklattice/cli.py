@@ -21,12 +21,12 @@ from .fields import (Equation, EquationParams, FieldFormatError,
                      atomic_write_text, constant_field, dumps_field,
                      load_field, max_abs, plane_wave, random_field, rms,
                      save_field)
-from .lattice import LatticeDims
-from .spectral import (all_momenta, build_symbol, eigen_solve, format_complex,
+from .lattice import LatticeDims, site_iter
+from .spectral import (build_symbol, eigen_solve, format_complex,
                        propagator_solve, write_spectrum_csv)
 from .transfer import (decompose, hestenes_quadruple,
                        verify_quadruple_independence)
-from .verify import run_checks
+from .verify import rel_error, run_checks
 
 _EQUATIONS = {
     "dk": Equation.DIRAC_KAHLER,
@@ -57,6 +57,16 @@ def _parse_momentum(text: str) -> tuple:
     if len(parts) != 4:
         raise ValueError(f"expected p0,p1,p2,p3, got {text!r}")
     return tuple(int(part) for part in parts)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _blade_mask(name: str) -> int:
@@ -139,7 +149,7 @@ def _cmd_residual(args) -> int:
         residual = hestenes_residual(omega, params)
     dev = max_abs(residual)
     scale = max_abs(omega) * max(1.0, abs(params.mass))
-    rel = dev / scale if scale > 0 else (0.0 if dev == 0.0 else float("inf"))
+    rel = rel_error(dev, scale)
     print(f"max_abs={dev:.9g}")
     print(f"rms={rms(residual):.9g}")
     print(f"scale={scale:.9g}")
@@ -152,7 +162,7 @@ def _cmd_residual(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.all == bool(args.p):
         raise ValueError("spectrum needs exactly one of --p or --all")
-    momenta = list(all_momenta(args.dims)) if args.all else args.p
+    momenta = list(site_iter(args.dims)) if args.all else args.p
     buffer = io.StringIO()
     write_spectrum_csv(buffer, args.dims, momenta)
     _emit(args.output, buffer.getvalue())
@@ -176,7 +186,7 @@ def _cmd_decompose(args) -> int:
         save_field(part, f"{args.out_prefix}.{suffix}.json")
     dev = max_abs(result.total() - omega)
     scale = max_abs(omega)
-    rel = dev / scale if scale > 0 else (0.0 if dev == 0.0 else float("inf"))
+    rel = rel_error(dev, scale)
     print(f"reconstruction_rel={rel:.9g}")
     ok = rel <= args.tol
     print(f"status={'pass' if ok else 'fail'}")
@@ -189,8 +199,7 @@ def _cmd_quadruple(args) -> int:
     for i, member in enumerate(quad.fields(), start=1):
         save_field(member, f"{args.out_prefix}.q{i}.json")
     scale = max_abs(omega)
-    route_rel = (quad.route_deviation / scale if scale > 0
-                 else (0.0 if quad.route_deviation == 0.0 else float("inf")))
+    route_rel = rel_error(quad.route_deviation, scale)
     print(f"route_rel={route_rel:.9g}")
     independence = verify_quadruple_independence(quad)
     for line in independence.lines():
@@ -217,7 +226,7 @@ def _cmd_solve(args) -> int:
     save_field(solution, args.output)
     dev = max_abs(dk_residual(solution, EquationParams(args.mass)) - source)
     scale = max_abs(source)
-    rel = dev / scale if scale > 0 else (0.0 if dev == 0.0 else float("inf"))
+    rel = rel_error(dev, scale)
     print(f"residual_rel={rel:.9g}")
     ok = rel <= args.tol
     print(f"status={'pass' if ok else 'fail'}")
@@ -274,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("prop", choices=_VERIFY_CHOICES)
     verify.add_argument("--dims", type=LatticeDims.parse,
                         default=LatticeDims(3, 3, 3, 3))
-    verify.add_argument("--trials", type=int, default=50)
+    verify.add_argument("--trials", type=_positive_int, default=50)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every bound by this factor")

@@ -251,11 +251,18 @@ def load_field(path) -> FormField:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and os.replace."""
+    """Write text to path via a same-directory temp file and os.replace.
+
+    The file gets the mode open() would give it, 0o666 less the umask,
+    rather than the 0o600 of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -2,8 +2,9 @@
 
 On a periodic lattice every plane wave exp(2 pi i p.k/N) is an eigenvector
 of the forward differences, with delta_mu acting as multiplication by
-z_mu = exp(2 pi i p_mu/N_mu) - 1.  Substituting those scalars into the
-d_c/delta_c stencils turns the operator into an independent 16 x 16 block
+z_mu = exp(2 pi i p_mu/N_mu) - 1.  The operator sum_mu e_mu delta_mu then
+becomes S(p) = sum_mu z_mu L(e_mu), with L(e_mu) the signed permutation
+matrix of left multiplication by the generator: an independent 16 x 16 block
 per momentum, which gives exact plane-wave solutions (from eigenpairs of
 the block) and a direct solver for the massive equation with a source.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blades
-from .calculus import DELTA_TERMS, D_TERMS
 from .fields import FormField, plane_wave
 from .lattice import LatticeDims
 
@@ -29,8 +29,11 @@ def _symbol_block(z) -> np.ndarray:
     """
     shape = np.broadcast_shapes(*(np.shape(zi) for zi in z))
     out = np.zeros(shape + (blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
-    for out_b, sign, axis, in_b in D_TERMS + DELTA_TERMS:
-        out[..., out_b, in_b] += sign * z[axis]
+    rows = np.arange(blades.NUM_BLADES)
+    # e_mu maps blade GEN_SRC[mu, o] onto o, and the four generators fill
+    # disjoint entries, so each one is written straight into the stack.
+    for mu in blades.AXES:
+        out[..., rows, blades.GEN_SRC[mu]] = blades.GEN_SIGN[mu] * np.expand_dims(z[mu], -1)
     return out
 
 
@@ -114,12 +117,6 @@ def eigen_solve(symbol: SymbolMatrix) -> list[EigenPair]:
 def build_dk_solution(p, pair: EigenPair, dims: LatticeDims):
     """Plane-wave solution field for an eigenpair; returns (field, mass)."""
     return plane_wave(dims, p, pair.amplitude), pair.eigenvalue
-
-
-def all_momenta(dims: LatticeDims):
-    """All integer momenta in row-major order, matching the site order."""
-    from .lattice import site_iter
-    return site_iter(dims)
 
 
 class SingularBlockError(ValueError):

@@ -8,7 +8,6 @@ them directly at their contract tolerances.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .calculus import (HESTENES_EQUATION_BLADES, d_c, d_plus_delta,
                        pack_hestenes_components)
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
-from .lattice import LatticeDims
+from .lattice import LatticeDims, site_iter
 from .spectral import (build_dk_solution, build_symbol, eigen_solve,
                        propagator_solve)
 from .transfer import (decompose, hestenes_quadruple, verify_prop4,
@@ -78,7 +77,8 @@ class Verification:
         return out
 
 
-def _rel(deviation: float, scale: float) -> float:
+def rel_error(deviation: float, scale: float) -> float:
+    """deviation / scale, with 0/0 read as 0 and x/0 as inf."""
     if scale > 0.0:
         return deviation / scale
     return 0.0 if deviation == 0.0 else float("inf")
@@ -177,7 +177,7 @@ def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
     for t in range(trials):
         omega = random_field(dims, seed + t)
         dev = max_abs(d_plus_delta(omega) - d_plus_delta_via_clifford(omega))
-        worst = max(worst, _rel(dev, max_abs(omega)))
+        worst = max(worst, rel_error(dev, max_abs(omega)))
     ver.add("prop1_max_rel_dev", worst, 1e-13)
     ver.note("prop1_trials", trials)
     return ver
@@ -229,14 +229,14 @@ def check_prop3(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
     for t in range(trials):
         omega = random_field(dims, seed + t)
         dev = max_abs(decompose(omega).total() - omega)
-        worst = max(worst, _rel(dev, max_abs(omega)))
+        worst = max(worst, rel_error(dev, max_abs(omega)))
     ver.add("prop3_max_rel_reconstruction", worst, 1e-14)
     ver.note("prop3_trials", trials)
     return ver
 
 
 def _sample_momenta(dims: LatticeDims, count: int, rng) -> list:
-    momenta = list(itertools.product(*(range(n) for n in dims.shape)))
+    momenta = list(site_iter(dims))
     take = min(count, len(momenta))
     chosen = rng.choice(len(momenta), size=take, replace=False)
     return [momenta[i] for i in chosen]
@@ -253,11 +253,11 @@ def check_prop4(dims: LatticeDims, momenta: int = 10, seed: int = 0) -> Verifica
             omega, mass = build_dk_solution(p, pair, dims)
             report = verify_prop4(omega, mass)
             scale = report.scale
-            worst_dk = max(worst_dk, _rel(report.dk_residual, scale))
+            worst_dk = max(worst_dk, rel_error(report.dk_residual, scale))
             for tag in ("++", "--"):
-                worst_straight = max(worst_straight, _rel(report.residuals[tag], scale))
+                worst_straight = max(worst_straight, rel_error(report.residuals[tag], scale))
             for tag in ("-+", "+-"):
-                worst_flipped = max(worst_flipped, _rel(report.residuals[tag], scale))
+                worst_flipped = max(worst_flipped, rel_error(report.residuals[tag], scale))
             count += 1
     ver.add("prop4_max_rel_dk_residual", worst_dk, 1e-12)
     ver.add("prop4_max_rel_hestenes", worst_straight, 1e-12)
@@ -279,10 +279,10 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     odd_dev = max(max_abs(odd_part(q)) for q in quad.fields())
     imag_dev = max(float(np.max(np.abs(q.coeffs.imag))) for q in quad.fields())
     res_dev = max(max_abs(hestenes_residual(q, params)) for q in quad.fields())
-    ver.add("prop5_max_rel_odd", _rel(odd_dev, scale), 1e-14)
-    ver.add("prop5_max_rel_imag", _rel(imag_dev, scale), 1e-14)
+    ver.add("prop5_max_rel_odd", rel_error(odd_dev, scale), 1e-14)
+    ver.add("prop5_max_rel_imag", rel_error(imag_dev, scale), 1e-14)
     ver.add("prop5_residual_mass0", res_dev, 0.0)
-    ver.add("prop5_max_rel_route_dev", _rel(quad.route_deviation, scale), 1e-14)
+    ver.add("prop5_max_rel_route_dev", rel_error(quad.route_deviation, scale), 1e-14)
     rank_report = verify_quadruple_independence(quad)
     ver.note("prop5_rank", rank_report.rank)
     for i, s in enumerate(rank_report.singular_values):
@@ -304,7 +304,7 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     params_real = EquationParams(mass.real, Equation.HESTENES)
     res_real = max(max_abs(hestenes_residual(q, params_real)) for q in quad_real.fields())
     sol_scale = max_abs(solution)
-    ver.add("prop5_realmass_max_rel_residual", _rel(res_real, sol_scale), 1e-12)
+    ver.add("prop5_realmass_max_rel_residual", rel_error(res_real, sol_scale), 1e-12)
     ver.note("prop5_realmass_momentum", ",".join(str(c) for c in p))
     ver.note("prop5_realmass_value", f"{mass.real:.9g}")
     return ver
@@ -317,8 +317,8 @@ def check_nilpotency(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Ver
     for t in range(trials):
         omega = random_field(dims, seed + t)
         scale = max_abs(omega)
-        worst_d = max(worst_d, _rel(max_abs(d_c(d_c(omega))), scale))
-        worst_delta = max(worst_delta, _rel(max_abs(delta_c(delta_c(omega))), scale))
+        worst_d = max(worst_d, rel_error(max_abs(d_c(d_c(omega))), scale))
+        worst_delta = max(worst_delta, rel_error(max_abs(delta_c(delta_c(omega))), scale))
     ver.add("nilpotency_dd_max_rel", worst_d, 1e-13)
     ver.add("nilpotency_deltadelta_max_rel", worst_delta, 1e-13)
     ver.note("nilpotency_trials", trials)
@@ -341,7 +341,7 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
             reference = right_mul(hestenes_residual(omega, params), e0)
             dev = max_abs(packed - reference)
             scale = max_abs(omega) * max(1.0, abs(mass))
-            worst = max(worst, _rel(dev, scale))
+            worst = max(worst, rel_error(dev, scale))
     ver.add("componentwise_max_rel_dev", worst, 1e-14)
     ver.note("componentwise_trials", trials)
     return ver
@@ -364,7 +364,7 @@ def check_matrix_oracle(vectors: int = 20, seed: int = 0) -> Verification:
         v = rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
         direct = dk_apply(FormField(dims, v.reshape(dims.shape + (16,))))
         dev = float(np.max(np.abs(matrix @ v - direct.coeffs.ravel())))
-        worst = max(worst, _rel(dev, float(np.max(np.abs(v)))))
+        worst = max(worst, rel_error(dev, float(np.max(np.abs(v)))))
     ver.add("matrix_oracle_max_rel_dev", worst, 1e-13)
     ver.note("matrix_oracle_dimension", n)
     return ver
@@ -384,13 +384,13 @@ def check_spectral(dims: LatticeDims, momenta: int = 10, seed: int = 0) -> Verif
             worst_eigen = max(worst_eigen, residual)
             solution, mass = build_dk_solution(p, pair, dims)
             dev = max_abs(dk_residual(solution, EquationParams(mass)))
-            worst_dk = max(worst_dk, _rel(dev, max_abs(solution)))
+            worst_dk = max(worst_dk, rel_error(dev, max_abs(solution)))
         amp = rng.uniform(-1, 1, size=16) + 1j * rng.uniform(-1, 1, size=16)
         wave = plane_wave(dims, p, amp)
         direct = d_plus_delta(wave)
         expected = plane_wave(dims, p, symbol.matrix @ amp)
         worst_symbol = max(worst_symbol,
-                           _rel(max_abs(direct - expected), max_abs(wave)))
+                           rel_error(max_abs(direct - expected), max_abs(wave)))
     ver.add("spectral_eigen_residual_max", worst_eigen, 1e-12)
     ver.add("spectral_max_rel_dk_residual", worst_dk, 1e-12)
     ver.add("spectral_max_rel_symbol_dev", worst_symbol, 1e-13)
@@ -408,7 +408,7 @@ def check_propagator(dims: LatticeDims, sources: int = 10, seed: int = 0,
         source = random_field(dims, seed + t)
         solution = propagator_solve(source, mass)
         dev = max_abs(dk_residual(solution, params) - source)
-        worst = max(worst, _rel(dev, max_abs(source)))
+        worst = max(worst, rel_error(dev, max_abs(source)))
     ver.add("propagator_max_rel_residual", worst, 1e-11)
     ver.note("propagator_sources", sources)
     ver.note("propagator_mass", f"{mass.real:.9g},{mass.imag:.9g}")

@@ -6,8 +6,7 @@ import pytest
 from dklattice.algebra import ConstantForm, right_mul
 from dklattice.blades import (E0, E01, E012, E0123, E02, E03, E1, E12, E123,
                               E13, E2, E23, E3, GRADES, X)
-from dklattice.calculus import (HESTENES_EQUATION_BLADES, OperatorTag,
-                                apply_operator, d_c, d_plus_delta,
+from dklattice.calculus import (HESTENES_EQUATION_BLADES, d_c, d_plus_delta,
                                 d_plus_delta_via_clifford, delta_c, dk_apply,
                                 dk_residual, graded_residuals, hestenes_apply,
                                 hestenes_residual,
@@ -188,18 +187,3 @@ def test_componentwise_shape_and_packing_validation():
     assert res.shape == (8,) + DIMS.shape
     with pytest.raises(ValueError):
         pack_hestenes_components(res[:7], DIMS)
-
-
-def test_apply_operator_dispatch():
-    f = random_field(DIMS, 15)
-    pairs = [
-        (OperatorTag.D, d_c),
-        (OperatorTag.DELTA, delta_c),
-        (OperatorTag.D_PLUS_DELTA, d_plus_delta),
-        (OperatorTag.DIRAC_KAHLER_LHS, dk_apply),
-        (OperatorTag.HESTENES_LHS, hestenes_apply),
-    ]
-    for tag, fn in pairs:
-        assert np.array_equal(apply_operator(tag, f).coeffs, fn(f).coeffs)
-    with pytest.raises(ValueError):
-        apply_operator("dk", f)

@@ -149,6 +149,15 @@ def test_verify_command(capsys):
     assert all("=" in line for line in out)
 
 
+@pytest.mark.parametrize("prop,trials", [("all", "0"), ("1", "0"), ("4", "-3")])
+def test_verify_rejects_trials_below_one(prop, trials, capsys):
+    # a check over zero trials would pass on no work at all
+    assert run_cli("verify", prop, "--trials", trials) == 2
+    err = capsys.readouterr().err
+    assert f"--trials: must be a positive integer, got '{trials}'" in err
+    assert "negative dimensions" not in err
+
+
 def test_verify_tol_scale_tightened(capsys):
     # clifford checks are exact, so even a crushed tolerance passes
     assert run_cli("verify", "clifford", "--tol-scale", "1e-6") == 0

@@ -1,6 +1,7 @@
 import cmath
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -239,6 +240,16 @@ def test_save_is_atomic_no_temp_left(tmp_path):
     save_field(zeros(SMALL), path)  # overwrite through rename
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_saved_file_mode_follows_umask(tmp_path):
+    path = tmp_path / "f.json"
+    old = os.umask(0o022)
+    try:
+        save_field(zeros(SMALL), path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
 
 def test_load_missing_file(tmp_path):

@@ -11,7 +11,7 @@ from dklattice.blades import ALL_MASKS, E0, TABLE
 from dklattice.calculus import d_plus_delta, dk_residual
 from dklattice.fields import EquationParams, max_abs, plane_wave, random_field
 from dklattice.lattice import LatticeDims
-from dklattice.spectral import (EigenPair, SingularBlockError, all_momenta,
+from dklattice.spectral import (EigenPair, SingularBlockError,
                                 build_dk_solution, build_symbol, eigen_solve,
                                 format_complex, propagator_solve,
                                 spectrum_rows, symbol_stack,
@@ -152,10 +152,6 @@ def test_propagator_rejects_eigenvalue_mass():
 def test_format_complex():
     assert format_complex(complex(2, 0)) == "2,0"
     assert format_complex(complex(0.1, -1)) == "0.10000000000000001,-1"
-
-
-def test_all_momenta_counts():
-    assert len(list(all_momenta(DIMS3))) == DIMS3.volume
 
 
 def test_spectrum_rows_shape():
