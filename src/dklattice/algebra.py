@@ -9,13 +9,14 @@ materialize to floating point only when broadcast onto a lattice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import blades
-from .blades import TABLE, CliffordTable, build_table  # noqa: F401  (re-exported)
+from .blades import TABLE
 from .fields import FormField, constant_field, max_abs
 from .lattice import LatticeDims
 
@@ -130,12 +131,14 @@ class ConstantForm:
 PROJECTOR_TAGS = ("+0", "-0", "+12", "-12", "++", "+-", "-+", "--")
 
 
+@functools.cache
 def projector(tag: str) -> ConstantForm:
     """One of the eight idempotent constant forms, selected by tag.
 
     "+0" and "-0" give (x +- e0)/2; "+12" and "-12" give (x +- i e1 e2)/2.
     A two-sign tag "ss'" gives the product of the "s0" and "s'12" factors,
-    for example "+-" is the "+0" factor times the "-12" factor.
+    for example "+-" is the "+0" factor times the "-12" factor.  Each tag is
+    built once; the frozen result is shared between callers.
     """
     if tag in ("+0", "-0"):
         s = _ONE if tag[0] == "+" else -_ONE

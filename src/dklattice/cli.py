@@ -17,10 +17,9 @@ import numpy as np
 from .blades import MASK_BY_NAME, NUM_BLADES, blade_name
 from .calculus import (d_c, delta_c, dk_apply, dk_residual, hestenes_apply,
                        hestenes_residual)
-from .fields import (Equation, EquationParams, FieldFormatError,
-                     atomic_write_text, constant_field, dumps_field,
-                     load_field, max_abs, plane_wave, random_field, rms,
-                     save_field)
+from .fields import (Equation, EquationParams, atomic_write_text,
+                     constant_field, dumps_field, load_field, max_abs,
+                     plane_wave, random_field, rms, save_field)
 from .lattice import LatticeDims, site_iter
 from .spectral import (build_symbol, eigen_solve, format_complex,
                        propagator_solve, write_spectrum_csv)
@@ -47,9 +46,10 @@ _VERIFY_CHOICES = ("1", "2", "3", "4", "5", "clifford", "nilpotency",
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected re,im, got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    value = complex(float(parts[0]), float(parts[1])) if len(parts) == 2 else np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected finite re,im, got {text!r}")
+    return value
 
 
 def _parse_momentum(text: str) -> tuple:
@@ -66,6 +66,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     residual.add_argument("eq", choices=sorted(_EQUATIONS))
     residual.add_argument("-i", "--input", required=True)
     residual.add_argument("--mass", type=_parse_complex, default=0j, metavar="RE,IM")
-    residual.add_argument("--tol", type=float, default=1e-12,
+    residual.add_argument("--tol", type=_tolerance, default=1e-12,
                           help="relative tolerance on max_abs (default 1e-12)")
     residual.set_defaults(func=_cmd_residual)
 
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=LatticeDims(3, 3, 3, 3))
     verify.add_argument("--trials", type=_positive_int, default=50)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol-scale", type=float, default=1.0,
+    verify.add_argument("--tol-scale", type=_tolerance, default=1.0,
                         help="multiply every bound by this factor")
     verify.set_defaults(func=_cmd_verify)
 
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("-i", "--input", required=True)
     dec.add_argument("--out-prefix", required=True,
                      help="writes PREFIX.pp/.mp/.pm/.mm.json")
-    dec.add_argument("--tol", type=float, default=1e-12,
+    dec.add_argument("--tol", type=_tolerance, default=1e-12,
                      help="relative reconstruction tolerance")
     dec.set_defaults(func=_cmd_decompose)
 
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--mass", type=_parse_complex, default=0j, metavar="RE,IM")
     quad.add_argument("--out-prefix", required=True,
                       help="writes PREFIX.q1.json .. PREFIX.q4.json")
-    quad.add_argument("--tol", type=float, default=1e-12,
+    quad.add_argument("--tol", type=_tolerance, default=1e-12,
                       help="relative residual tolerance at real mass")
     quad.set_defaults(func=_cmd_quadruple)
 
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-i", "--input", required=True, help="source field file")
     solve.add_argument("--mass", type=_parse_complex, default=0j, metavar="RE,IM")
     solve.add_argument("-o", "--output", required=True)
-    solve.add_argument("--tol", type=float, default=1e-11,
+    solve.add_argument("--tol", type=_tolerance, default=1e-11,
                        help="relative residual tolerance")
     solve.set_defaults(func=_cmd_solve)
     return parser
@@ -325,10 +335,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FieldFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,14 @@
-"""Momentum-space symbols, plane-wave eigensolutions, and block solves.
+"""Momentum-space symbols, plane-wave eigensolutions, and the propagator.
 
 On a periodic lattice every plane wave exp(2 pi i p.k/N) is an eigenvector
 of the forward differences, with delta_mu acting as multiplication by
 z_mu = exp(2 pi i p_mu/N_mu) - 1.  The operator sum_mu e_mu delta_mu then
 becomes S(p) = sum_mu z_mu L(e_mu), with L(e_mu) the signed permutation
 matrix of left multiplication by the generator: an independent 16 x 16 block
-per momentum, which gives exact plane-wave solutions (from eigenpairs of
-the block) and a direct solver for the massive equation with a source.
+per momentum, whose eigenpairs give exact plane-wave solutions.  As the
+generators anticommute, S(p)^2 = s(p) 1 with s(p) = sum_mu g_mumu z_mu^2, so
+the massive equation with a source is solved by one scalar divide per
+momentum, without forming any block.
 """
 
 from __future__ import annotations
@@ -17,31 +19,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blades
+from .calculus import dk_apply
 from .fields import FormField, plane_wave
 from .lattice import LatticeDims
 
 
 def _symbol_block(z) -> np.ndarray:
-    """Assemble the symbol of d_c + delta_c from per-axis multipliers.
-
-    z is a 4-sequence of scalars or broadcastable arrays; the result has
-    the broadcast shape plus trailing (16, 16) axes.
-    """
-    shape = np.broadcast_shapes(*(np.shape(zi) for zi in z))
-    out = np.zeros(shape + (blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
+    """Assemble the 16 x 16 symbol of d_c + delta_c from four per-axis multipliers."""
+    out = np.zeros((blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
     rows = np.arange(blades.NUM_BLADES)
     # e_mu maps blade GEN_SRC[mu, o] onto o, and the four generators fill
-    # disjoint entries, so each one is written straight into the stack.
+    # disjoint entries, so each one is written straight into the block.
     for mu in blades.AXES:
-        out[..., rows, blades.GEN_SRC[mu]] = blades.GEN_SIGN[mu] * np.expand_dims(z[mu], -1)
+        out[rows, blades.GEN_SRC[mu]] = blades.GEN_SIGN[mu] * z[mu]
     return out
 
 
-def _z_scalars(p, dims: LatticeDims) -> tuple:
-    if len(p) != 4:
-        raise ValueError(f"momentum must have four components, got {p!r}")
-    p = tuple(int(c) % n for c, n in zip(p, dims.shape))
-    return p, tuple(np.exp(2j * np.pi * p[mu] / dims.extent(mu)) - 1.0 for mu in blades.AXES)
+def _z(p, dims: LatticeDims) -> tuple:
+    """Per-axis exp(2 pi i p_mu/N_mu) - 1, for integer or broadcastable array p_mu."""
+    return tuple(np.exp(2j * np.pi * p[mu] / dims.extent(mu)) - 1.0 for mu in blades.AXES)
 
 
 @dataclass(frozen=True)
@@ -62,20 +58,10 @@ class SymbolMatrix:
 
 def build_symbol(p, dims: LatticeDims) -> SymbolMatrix:
     """Symbol of d_c + delta_c at integer momentum p."""
-    p, z = _z_scalars(p, dims)
-    return SymbolMatrix(p=p, dims=dims, matrix=_symbol_block(z))
-
-
-def symbol_stack(dims: LatticeDims) -> np.ndarray:
-    """Symbols at every momentum, shape (N0, N1, N2, N3, 16, 16)."""
-    z = []
-    for mu in blades.AXES:
-        n = dims.extent(mu)
-        axis_z = np.exp(2j * np.pi * np.arange(n) / n) - 1.0
-        shape = [1, 1, 1, 1]
-        shape[mu] = n
-        z.append(axis_z.reshape(shape))
-    return _symbol_block(tuple(z))
+    if len(p) != 4:
+        raise ValueError(f"momentum must have four components, got {p!r}")
+    p = tuple(int(c) % n for c, n in zip(p, dims.shape))
+    return SymbolMatrix(p=p, dims=dims, matrix=_symbol_block(_z(p, dims)))
 
 
 @dataclass(frozen=True)
@@ -136,25 +122,28 @@ def format_complex(z: complex) -> str:
 
 
 def propagator_solve(source: FormField, mass: complex) -> FormField:
-    """Solve (i (d_c + delta_c) - m) omega = source by momentum blocks.
+    """Solve (i (d_c + delta_c) - m) omega = source in closed form.
 
-    The source is transformed momentum by momentum, each 16 x 16 block
-    (i D(p) - m I) is solved directly, and the result is transformed back.
-    Raises SingularBlockError when m is an eigenvalue of any block.
+    S(p)^2 = s(p) 1 gives (i S - m)^-1 = (i S + m) / (-s - m^2): the source
+    is transformed, divided by that scalar momentum by momentum, transformed
+    back, and i (d_c + delta_c) + m is applied in real space.  The block
+    eigenvalues are +-i sqrt(s(p)); SingularBlockError is raised when the
+    nearer one lies within 1e-12 max(1, |m|) of m.
     """
     mass = complex(mass)
     dims = source.dims
-    stack = 1j * symbol_stack(dims)
-    eigenvalues = np.linalg.eigvals(stack)
+    z = _z(np.ix_(*(np.arange(n) for n in dims.shape)), dims)
+    s = sum(g * z_mu ** 2 for g, z_mu in zip(blades.METRIC, z))
+    root = 1j * np.sqrt(s)
+    eigenvalues = np.where(np.abs(root - mass) <= np.abs(root + mass), root, -root)
     distances = np.abs(eigenvalues - mass)
-    tol = 1e-12 * max(1.0, abs(mass))
-    if distances.min() <= tol:
-        flat = np.unravel_index(int(np.argmin(distances)), distances.shape)
-        raise SingularBlockError(momentum=flat[:4], eigenvalue=eigenvalues[flat], mass=mass)
-    blocks = stack - mass * np.eye(16)
+    if distances.min() <= 1e-12 * max(1.0, abs(mass)):
+        p = np.unravel_index(int(np.argmin(distances)), distances.shape)
+        raise SingularBlockError(momentum=p, eigenvalue=eigenvalues[p], mass=mass)
     transformed = np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3))
-    solved = np.linalg.solve(blocks, transformed[..., None])[..., 0]
-    return FormField(dims, np.fft.ifftn(solved, axes=(0, 1, 2, 3)))
+    transformed /= (-s - mass * mass)[..., None]
+    g = FormField(dims, np.fft.ifftn(transformed, axes=(0, 1, 2, 3)))
+    return dk_apply(g) + mass * g
 
 
 def spectrum_rows(dims: LatticeDims, momenta):

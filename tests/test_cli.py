@@ -73,6 +73,7 @@ def test_gen_plane_wave_eigen_reports_mass(tmp_path, capsys):
     ("gen", "constant", "--amp", "bogus=1,0"),
     ("gen", "constant", "--amp", "17=1,0"),
     ("gen", "constant", "--amp", "x:1,0"),
+    ("gen", "constant", "--amp", "x=nan,0"),
 ])
 def test_gen_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "-o", str(tmp_path / "x.json")) == 2
@@ -222,6 +223,35 @@ def test_solve_singular_mass(tmp_path, capsys):
                    "-o", str(tmp_path / "out.json"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+    # a nonzero momentum with s(p) = -4 has eigenvalue 2 on 4^4
+    save_field(random_field(LatticeDims(4, 4, 4, 4), 10), src)
+    code = run_cli("solve", "-i", str(src), "--mass", "2,0",
+                   "-o", str(tmp_path / "out.json"))
+    assert code == 2
+    assert "matches eigenvalue 2," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "-i", "{src}", "-o", "{out}", "--mass", "inf,0"),
+    ("residual", "dk", "-i", "{src}", "--mass", "nan,0"),
+    ("quadruple", "-i", "{src}", "--out-prefix", "{out}", "--mass", "0,-inf"),
+    ("residual", "dk", "-i", "{src}", "--tol", "-1"),
+    ("residual", "dk", "-i", "{src}", "--tol", "nan"),
+    ("decompose", "-i", "{src}", "--out-prefix", "{out}", "--tol", "inf"),
+    ("quadruple", "-i", "{src}", "--out-prefix", "{out}", "--tol", "-0.5"),
+    ("solve", "-i", "{src}", "-o", "{out}", "--tol", "x"),
+    ("verify", "2", "--tol-scale", "-1"),
+    ("verify", "2", "--tol-scale", "inf"),
+], ids=" ".join)
+def test_non_finite_or_negative_numbers_rejected_at_parse(argv, tmp_path, capsys):
+    src = tmp_path / "src.json"
+    save_field(random_field(DIMS, 11), src)
+    argv = [a.format(src=src, out=tmp_path / "out") for a in argv]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}: " in captured.err
+    assert "status=" not in captured.out
 
 
 def test_malformed_input_file(tmp_path, capsys):

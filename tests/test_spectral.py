@@ -10,12 +10,11 @@ import pytest
 from dklattice.blades import ALL_MASKS, E0, TABLE
 from dklattice.calculus import d_plus_delta, dk_residual
 from dklattice.fields import EquationParams, max_abs, plane_wave, random_field
-from dklattice.lattice import LatticeDims
+from dklattice.lattice import LatticeDims, site_iter
 from dklattice.spectral import (EigenPair, SingularBlockError,
                                 build_dk_solution, build_symbol, eigen_solve,
                                 format_complex, propagator_solve,
-                                spectrum_rows, symbol_stack,
-                                write_spectrum_csv)
+                                spectrum_rows, write_spectrum_csv)
 
 DIMS4 = LatticeDims(4, 4, 4, 4)
 DIMS3 = LatticeDims(3, 3, 3, 3)
@@ -107,11 +106,19 @@ def test_symbol_matches_operator_on_plane_waves():
         assert dev <= 1e-13 * max_abs(wave)
 
 
-def test_symbol_stack_matches_per_momentum():
-    stack = symbol_stack(DIMS3)
-    assert stack.shape == DIMS3.shape + (16, 16)
-    for p in [(0, 0, 0, 0), (1, 2, 0, 1), (2, 2, 2, 2)]:
-        assert np.max(np.abs(stack[p] - build_symbol(p, DIMS3).matrix)) < 1e-15
+@pytest.mark.parametrize("shape,mass", [((3, 3, 3, 3), 1.0 + 0.0j),
+                                        ((2, 3, 1, 4), 0.3 - 0.8j)])
+def test_propagator_matches_per_momentum_solve(shape, mass):
+    # LAPACK oracle: solve each 16 x 16 block (i S(p) - m I) on its own
+    dims = LatticeDims(*shape)
+    source = random_field(dims, 24)
+    transformed = np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3))
+    for p in site_iter(dims):
+        block = 1j * build_symbol(p, dims).matrix - mass * np.eye(16)
+        transformed[p] = np.linalg.solve(block, transformed[p])
+    expected = np.fft.ifftn(transformed, axes=(0, 1, 2, 3))
+    got = propagator_solve(source, mass).coeffs
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_build_dk_solution_solves_equation():
@@ -147,6 +154,15 @@ def test_propagator_rejects_eigenvalue_mass():
     assert err.momentum == (0, 0, 0, 0)
     assert abs(err.eigenvalue) < 1e-12
     assert "p=(0, 0, 0, 0)" in str(err)
+
+    # nonzero momentum: s(p) = -4 at e.g. (0, 2, 0, 0) gives eigenvalues +-2
+    with pytest.raises(SingularBlockError) as info:
+        propagator_solve(random_field(DIMS4, 23), 2.0)
+    err = info.value
+    z = _z(err.momentum, DIMS4)
+    assert abs(z[0] ** 2 - z[1] ** 2 - z[2] ** 2 - z[3] ** 2 + 4.0) < 1e-12
+    assert abs(err.eigenvalue - 2.0) < 1e-12
+    assert f"p={err.momentum}" in str(err)
 
 
 def test_format_complex():

@@ -6,6 +6,8 @@ gathers must reproduce them exactly, and property tests over small
 lattices check the operators against a plain loop over these rows.
 """
 
+import cmath
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from dklattice.calculus import (D_SIGN, DELTA_SIGN, HESTENES_EQUATION_BLADES,
                                 delta_c, hestenes_residual_componentwise)
 from dklattice.fields import (Equation, EquationParams, even_part, max_abs,
                               plane_wave, random_field)
-from dklattice.lattice import LatticeDims, delta_mu
+from dklattice.lattice import LatticeDims, delta_mu, site_iter
 from dklattice.spectral import _symbol_block, build_symbol
 
 # Rows (out_blade, sign, axis, in_blade): out[out_blade] += sign * delta_axis(in[in_blade]).
@@ -178,3 +180,19 @@ def test_plane_wave_is_symbol_times_amplitude(extents, momentum, seed):
     wave = plane_wave(dims, p, amp)
     expected = plane_wave(dims, p, build_symbol(p, dims).matrix @ amp)
     assert max_abs(d_plus_delta(wave) - expected) <= 1e-13 * max_abs(wave)
+
+
+@PROPERTY_SETTINGS
+@given(EXTENTS)
+@example((1, 1, 1, 1))
+@example((4, 4, 4, 4))
+@example((2, 3, 1, 4))
+def test_symbol_squares_to_scalar_at_every_momentum(extents):
+    # S(p)^2 = s(p) 1 with s = z0^2 - z1^2 - z2^2 - z3^2, the identity the
+    # closed-form propagator rests on
+    dims = LatticeDims(*extents)
+    for p in site_iter(dims):
+        z = [cmath.exp(2j * cmath.pi * c / n) - 1 for c, n in zip(p, extents)]
+        s = z[0] ** 2 - z[1] ** 2 - z[2] ** 2 - z[3] ** 2
+        sym = build_symbol(p, dims).matrix
+        assert np.max(np.abs(sym @ sym - s * np.eye(16))) <= 1e-14
