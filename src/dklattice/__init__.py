@@ -17,9 +17,8 @@ from .fields import (Equation, EquationParams, FieldFormatError, FormField,
                      grade_part, is_even, is_real, load_field, loads_field,
                      max_abs, odd_part, plane_wave, random_field, rms,
                      save_field, zeros)
-from .algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul, e_mu_form,
-                      is_constant, left_mul, projector, projector_field,
-                      right_mul, unit_form)
+from .algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul, is_constant,
+                      left_mul, projector, right_mul)
 from .calculus import (d_c, delta_c, d_plus_delta, dk_apply, dk_residual,
                        graded_residuals, hestenes_apply, hestenes_residual,
                        hestenes_residual_componentwise,
@@ -43,9 +42,8 @@ __all__ = [
     "constant_field", "conjugate", "dumps_field", "even_part", "grade_part",
     "is_even", "is_real", "load_field", "loads_field", "max_abs", "odd_part",
     "plane_wave", "random_field", "rms", "save_field", "zeros",
-    "ConstantForm", "PROJECTOR_TAGS", "clifford_mul", "e_mu_form",
-    "is_constant", "left_mul", "projector", "projector_field", "right_mul",
-    "unit_form",
+    "ConstantForm", "PROJECTOR_TAGS", "clifford_mul", "is_constant",
+    "left_mul", "projector", "right_mul",
     "d_c", "delta_c", "d_plus_delta",
     "dk_apply", "dk_residual", "graded_residuals", "hestenes_apply",
     "hestenes_residual", "hestenes_residual_componentwise",

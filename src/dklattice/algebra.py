@@ -1,10 +1,12 @@
 """Site algebra on fields: Clifford products, constant forms, projectors.
 
 The product of two fields is strictly local: the 16-vectors at each site
-multiply through the blade table, with no coupling between sites.  Constant
+multiply through the blade table, with no coupling between sites.  Every
+product is a signed gather over blades.TABLE: blade a times blade b puts
+sign[a, b] times the coefficient product onto blade result[a, b].  Constant
 forms (site-independent 16-vectors) are kept in exact rational arithmetic
-so the projector identities can be checked with zero rounding; they
-materialize to floating point only when broadcast onto a lattice.
+so the projector identities can be checked with zero rounding; each is
+converted to floating point once, when first used on a lattice.
 """
 
 from __future__ import annotations
@@ -118,10 +120,16 @@ class ConstantForm:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.re) and all(v == 0 for v in self.im)
 
+    @functools.cached_property
+    def _vector(self) -> np.ndarray:
+        vec = np.array([float(a) + 1j * float(b) for a, b in zip(self.re, self.im)],
+                       dtype=np.complex128)
+        vec.setflags(write=False)
+        return vec
+
     def as_vector(self) -> np.ndarray:
-        """Floating-point 16-vector of blade coefficients."""
-        return np.array([float(a) + 1j * float(b) for a, b in zip(self.re, self.im)],
-                        dtype=np.complex128)
+        """Read-only floating-point 16-vector of blade coefficients, built once."""
+        return self._vector
 
     def as_field(self, dims: LatticeDims) -> FormField:
         """Materialize onto a lattice as a constant FormField."""
@@ -152,29 +160,28 @@ def projector(tag: str) -> ConstantForm:
     raise ValueError(f"unknown projector tag {tag!r}, expected one of {PROJECTOR_TAGS}")
 
 
-def unit_form(dims: LatticeDims) -> FormField:
-    """Constant field equal to the unit blade x at every site."""
-    return ConstantForm.unit().as_field(dims)
-
-
-def e_mu_form(mu: int, dims: LatticeDims) -> FormField:
-    """Constant field equal to the generator e_mu at every site."""
-    return ConstantForm.e(mu).as_field(dims)
-
-
-def projector_field(tag: str, dims: LatticeDims) -> FormField:
-    return projector(tag).as_field(dims)
-
-
 def clifford_mul(a: FormField, b: FormField) -> FormField:
-    """Per-site Clifford product of two fields on the same lattice."""
+    """Per-site Clifford product of two fields on the same lattice.
+
+    One signed gather per blade m of a: blade result[m, o] of b lands on o.
+    """
     if a.dims != b.dims:
         raise ValueError(f"lattice dimension mismatch: {a.dims.shape} vs {b.dims.shape}")
-    out = np.einsum("...a,...b,abc->...c", a.coeffs, b.coeffs, TABLE.tensor)
+    out = np.zeros_like(a.coeffs)
+    for m in blades.ALL_MASKS:
+        src = TABLE.result[m]
+        out += a.coeffs[..., m, None] * (b.coeffs[..., src] * TABLE.sign[m, src])
     return FormField(a.dims, out)
 
 
-def _mul_by_matrix(a: FormField, matrix: np.ndarray) -> FormField:
+# Row and column index of every entry of the 16 x 16 sign/result tables.
+_A, _B = np.indices(TABLE.sign.shape)
+
+
+def _gather_mul(a: FormField, rows: np.ndarray, values: np.ndarray) -> FormField:
+    """a times the matrix with entry [rows, result] = sign * values, as one matmul."""
+    matrix = np.zeros((blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
+    matrix[rows, TABLE.result] = TABLE.sign * values
     flat = a.coeffs.reshape(-1, blades.NUM_BLADES) @ matrix
     return FormField(a.dims, flat.reshape(a.coeffs.shape))
 
@@ -182,16 +189,16 @@ def _mul_by_matrix(a: FormField, matrix: np.ndarray) -> FormField:
 def right_mul(a: FormField, c: ConstantForm) -> FormField:
     """Clifford product a * c with a constant right factor.
 
-    One (V, 16) @ (16, 16) matmul with matrix[a, k] = sum_b c[b] tensor[a, b, k].
-    Multiplication by a single blade is a signed permutation of components
-    with no rounding.
+    One (V, 16) @ (16, 16) matmul whose row a holds sign[a, b] * c[b] at
+    column result[a, b].  Multiplication by a single blade is a signed
+    permutation of components with no rounding.
     """
-    return _mul_by_matrix(a, np.einsum("b,abc->ac", c.as_vector(), TABLE.tensor))
+    return _gather_mul(a, _A, c.as_vector()[_B])
 
 
 def left_mul(c: ConstantForm, a: FormField) -> FormField:
     """Clifford product c * a with a constant left factor, as one matmul."""
-    return _mul_by_matrix(a, np.einsum("a,abc->bc", c.as_vector(), TABLE.tensor))
+    return _gather_mul(a, _B, c.as_vector()[_A])
 
 
 def is_constant(omega: FormField, tol: float = 0.0) -> bool:

@@ -10,10 +10,11 @@ are generated by
     e_mu1 e_mu2 ... = e_{mu1 mu2 ...}   (strictly ascending indices),
 
 extended bilinearly.  All 256 ordered blade products are precomputed once
-at import into sign/result lookup tables plus a dense (16, 16, 16) tensor
-laid out for einsum contractions over fields.  Every operator of the
-package (the difference stencils, the momentum symbol, products with
-constant forms) is derived from this one table.
+at import into two 16 x 16 lookup tables, sign and result.  Every operator
+of the package (the difference stencils, the momentum symbol, products of
+fields and constant forms) is derived from this one table as a signed
+gather: blade(a) * blade(b) moves a coefficient onto blade result[a, b]
+and multiplies it by sign[a, b].
 """
 
 from __future__ import annotations
@@ -94,13 +95,11 @@ class CliffordTable:
     """Structure constants of the blade product.
 
     sign[a, b] and result[a, b] describe blade(a) * blade(b) as
-    sign * blade(result).  tensor[a, b, c] equals sign[a, b] where
-    c == result[a, b] and 0 elsewhere.
+    sign * blade(result).
     """
 
     sign: np.ndarray
     result: np.ndarray
-    tensor: np.ndarray
 
     def mul_masks(self, a: int, b: int) -> tuple[int, int]:
         """Product of two blades as (sign, result mask)."""
@@ -116,13 +115,9 @@ def build_table() -> CliffordTable:
             s, idx = reduce_product(indices(a) + indices(b))
             sign[a, b] = s
             result[a, b] = mask_of(idx)
-    tensor = np.zeros((NUM_BLADES, NUM_BLADES, NUM_BLADES))
-    for a in ALL_MASKS:
-        for b in ALL_MASKS:
-            tensor[a, b, result[a, b]] = sign[a, b]
-    for arr in (sign, result, tensor):
+    for arr in (sign, result):
         arr.setflags(write=False)
-    return CliffordTable(sign=sign, result=result, tensor=tensor)
+    return CliffordTable(sign=sign, result=result)
 
 
 TABLE = build_table()

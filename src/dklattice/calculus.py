@@ -10,8 +10,8 @@ d_c keeps the terms that raise the grade of the input blade and delta_c
 the terms that lower it.  The same signed gather, with delta_mu replaced by
 a complex scalar, gives the momentum-space symbol.  A second, independent
 route to d_c + delta_c multiplies the per-axis differences by the constant
-forms e_mu through the dense product matrix; the two routes agreeing on
-random fields is the main transcription check.
+forms e_mu through algebra.left_mul; the two routes agreeing on random
+fields is the main transcription check.
 """
 
 from __future__ import annotations
@@ -58,14 +58,14 @@ def d_plus_delta(omega: FormField) -> FormField:
 
 
 _E_CONST = tuple(ConstantForm.e(mu) for mu in blades.AXES)
-_E0_CONST, _E1_CONST, _E2_CONST, _E3_CONST = _E_CONST
+_E12_CONST = _E_CONST[1] * _E_CONST[2]
 
 
 def d_plus_delta_via_clifford(omega: FormField) -> FormField:
     """Cross-check route: sum over axes of e_mu times the forward difference.
 
-    Goes through the dense product matrix of algebra.left_mul rather than
-    the signed gather; agreement with d_plus_delta on arbitrary fields
+    Goes through the product matrix of algebra.left_mul rather than the
+    generator gather; agreement with d_plus_delta on arbitrary fields
     validates every stencil sign at once.
     """
     total = None
@@ -102,7 +102,7 @@ def graded_residuals(omega: FormField, params: EquationParams):
 def hestenes_apply(omega: FormField) -> FormField:
     """Left side of the lattice Hestenes equation: -(d_c + delta_c) omega e1 e2."""
     grad = d_plus_delta(omega)
-    return -right_mul(right_mul(grad, _E1_CONST), _E2_CONST)
+    return -right_mul(grad, _E12_CONST)
 
 
 def _hestenes_sign(params: EquationParams) -> float:
@@ -116,7 +116,7 @@ def _hestenes_sign(params: EquationParams) -> float:
 def hestenes_residual(omega: FormField, params: EquationParams) -> FormField:
     """-(d_c + delta_c) omega e1 e2 - s m omega e0, with s = -1 when flipped."""
     s = _hestenes_sign(params)
-    rhs = right_mul(omega, _E0_CONST)
+    rhs = right_mul(omega, _E_CONST[0])
     return hestenes_apply(omega) - (s * params.mass) * rhs
 
 

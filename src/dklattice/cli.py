@@ -23,15 +23,11 @@ from .fields import (Equation, EquationParams, atomic_write_text,
 from .lattice import LatticeDims, site_iter
 from .spectral import (build_symbol, eigen_solve, format_complex,
                        propagator_solve, write_spectrum_csv)
-from .transfer import (decompose, hestenes_quadruple,
+from .transfer import (decompose, hestenes_quadruple, tag_label,
                        verify_quadruple_independence)
-from .verify import rel_error, run_checks
+from .verify import CHECK_NAMES, rel_error, run_checks
 
-_EQUATIONS = {
-    "dk": Equation.DIRAC_KAHLER,
-    "hestenes": Equation.HESTENES,
-    "hestenes-flipped": Equation.HESTENES_FLIPPED,
-}
+_EQUATIONS = {equation.value: equation for equation in Equation}
 
 _OPERATORS = {
     "d": d_c,
@@ -40,43 +36,43 @@ _OPERATORS = {
     "hestenes": hestenes_apply,
 }
 
-_VERIFY_CHOICES = ("1", "2", "3", "4", "5", "clifford", "nilpotency",
-                   "componentwise", "matrix", "spectral", "propagator", "all")
+_VERIFY_CHOICES = CHECK_NAMES + ("all",)
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    value = complex(float(parts[0]), float(parts[1])) if len(parts) == 2 else np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected finite re,im, got {text!r}")
-    return value
+def _arg_type(convert, valid, expected: str):
+    """argparse type: convert(text) if valid, else exit 2 naming the expected form."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_momentum(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected p0,p1,p2,p3, got {text!r}")
-    return tuple(int(part) for part in parts)
+def _re_im(text: str) -> complex:
+    re_text, im_text = text.split(",")
+    return complex(float(re_text), float(im_text))
 
 
-def _positive_int(text: str) -> int:
+def _ints(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(","))
+
+
+_parse_complex = _arg_type(_re_im, np.isfinite, "expected finite re,im")
+_parse_momentum = _arg_type(_ints, lambda p: len(p) == 4, "expected integers p0,p1,p2,p3")
+_tolerance = _arg_type(float, lambda v: 0.0 <= v < np.inf, "must be a finite number >= 0")
+_seed = _arg_type(int, lambda v: v >= 0, "must be a non-negative integer")
+_trials = _arg_type(int, lambda v: v >= 1, "must be a positive integer")
+
+
+def _parse_dims(text: str) -> LatticeDims:
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+        return LatticeDims.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _blade_mask(name: str) -> int:
@@ -192,8 +188,7 @@ def _cmd_decompose(args) -> int:
     omega = load_field(args.input)
     result = decompose(omega)
     for tag, part in result.parts():
-        suffix = tag.replace("+", "p").replace("-", "m")
-        save_field(part, f"{args.out_prefix}.{suffix}.json")
+        save_field(part, f"{args.out_prefix}.{tag_label(tag)}.json")
     dev = max_abs(result.total() - omega)
     scale = max_abs(omega)
     rel = rel_error(dev, scale)
@@ -251,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a field file")
     gen.add_argument("kind", choices=("random", "constant", "plane-wave"))
-    gen.add_argument("--dims", type=LatticeDims.parse, default=LatticeDims(3, 3, 3, 3),
+    gen.add_argument("--dims", type=_parse_dims, default=LatticeDims(3, 3, 3, 3),
                      help="lattice extents n0,n1,n2,n3 (default 3,3,3,3)")
-    gen.add_argument("--seed", type=int, default=0, help="random seed")
+    gen.add_argument("--seed", type=_seed, default=0, help="random seed")
     gen.add_argument("--amp", action="append", default=[], metavar="BLADE=RE,IM",
                      help="blade amplitude, repeatable (e.g. e01=1,0)")
     gen.add_argument("--p", type=_parse_momentum, default=None, metavar="P0,P1,P2,P3",
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     residual.set_defaults(func=_cmd_residual)
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues per momentum as CSV")
-    spectrum.add_argument("--dims", type=LatticeDims.parse,
+    spectrum.add_argument("--dims", type=_parse_dims,
                           default=LatticeDims(3, 3, 3, 3))
     spectrum.add_argument("--p", type=_parse_momentum, action="append", default=[],
                           metavar="P0,P1,P2,P3", help="momentum, repeatable")
@@ -291,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run numerical identity checks")
     verify.add_argument("prop", choices=_VERIFY_CHOICES)
-    verify.add_argument("--dims", type=LatticeDims.parse,
+    verify.add_argument("--dims", type=_parse_dims,
                         default=LatticeDims(3, 3, 3, 3))
-    verify.add_argument("--trials", type=_positive_int, default=50)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--trials", type=_trials, default=50)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--tol-scale", type=_tolerance, default=1.0,
                         help="multiply every bound by this factor")
     verify.set_defaults(func=_cmd_verify)

@@ -235,7 +235,12 @@ def loads_field(text: str) -> FormField:
         raise FieldFormatError(f'"coeffs" must be a list of {expected} numbers, got {got}')
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeffs_raw):
         raise FieldFormatError('"coeffs" entries must all be numbers')
-    pairs = np.asarray(coeffs_raw, dtype=np.float64).reshape(-1, 2)
+    try:
+        pairs = np.asarray(coeffs_raw, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:  # an integer beyond the float range
+        pairs = np.array(np.inf)
+    if not np.all(np.isfinite(pairs)):
+        raise FieldFormatError('"coeffs" entries must all be finite numbers')
     coeffs = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dims.shape + (blades.NUM_BLADES,))
     return FormField(dims, coeffs)
 

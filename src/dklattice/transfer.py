@@ -19,8 +19,8 @@ from .fields import (Equation, EquationParams, FormField, conjugate,
                      even_part, max_abs, odd_part)
 
 _E0 = ConstantForm.e(0)
-_E1 = ConstantForm.e(1)
-_E2 = ConstantForm.e(2)
+_E12 = ConstantForm.e(1) * ConstantForm.e(2)
+_E012 = _E0 * _E12
 
 # Decomposition order of the compound projector tags.
 DECOMPOSITION_TAGS = ("++", "-+", "+-", "--")
@@ -44,9 +44,7 @@ class DecompositionResult:
 
 def decompose(omega: FormField) -> DecompositionResult:
     """Split omega into its four compound projector parts."""
-    parts = {tag: right_mul(omega, projector(tag)) for tag in DECOMPOSITION_TAGS}
-    return DecompositionResult(pp=parts["++"], mp=parts["-+"],
-                               pm=parts["+-"], mm=parts["--"])
+    return DecompositionResult(*(right_mul(omega, projector(tag)) for tag in DECOMPOSITION_TAGS))
 
 
 def omega_pm(omega: FormField, sign: str) -> FormField:
@@ -62,7 +60,7 @@ def omega_pm(omega: FormField, sign: str) -> FormField:
     re2 = omega + conjugate(omega)
     im2 = omega - conjugate(omega)
     term0 = 0.5 * right_mul(re2, _E0)
-    term12 = 0.5j * right_mul(right_mul(im2, _E1), _E2)
+    term12 = 0.5j * right_mul(im2, _E12)
     return s * (term0 + term12)
 
 
@@ -88,8 +86,8 @@ def _quadruple_direct(omega: FormField):
     plus = omega_pm(omega, "+")
     q1 = even_part(plus)
     q2 = even_part(right_mul(plus, _E0))
-    q3 = even_part(right_mul(right_mul(plus, _E1), _E2))
-    q4 = even_part(right_mul(right_mul(right_mul(plus, _E0), _E1), _E2))
+    q3 = even_part(right_mul(plus, _E12))
+    q4 = even_part(right_mul(plus, _E012))
     return q1, q2, q3, q4
 
 
@@ -99,16 +97,10 @@ def _quadruple_closed_form(omega: FormField):
     ev_diff = ev - conjugate(ev)
     od_sum = od + conjugate(od)
     od_diff = od - conjugate(od)
-
-    def r(field, *factors):
-        for c in factors:
-            field = right_mul(field, c)
-        return field
-
-    q1 = 0.5 * r(od_sum, _E0) + 0.5j * r(ev_diff, _E1, _E2)
-    q2 = 0.5 * ev_sum + 0.5j * r(od_diff, _E0, _E1, _E2)
-    q3 = 0.5 * r(od_sum, _E0, _E1, _E2) - 0.5j * ev_diff
-    q4 = 0.5 * r(ev_sum, _E1, _E2) - 0.5j * r(od_diff, _E0)
+    q1 = 0.5 * right_mul(od_sum, _E0) + 0.5j * right_mul(ev_diff, _E12)
+    q2 = 0.5 * ev_sum + 0.5j * right_mul(od_diff, _E012)
+    q3 = 0.5 * right_mul(od_sum, _E012) - 0.5j * ev_diff
+    q4 = 0.5 * right_mul(ev_sum, _E12) - 0.5j * right_mul(od_diff, _E0)
     return q1, q2, q3, q4
 
 
@@ -154,12 +146,13 @@ class Prop4Report:
                f"dk_residual={self.dk_residual:.9g}",
                f"precondition_ok={str(self.precondition_ok).lower()}"]
         for tag, value in self.residuals.items():
-            out.append(f"residual_{_tag_label(tag)}={value:.9g}")
+            out.append(f"residual_{tag_label(tag)}={value:.9g}")
         out.append(f"status={'pass' if self.passed else 'fail'}")
         return out
 
 
-def _tag_label(tag: str) -> str:
+def tag_label(tag: str) -> str:
+    """File-name and report-key form of a projector tag: "+-" becomes "pm"."""
     return tag.replace("+", "p").replace("-", "m")
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blades
-from .algebra import (ConstantForm, clifford_mul, is_constant, projector,
-                      right_mul, unit_form)
+from .algebra import (PROJECTOR_TAGS, ConstantForm, clifford_mul, is_constant,
+                      projector, right_mul)
 from .calculus import (HESTENES_EQUATION_BLADES, d_c, d_plus_delta,
                        d_plus_delta_via_clifford, delta_c, dk_apply,
                        dk_residual, hestenes_residual,
@@ -186,15 +186,13 @@ def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
 def check_prop2() -> Verification:
     """Projector idempotence, commutation, and absorption, exactly."""
     ver = Verification()
-    unit = ConstantForm.unit()
     e0 = ConstantForm.e(0)
     e1e2 = ConstantForm.e(1) * ConstantForm.e(2)
 
     def dev(lhs: ConstantForm, rhs: ConstantForm) -> float:
         return float(np.max(np.abs((lhs - rhs).as_vector())))
 
-    idem = max(dev(projector(tag) * projector(tag), projector(tag))
-               for tag in ("+0", "-0", "+12", "-12", "++", "+-", "-+", "--"))
+    idem = max(dev(projector(tag) * projector(tag), projector(tag)) for tag in PROJECTOR_TAGS)
     ver.add("prop2_idempotence_dev", idem, 1e-15)
 
     commute = 0.0
@@ -419,9 +417,9 @@ def check_constants(dims: LatticeDims) -> Verification:
     """Sanity of the constant-form materializations."""
     ver = Verification()
     violations = 0
-    if not is_constant(unit_form(dims)):
+    one = ConstantForm.unit().as_field(dims)
+    if not is_constant(one):
         violations += 1
-    one = unit_form(dims)
     if max_abs(clifford_mul(one, one) - one) != 0.0:
         violations += 1
     ver.add("constant_form_violations", violations, 0)

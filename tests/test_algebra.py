@@ -7,8 +7,7 @@ import pytest
 
 from dklattice import blades
 from dklattice.algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul,
-                               e_mu_form, is_constant, left_mul, projector,
-                               projector_field, right_mul, unit_form)
+                               is_constant, left_mul, projector, right_mul)
 from dklattice.blades import (ALL_MASKS, TABLE, E0, E01, E012, E0123, E02,
                               E03, E1, E12, E123, E13, E2, E23, E3, X,
                               blade_name, grade, reduce_product)
@@ -56,6 +55,23 @@ def test_table_matches_oracle_exhaustively():
     for a in ALL_MASKS:
         for b in ALL_MASKS:
             assert TABLE.mul_masks(a, b) == blade_product_oracle(a, b)
+
+
+def test_field_products_match_oracle_exhaustively():
+    # every product route on fields, for all 256 blade pairs, against the
+    # transposition-counting oracle: a signed permutation with no rounding
+    dims = LatticeDims(2, 1, 1, 1)
+    for a in ALL_MASKS:
+        field_a = ConstantForm.blade(a).as_field(dims)
+        for b in ALL_MASKS:
+            field_b = ConstantForm.blade(b).as_field(dims)
+            sign, mask = blade_product_oracle(a, b)
+            expected = np.zeros(dims.shape + (16,), dtype=np.complex128)
+            expected[..., mask] = sign
+            for product in (right_mul(field_a, ConstantForm.blade(b)),
+                            left_mul(ConstantForm.blade(a), field_b),
+                            clifford_mul(field_a, field_b)):
+                assert np.array_equal(product.coeffs, expected), (a, b)
 
 
 def test_associativity_exhaustive():
@@ -133,7 +149,7 @@ def test_clifford_mul_random_associative():
 
 def test_clifford_mul_unit_identity():
     a = random_field(DIMS, 4)
-    one = unit_form(DIMS)
+    one = ConstantForm.unit().as_field(DIMS)
     assert max_abs(clifford_mul(one, a) - a) == 0.0
     assert max_abs(clifford_mul(a, one) - a) == 0.0
 
@@ -229,20 +245,20 @@ def test_projector_rejects_bad_tag():
 
 
 def test_unit_and_generator_fields():
-    one = unit_form(DIMS)
+    one = ConstantForm.unit().as_field(DIMS)
     assert np.all(one.coeffs[..., X] == 1.0)
     assert np.all(one.coeffs[..., 1:] == 0.0)
     for mu, mask in enumerate((E0, E1, E2, E3)):
-        f = e_mu_form(mu, DIMS)
+        f = ConstantForm.e(mu).as_field(DIMS)
         assert np.all(f.coeffs[..., mask] == 1.0)
 
-    pf = projector_field("++", DIMS)
+    pf = projector("++").as_field(DIMS)
     assert is_constant(pf)
     assert np.array_equal(pf.coeffs[0, 0, 0, 0], projector("++").as_vector())
 
 
 def test_is_constant():
-    assert is_constant(unit_form(DIMS))
+    assert is_constant(ConstantForm.unit().as_field(DIMS))
     assert not is_constant(random_field(DIMS, 9))
 
 

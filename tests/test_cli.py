@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dklattice.algebra import unit_form
+from dklattice.algebra import ConstantForm
 from dklattice.calculus import dk_apply
 from dklattice.cli import main
 from dklattice.fields import load_field, max_abs, random_field, save_field
@@ -32,7 +32,7 @@ def test_gen_random_deterministic(tmp_path):
 def test_gen_constant_unit(tmp_path):
     out = tmp_path / "unit.json"
     assert run_cli("gen", "constant", "--amp", "x=1,0", "-o", str(out)) == 0
-    assert np.array_equal(load_field(out).coeffs, unit_form(DIMS).coeffs)
+    assert np.array_equal(load_field(out).coeffs, ConstantForm.unit().as_field(DIMS).coeffs)
 
 
 def test_gen_constant_accepts_masks_and_names(tmp_path):
@@ -74,9 +74,16 @@ def test_gen_plane_wave_eigen_reports_mass(tmp_path, capsys):
     ("gen", "constant", "--amp", "17=1,0"),
     ("gen", "constant", "--amp", "x:1,0"),
     ("gen", "constant", "--amp", "x=nan,0"),
+    ("gen", "constant", "--amp", "x=a,b"),
+    ("gen", "plane-wave", "--p", "1,2", "--amp", "x=1,0"),
+    ("gen", "plane-wave", "--p", "1,2,x,0", "--amp", "x=1,0"),
+    ("gen", "random", "--dims", "3,3"),
+    ("gen", "random", "--dims", "3,3,3,0"),
 ])
 def test_gen_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "-o", str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err
+    assert "invalid _parse" not in err and "invalid parse value" not in err
 
 
 def test_apply_matches_library(tmp_path):
@@ -138,9 +145,13 @@ def test_spectrum_all(capsys):
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--dims", "2,2,2,2"),
     ("spectrum", "--dims", "2,2,2,2", "--p", "0,0,0,0", "--all"),
+    ("spectrum", "--p", "1,2"),
+    ("spectrum", "--dims", "3,3", "--all"),
 ])
-def test_spectrum_usage_errors(argv):
+def test_spectrum_usage_errors(argv, capsys):
     assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid _parse" not in err and "invalid parse value" not in err
 
 
 def test_verify_command(capsys):
@@ -243,6 +254,8 @@ def test_solve_singular_mass(tmp_path, capsys):
     ("solve", "-i", "{src}", "-o", "{out}", "--tol", "x"),
     ("verify", "2", "--tol-scale", "-1"),
     ("verify", "2", "--tol-scale", "inf"),
+    ("gen", "random", "-o", "{out}", "--seed", "-1"),
+    ("verify", "1", "--seed", "-1"),
 ], ids=" ".join)
 def test_non_finite_or_negative_numbers_rejected_at_parse(argv, tmp_path, capsys):
     src = tmp_path / "src.json"
@@ -252,6 +265,7 @@ def test_non_finite_or_negative_numbers_rejected_at_parse(argv, tmp_path, capsys
     captured = capsys.readouterr()
     assert f"argument {argv[-2]}: " in captured.err
     assert "status=" not in captured.out
+    assert "expected non-negative integer" not in captured.err
 
 
 def test_malformed_input_file(tmp_path, capsys):
@@ -274,10 +288,25 @@ def test_missing_input_file(tmp_path, capsys):
     ("verify", "1", "--dims", "0,3,3,3"),
     ("residual", "dk", "-i", "x.json", "--mass", "nope"),
     ("apply", "dk", "-i", "x.json"),
+    ("verify", "1", "--dims", "3,3"),
+    ("verify", "1", "--dims", "3,3,3,0"),
+    ("residual", "dk", "-i", "x.json", "--mass", "a,b"),
+    ("quadruple", "-i", "x.json", "--out-prefix", "q", "--mass", "1,x"),
 ])
 def test_usage_errors(argv, capsys):
     assert run_cli(*argv) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "invalid _parse" not in err and "invalid parse value" not in err
+
+
+def test_apply_rejects_non_finite_input(tmp_path, capsys):
+    src = tmp_path / "src.json"
+    coeffs = ", ".join(["NaN"] + ["0"] * 31)
+    src.write_text(f'{{"dims": [1, 1, 1, 1], "coeffs": [{coeffs}]}}')
+    out = tmp_path / "out.json"
+    assert run_cli("apply", "dk", "-i", str(src), "-o", str(out)) == 2
+    assert '"coeffs" entries must all be finite' in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -215,6 +215,16 @@ def test_loads_rejects_bad_documents(text):
         loads_field(text)
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e999", "10**400"])
+def test_loads_rejects_non_finite_entries(number):
+    coeffs = ["0.0"] * (2 * 16)
+    coeffs[3] = number
+    doc = f'{{"dims": [1, 1, 1, 1], "coeffs": [{", ".join(coeffs)}]}}'
+    with pytest.raises(FieldFormatError, match="finite"):
+        loads_field(doc)
+
+
 def test_loads_rejects_boolean_entries():
     n = 2 * 16 * 16
     coeffs = [0.0] * n

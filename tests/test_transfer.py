@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from dklattice.algebra import (ConstantForm, projector, projector_field,
-                               right_mul, unit_form)
+from dklattice.algebra import ConstantForm, projector, right_mul
 from dklattice.calculus import d_plus_delta, hestenes_residual
 from dklattice.fields import (Equation, EquationParams, FormField,
                               constant_field, even_part, is_even, is_real,
@@ -20,9 +19,9 @@ DIMS4 = LatticeDims(4, 4, 4, 4)
 
 
 def test_decompose_unit_gives_projector_fields():
-    result = decompose(unit_form(DIMS))
+    result = decompose(ConstantForm.unit().as_field(DIMS))
     for tag, part in result.parts():
-        assert np.array_equal(part.coeffs, projector_field(tag, DIMS).coeffs), tag
+        assert np.array_equal(part.coeffs, projector(tag).as_field(DIMS).coeffs), tag
 
 
 def test_decompose_tags_and_order():
