@@ -2,7 +2,7 @@
 
 Fields carry a full 16-component Clifford element (one coefficient per
 basis blade of the e0..e3 algebra with metric +,-,-,-) at every site.
-The package provides the central difference exterior derivative and
+The package provides the forward difference exterior derivative and
 coderivative, the first order lattice operators built from them, the
 projector decomposition that transfers a single solution to the four
 component equations, momentum-space spectral tools, and a verification
@@ -13,7 +13,7 @@ from .blades import (ALL_MASKS, METRIC, NUM_BLADES, TABLE, blade_name, grade,
                      indices, mask_of, reduce_product)
 from .lattice import LatticeDims, delta_mu, shift, site_iter
 from .fields import (Equation, EquationParams, FieldFormatError, FormField,
-                     axpy, constant_field, conjugate, dumps_field, even_part,
+                     constant_field, conjugate, dumps_field, even_part,
                      grade_part, is_even, is_real, load_field, loads_field,
                      max_abs, odd_part, plane_wave, random_field, rms,
                      save_field, zeros)
@@ -38,7 +38,7 @@ __all__ = [
     "ALL_MASKS", "METRIC", "NUM_BLADES", "TABLE", "blade_name", "grade",
     "indices", "mask_of", "reduce_product",
     "LatticeDims", "delta_mu", "shift", "site_iter",
-    "Equation", "EquationParams", "FieldFormatError", "FormField", "axpy",
+    "Equation", "EquationParams", "FieldFormatError", "FormField",
     "constant_field", "conjugate", "dumps_field", "even_part", "grade_part",
     "is_even", "is_real", "load_field", "loads_field", "max_abs", "odd_part",
     "plane_wave", "random_field", "rms", "save_field", "zeros",

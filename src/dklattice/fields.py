@@ -124,14 +124,6 @@ def rms(omega: FormField) -> float:
     return float(np.sqrt(np.mean(np.abs(omega.coeffs) ** 2)))
 
 
-def axpy(alpha: complex, x: FormField, y: FormField) -> FormField:
-    """alpha * x + y."""
-    _check_same_dims(x, y)
-    # coeffs * alpha, not alpha * coeffs: keeps the result bit-identical
-    # to the __mul__/__add__ route (complex SIMD multiply is order sensitive)
-    return FormField(x.dims, x.coeffs * alpha + y.coeffs)
-
-
 def is_real(omega: FormField, tol: float = 1e-12) -> bool:
     """True when every imaginary part is within tol of zero."""
     if tol < 0:
@@ -196,21 +188,24 @@ def dumps_field(omega: FormField) -> str:
     ascending, then (re, im).  Numbers carry 17 significant digits so the
     round trip is bit exact.
     """
-    flat = omega.coeffs.ravel()
-    if not np.all(np.isfinite(flat)):
+    pairs = omega.coeffs.reshape(-1).view(np.float64)  # (re, im) interleaved
+    if not np.all(np.isfinite(pairs)):
         raise ValueError("cannot serialize non-finite coefficients")
-    pairs = np.empty(2 * flat.size)
-    pairs[0::2] = flat.real
-    pairs[1::2] = flat.imag
     dims_text = ", ".join(str(n) for n in omega.dims.shape)
-    coeff_text = ", ".join(format(v, ".17g") for v in pairs)
-    return f'{{"dims": [{dims_text}], "coeffs": [{coeff_text}]}}'
+    step = 1 << 16  # numbers per C-level % call
+    parts = [f'{{"dims": [{dims_text}], "coeffs": [']
+    for start in range(0, pairs.size, step):
+        values = tuple(pairs[start:start + step].tolist())
+        parts += [", ".join(["%.17g"] * len(values)) % values, ", "]
+    parts[-1] = "]}"
+    return "".join(parts)  # one join, so the text exists once
 
 
 def loads_field(text: str) -> FormField:
     """Parse the canonical JSON text form; inverse of dumps_field."""
     try:
-        doc = json.loads(text)
+        # dumps_field writes -0.0 as "-0", which int() would read as plain 0
+        doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"malformed field file: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(doc, dict):
@@ -221,8 +216,7 @@ def loads_field(text: str) -> FormField:
     if "dims" not in doc or "coeffs" not in doc:
         raise FieldFormatError('field file must contain "dims" and "coeffs"')
     dims_raw = doc["dims"]
-    if (not isinstance(dims_raw, list) or len(dims_raw) != 4
-            or not all(isinstance(n, int) and not isinstance(n, bool) for n in dims_raw)):
+    if not isinstance(dims_raw, list) or len(dims_raw) != 4 or set(map(type, dims_raw)) != {int}:
         raise FieldFormatError(f'"dims" must be a list of four integers, got {dims_raw!r}')
     try:
         dims = LatticeDims(*dims_raw)
@@ -233,15 +227,15 @@ def loads_field(text: str) -> FormField:
     if not isinstance(coeffs_raw, list) or len(coeffs_raw) != expected:
         got = len(coeffs_raw) if isinstance(coeffs_raw, list) else type(coeffs_raw).__name__
         raise FieldFormatError(f'"coeffs" must be a list of {expected} numbers, got {got}')
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeffs_raw):
+    if not set(map(type, coeffs_raw)) <= {int, float}:
         raise FieldFormatError('"coeffs" entries must all be numbers')
     try:
-        pairs = np.asarray(coeffs_raw, dtype=np.float64).reshape(-1, 2)
+        pairs = np.asarray(coeffs_raw, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         pairs = np.array(np.inf)
     if not np.all(np.isfinite(pairs)):
         raise FieldFormatError('"coeffs" entries must all be finite numbers')
-    coeffs = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dims.shape + (blades.NUM_BLADES,))
+    coeffs = pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,))
     return FormField(dims, coeffs)
 
 
@@ -251,26 +245,32 @@ def save_field(omega: FormField, path) -> None:
 
 
 def load_field(path) -> FormField:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_field(fh.read())
+    with open(path, "rb") as fh:
+        try:
+            return loads_field(fh.read().decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise FieldFormatError("field file must be ASCII text", offset=exc.start) from exc
 
 
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a same-directory temp file and os.replace.
 
-    The file gets the mode open() would give it, 0o666 less the umask,
-    rather than the 0o600 of the temp file.
+    The file gets the mode open() would give it (0o666 less the umask), not
+    the temp file's 0o600, and an OSError names path, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

@@ -83,12 +83,12 @@ def test_criterion_11_propagator_residual():
     _finish(11, check_propagator(DIMS3, sources=10, seed=0, mass=1.0 + 0.0j))
 
 
-def test_criterion_12_cli_verify_all_under_budget(tmp_path):
+def test_criterion_12_cli_verify_all_under_budget(tmp_path, package_env):
     start = time.monotonic()
     result = subprocess.run(
         [sys.executable, "-m", "dklattice", "verify", "all",
          "--dims", "3,3,3,3", "--trials", "50"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=package_env)
     elapsed = time.monotonic() - start
     ok = result.returncode == 0 and elapsed < 60.0
     lines = result.stdout.splitlines()

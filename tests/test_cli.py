@@ -281,6 +281,32 @@ def test_missing_input_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prefix, offset", [
+    (b"\xef\xbb\xbf", 0),  # UTF-8 byte order mark
+    ('{"dims\u00e9": 1, '.encode("utf-8"), 6),
+], ids=["bom", "e-acute-in-key"])
+def test_non_ascii_input_file(prefix, offset, tmp_path, capsys):
+    src = tmp_path / "f.json"
+    save_field(random_field(DIMS, 12), src)
+    src.write_bytes(prefix + src.read_bytes())
+    assert run_cli("apply", "dk", "-i", str(src), "-o", str(tmp_path / "out.json")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: field file must be ASCII text (byte offset {offset})\n"
+
+
+@pytest.mark.parametrize("target", ["missing_dir/o.json", "some_dir"])
+def test_write_error_names_requested_path(target, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    save_field(random_field(DIMS, 13), src)
+    (tmp_path / "some_dir").mkdir()
+    out = tmp_path / target
+    assert run_cli("apply", "dk", "-i", str(src), "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "some_dir"]
+    assert list((tmp_path / "some_dir").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("frobnicate",),
@@ -309,9 +335,9 @@ def test_apply_rejects_non_finite_input(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(package_env):
     result = subprocess.run(
         [sys.executable, "-m", "dklattice", "verify", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=package_env)
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "status=pass"

@@ -5,10 +5,12 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dklattice.blades import E0, E01, E12, E123, X
 from dklattice.fields import (Equation, EquationParams, FieldFormatError,
-                              FormField, axpy, conjugate, constant_field,
+                              FormField, conjugate, constant_field,
                               dumps_field, even_part, grade_part, is_even,
                               is_real, load_field, loads_field, max_abs,
                               odd_part, plane_wave, random_field, rms,
@@ -53,13 +55,6 @@ def test_arithmetic_dunders():
     m = (2 - 1j) * a
     assert np.array_equal(m.coeffs, (2 - 1j) * a.coeffs)
     assert np.array_equal((a * (2 - 1j)).coeffs, m.coeffs)
-
-
-def test_axpy_matches_dunders():
-    a = random_field(DIMS, 2)
-    b = random_field(DIMS, 3)
-    alpha = 0.7 - 0.2j
-    assert np.array_equal(axpy(alpha, a, b).coeffs, (alpha * a + b).coeffs)
 
 
 def test_grade_partition():
@@ -162,6 +157,60 @@ def test_serialization_round_trip_bit_exact():
     g = loads_field(dumps_field(f))
     assert g.dims == f.dims
     assert g.coeffs.tobytes() == f.coeffs.tobytes()
+
+
+def reference_dumps(omega):
+    """The per-number codec dumps_field must stay byte-equal to."""
+    flat = omega.coeffs.ravel()
+    pairs = np.empty(2 * flat.size)
+    pairs[0::2] = flat.real
+    pairs[1::2] = flat.imag
+    dims_text = ", ".join(str(n) for n in omega.dims.shape)
+    coeff_text = ", ".join(format(v, ".17g") for v in pairs)
+    return f'{{"dims": [{dims_text}], "coeffs": [{coeff_text}]}}'
+
+
+ONE_SITE = LatticeDims(1, 1, 1, 1)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0, -3.0, 2.0**53, 1e22, 1e16]
+FINITE_BITS = (st.integers(0, 2**64 - 1)
+               .map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+               .filter(np.isfinite))
+SITE_NUMBERS = st.lists(st.one_of(st.sampled_from(EDGE_VALUES), FINITE_BITS),
+                        min_size=32, max_size=32)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(SITE_NUMBERS)
+@example((EDGE_VALUES * 3)[:32])
+@example([-0.0] * 32)
+def test_dumps_matches_reference_codec(numbers):
+    field = FormField(ONE_SITE, np.array(numbers).view(np.complex128).reshape(1, 1, 1, 1, 16))
+    text = dumps_field(field)
+    assert text == reference_dumps(field)
+    back = loads_field(text)
+    assert back.coeffs.tobytes() == field.coeffs.tobytes()
+    assert dumps_field(back) == text
+
+
+def test_dumps_matches_reference_codec_across_chunks():
+    # 7^4 sites give 76,832 numbers: one full 2^16 chunk and a partial one
+    field = random_field(LatticeDims(7, 7, 7, 7), 11)
+    assert 2 * field.coeffs.size == 76_832
+    text = dumps_field(field)
+    assert text == reference_dumps(field)
+    assert loads_field(text).coeffs.tobytes() == field.coeffs.tobytes()
+
+
+def test_signed_zeros_round_trip_byte_for_byte():
+    numbers = ["-0", "1", "-0", "-1", "0", "-0", "-0", "-0"] + ["0.5"] * 24
+    text = f'{{"dims": [1, 1, 1, 1], "coeffs": [{", ".join(numbers)}]}}'
+    field = loads_field(text)
+    assert dumps_field(field) == text
+    flat = field.coeffs.ravel()
+    assert list(np.signbit(flat.real[:4])) == [True, True, False, True]
+    assert list(np.signbit(flat.imag[:4])) == [False, True, True, True]
 
 
 def test_serialization_17_digits():
