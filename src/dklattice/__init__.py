@@ -14,18 +14,16 @@ from .blades import (ALL_MASKS, METRIC, NUM_BLADES, TABLE, blade_name, grade,
 from .lattice import LatticeDims, delta_mu, shift, site_iter
 from .fields import (Equation, EquationParams, FieldFormatError, FormField,
                      constant_field, conjugate, dumps_field, even_part,
-                     grade_part, is_even, is_real, load_field, loads_field,
-                     max_abs, odd_part, plane_wave, random_field, rms,
-                     save_field, zeros)
+                     grade_part, load_field, loads_field, max_abs, odd_part,
+                     plane_wave, random_field, rms, save_field, zeros)
 from .algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul, is_constant,
                       left_mul, projector, right_mul)
 from .calculus import (d_c, delta_c, d_plus_delta, dk_apply, dk_residual,
-                       graded_residuals, hestenes_apply, hestenes_residual,
-                       hestenes_residual_componentwise,
-                       pack_hestenes_components)
+                       hestenes_apply, hestenes_residual,
+                       hestenes_residual_componentwise, pack_hestenes_components)
 from .spectral import (EigenPair, SingularBlockError, SymbolMatrix,
-                       build_dk_solution, build_symbol, eigen_solve,
-                       propagator_solve, spectrum_rows, write_spectrum_csv)
+                       build_symbol, eigen_solve, propagator_solve,
+                       spectrum_rows, write_spectrum_csv)
 from .transfer import (ConsistencyError, DecompositionResult,
                        HestenesQuadruple, IndependenceReport, Prop4Report,
                        decompose, hestenes_quadruple, omega_pm, verify_prop4,
@@ -40,17 +38,17 @@ __all__ = [
     "LatticeDims", "delta_mu", "shift", "site_iter",
     "Equation", "EquationParams", "FieldFormatError", "FormField",
     "constant_field", "conjugate", "dumps_field", "even_part", "grade_part",
-    "is_even", "is_real", "load_field", "loads_field", "max_abs", "odd_part",
-    "plane_wave", "random_field", "rms", "save_field", "zeros",
+    "load_field", "loads_field", "max_abs", "odd_part", "plane_wave",
+    "random_field", "rms", "save_field", "zeros",
     "ConstantForm", "PROJECTOR_TAGS", "clifford_mul", "is_constant",
     "left_mul", "projector", "right_mul",
     "d_c", "delta_c", "d_plus_delta",
-    "dk_apply", "dk_residual", "graded_residuals", "hestenes_apply",
+    "dk_apply", "dk_residual", "hestenes_apply",
     "hestenes_residual", "hestenes_residual_componentwise",
     "pack_hestenes_components",
     "EigenPair", "SingularBlockError", "SymbolMatrix",
-    "build_dk_solution", "build_symbol", "eigen_solve", "propagator_solve",
-    "spectrum_rows", "write_spectrum_csv",
+    "build_symbol", "eigen_solve", "propagator_solve", "spectrum_rows",
+    "write_spectrum_csv",
     "ConsistencyError", "DecompositionResult", "HestenesQuadruple",
     "IndependenceReport", "Prop4Report", "decompose", "hestenes_quadruple",
     "omega_pm", "verify_prop4", "verify_quadruple_independence",

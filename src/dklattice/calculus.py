@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blades
 from .algebra import ConstantForm, left_mul, right_mul
-from .fields import (Equation, EquationParams, FormField, grade_part, max_abs)
+from .fields import (Equation, EquationParams, FormField, max_abs)
 from .lattice import delta_mu
 
 # Signs of the d_c and delta_c stencils, shape (4, 16) like blades.GEN_SIGN:
@@ -86,17 +86,6 @@ def dk_residual(omega: FormField, params: EquationParams) -> FormField:
     if params.equation is not Equation.DIRAC_KAHLER:
         raise ValueError(f"expected Dirac-Kahler equation params, got {params.equation}")
     return dk_apply(omega) - params.mass * omega
-
-
-def graded_residuals(omega: FormField, params: EquationParams):
-    """The five grade components of the Dirac-Kahler residual.
-
-    Component r couples the neighbor grades:
-    i (d_c omega^(r-1) + delta_c omega^(r+1)) - m omega^(r).
-    Their sum reproduces dk_residual exactly.
-    """
-    full = dk_residual(omega, params)
-    return tuple(grade_part(full, r) for r in range(5))
 
 
 def hestenes_apply(omega: FormField) -> FormField:

@@ -128,7 +128,9 @@ def _cmd_gen(args) -> int:
         if args.eigen is not None:
             pairs = eigen_solve(build_symbol(args.p, dims))
             if not 0 <= args.eigen < len(pairs):
-                raise ValueError(f"--eigen must be in 0..{len(pairs) - 1}")
+                defective = "" if len(pairs) == NUM_BLADES else (
+                    f"the block at p={tuple(args.p)} is defective (light cone): ")
+                raise ValueError(f"{defective}--eigen must be in 0..{len(pairs) - 1}")
             pair = pairs[args.eigen]
             omega = plane_wave(dims, args.p, pair.amplitude)
             print(f"mass={format_complex(pair.eigenvalue)}")

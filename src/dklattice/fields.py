@@ -124,21 +124,6 @@ def rms(omega: FormField) -> float:
     return float(np.sqrt(np.mean(np.abs(omega.coeffs) ** 2)))
 
 
-def is_real(omega: FormField, tol: float = 1e-12) -> bool:
-    """True when every imaginary part is within tol of zero."""
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    return float(np.max(np.abs(omega.coeffs.imag))) <= tol
-
-
-def is_even(omega: FormField, tol: float = 1e-12) -> bool:
-    """True when every odd-grade coefficient is within tol of zero."""
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    odd = omega.coeffs[..., list(blades.ODD_BLADES)]
-    return float(np.max(np.abs(odd))) <= tol
-
-
 def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:
     """Plane wave amplitude[B] * exp(2 pi i sum_mu p_mu k_mu / N_mu).
 

@@ -5,10 +5,12 @@ of the forward differences, with delta_mu acting as multiplication by
 z_mu = exp(2 pi i p_mu/N_mu) - 1.  The operator sum_mu e_mu delta_mu then
 becomes S(p) = sum_mu z_mu L(e_mu), with L(e_mu) the signed permutation
 matrix of left multiplication by the generator: an independent 16 x 16 block
-per momentum, whose eigenpairs give exact plane-wave solutions.  As the
-generators anticommute, S(p)^2 = s(p) 1 with s(p) = sum_mu g_mumu z_mu^2, so
-the massive equation with a source is solved by one scalar divide per
-momentum, without forming any block.
+per momentum.  As the generators anticommute, S(p)^2 = s(p) 1 with
+s(p) = sum_mu g_mumu z_mu^2, and that one scalar decides each block: the
+eigenvalues of i S(p) are -+i sqrt(s(p)), 8 of each, with eigenvectors in
+closed form, and the massive equation with a source is solved by one scalar
+divide per momentum.  On the light cone, s(p) = 0 but S(p) != 0, the block is
+defective: S^2 = 0 with rank 8, so the eigenvalue 0 has only 8 eigenvectors.
 """
 
 from __future__ import annotations
@@ -20,24 +22,46 @@ import numpy as np
 
 from . import blades
 from .calculus import dk_apply
-from .fields import FormField, plane_wave
+from .fields import FormField
 from .lattice import LatticeDims
+
+# On the light cone |s(p)| <= LIGHT_CONE_TOL sum_mu |z_mu|^2: rounding leaves
+# the ratio near 1e-16 there, and >= 1e-3 off it for all extents up to 6.
+LIGHT_CONE_TOL = 1e-12
 
 
 def _symbol_block(z) -> np.ndarray:
     """Assemble the 16 x 16 symbol of d_c + delta_c from four per-axis multipliers."""
     out = np.zeros((blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
-    rows = np.arange(blades.NUM_BLADES)
     # e_mu maps blade GEN_SRC[mu, o] onto o, and the four generators fill
-    # disjoint entries, so each one is written straight into the block.
-    for mu in blades.AXES:
-        out[rows, blades.GEN_SRC[mu]] = blades.GEN_SIGN[mu] * z[mu]
+    # disjoint entries, so all of them are written straight into the block.
+    out[np.arange(blades.NUM_BLADES), blades.GEN_SRC] = blades.GEN_SIGN * np.array(z)[:, None]
     return out
 
 
 def _z(p, dims: LatticeDims) -> tuple:
     """Per-axis exp(2 pi i p_mu/N_mu) - 1, for integer or broadcastable array p_mu."""
     return tuple(np.exp(2j * np.pi * p[mu] / dims.extent(mu)) - 1.0 for mu in blades.AXES)
+
+
+def _roots(z):
+    """s(p) and the eigenvalue root i sqrt(s(p)), exactly 0 on the light cone."""
+    s = sum(g * z_mu ** 2 for g, z_mu in zip(blades.METRIC, z))
+    cone = np.abs(s) <= LIGHT_CONE_TOL * sum(abs(z_mu) ** 2 for z_mu in z)
+    return s, np.where(cone, 0j, 1j * np.sqrt(s))
+
+
+def _momentum(p, dims: LatticeDims) -> tuple:
+    if len(p) != 4:
+        raise ValueError(f"momentum must have four components, got {p!r}")
+    return tuple(int(c) % n for c, n in zip(p, dims.shape))
+
+
+def _eigenvalues(p, dims: LatticeDims) -> list:
+    """The eigenvalues -+i sqrt(s(p)) of i S(p), sorted by (re, im)."""
+    root = complex(_roots(_z(p, dims))[1])
+    # 0j -+ root has no -0 part, so the light cone reads 0,0 for both.
+    return sorted((0j - root, 0j + root), key=lambda v: (v.real, v.imag))
 
 
 @dataclass(frozen=True)
@@ -58,9 +82,7 @@ class SymbolMatrix:
 
 def build_symbol(p, dims: LatticeDims) -> SymbolMatrix:
     """Symbol of d_c + delta_c at integer momentum p."""
-    if len(p) != 4:
-        raise ValueError(f"momentum must have four components, got {p!r}")
-    p = tuple(int(c) % n for c, n in zip(p, dims.shape))
+    p = _momentum(p, dims)
     return SymbolMatrix(p=p, dims=dims, matrix=_symbol_block(_z(p, dims)))
 
 
@@ -80,29 +102,28 @@ class EigenPair:
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
 
-class EigenSolveError(RuntimeError):
-    """Raised when the dense eigensolver fails to converge at a momentum."""
-
-
 def eigen_solve(symbol: SymbolMatrix) -> list[EigenPair]:
-    """All 16 eigenpairs of i * symbol, sorted by (re, im) of the eigenvalue.
+    """Independent eigenpairs of i * symbol, sorted by (re, im) of the eigenvalue.
 
-    Each eigenpair yields an exact plane-wave solution of the massive
-    equation with the eigenvalue as its (generally complex) mass.
+    Off the light cone there are 16: e_B -+ S e_B / sqrt(s) for the 8 even
+    blades B, in blade order within each eigenvalue.  On it there are 8 with
+    eigenvalue 0, the leading left singular vectors of S, which span
+    ker S = range S; at S = 0 the 16 unit blades.  Each eigenpair yields an
+    exact plane-wave solution of the massive equation with the eigenvalue as
+    its (generally complex) mass.
     """
-    try:
-        values, vectors = np.linalg.eig(1j * symbol.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"eigensolver failed at momentum {symbol.p}") from exc
-    order = np.lexsort((values.imag, values.real))
-    return [EigenPair(eigenvalue=values[i],
-                      amplitude=vectors[:, i] / np.linalg.norm(vectors[:, i]))
-            for i in order]
-
-
-def build_dk_solution(p, pair: EigenPair, dims: LatticeDims):
-    """Plane-wave solution field for an eigenpair; returns (field, mass)."""
-    return plane_wave(dims, p, pair.amplitude), pair.eigenvalue
+    lo, hi = _eigenvalues(symbol.p, symbol.dims)
+    unit = np.eye(blades.NUM_BLADES)
+    even = list(blades.EVEN_BLADES)
+    if hi != 0:  # off the light cone
+        # lam^2 = -s turns i S (e_B + i S e_B / lam) into lam (e_B + i S e_B / lam)
+        op = 1j * symbol.matrix[:, even]
+        groups = [(lam, unit[:, even] + op / lam) for lam in (lo, hi)]
+    elif symbol.matrix.any():
+        groups = [(hi, np.linalg.svd(symbol.matrix)[0][:, :8])]
+    else:
+        groups = [(hi, unit)]
+    return [EigenPair(lam, v / np.linalg.norm(v)) for lam, vectors in groups for v in vectors.T]
 
 
 class SingularBlockError(ValueError):
@@ -127,14 +148,13 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     S(p)^2 = s(p) 1 gives (i S - m)^-1 = (i S + m) / (-s - m^2): the source
     is transformed, divided by that scalar momentum by momentum, transformed
     back, and i (d_c + delta_c) + m is applied in real space.  The block
-    eigenvalues are +-i sqrt(s(p)); SingularBlockError is raised when the
-    nearer one lies within 1e-12 max(1, |m|) of m.
+    eigenvalues are +-i sqrt(s(p)), exactly 0 on the light cone;
+    SingularBlockError is raised when the nearer one lies within
+    1e-12 max(1, |m|) of m.
     """
     mass = complex(mass)
     dims = source.dims
-    z = _z(np.ix_(*(np.arange(n) for n in dims.shape)), dims)
-    s = sum(g * z_mu ** 2 for g, z_mu in zip(blades.METRIC, z))
-    root = 1j * np.sqrt(s)
+    s, root = _roots(_z(np.ix_(*(np.arange(n) for n in dims.shape)), dims))
     eigenvalues = np.where(np.abs(root - mass) <= np.abs(root + mass), root, -root)
     distances = np.abs(eigenvalues - mass)
     if distances.min() <= 1e-12 * max(1.0, abs(mass)):
@@ -147,11 +167,16 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
 
 
 def spectrum_rows(dims: LatticeDims, momenta):
-    """Eigenvalue rows (p0, p1, p2, p3, re_lambda, im_lambda), 16 per momentum."""
+    """Eigenvalue rows (p0, p1, p2, p3, re_lambda, im_lambda), 16 per momentum.
+
+    -i sqrt(s(p)) and +i sqrt(s(p)), 8 rows each in (re, im) order; 0,0 on the
+    light cone.
+    """
     for p in momenta:
-        symbol = build_symbol(p, dims)
-        for pair in eigen_solve(symbol):
-            yield symbol.p + (pair.eigenvalue.real, pair.eigenvalue.imag)
+        p = _momentum(p, dims)
+        for lam in _eigenvalues(p, dims):
+            for _ in range(8):
+                yield p + (lam.real, lam.imag)
 
 
 def write_spectrum_csv(fh, dims: LatticeDims, momenta) -> None:

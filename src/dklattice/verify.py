@@ -15,16 +15,13 @@ import numpy as np
 from . import blades
 from .algebra import (PROJECTOR_TAGS, ConstantForm, clifford_mul, is_constant,
                       projector, right_mul)
-from .calculus import (HESTENES_EQUATION_BLADES, d_c, d_plus_delta,
-                       d_plus_delta_via_clifford, delta_c, dk_apply,
-                       dk_residual, hestenes_residual,
-                       hestenes_residual_componentwise,
-                       pack_hestenes_components)
+from .calculus import (d_c, d_plus_delta, d_plus_delta_via_clifford, delta_c,
+                       dk_apply, dk_residual, hestenes_residual,
+                       hestenes_residual_componentwise, pack_hestenes_components)
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
 from .lattice import LatticeDims, site_iter
-from .spectral import (build_dk_solution, build_symbol, eigen_solve,
-                       propagator_solve)
+from .spectral import build_symbol, eigen_solve, propagator_solve
 from .transfer import (decompose, hestenes_quadruple, verify_prop4,
                        verify_quadruple_independence)
 
@@ -248,8 +245,7 @@ def check_prop4(dims: LatticeDims, momenta: int = 10, seed: int = 0) -> Verifica
     count = 0
     for p in _sample_momenta(dims, momenta, rng):
         for pair in eigen_solve(build_symbol(p, dims)):
-            omega, mass = build_dk_solution(p, pair, dims)
-            report = verify_prop4(omega, mass)
+            report = verify_prop4(plane_wave(dims, p, pair.amplitude), pair.eigenvalue)
             scale = report.scale
             worst_dk = max(worst_dk, rel_error(report.dk_residual, scale))
             for tag in ("++", "--"):
@@ -297,7 +293,7 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     pairs = [pair for pair in eigen_solve(build_symbol(p, dims))
              if abs(pair.eigenvalue.imag) <= 1e-12 and pair.eigenvalue.real > 1e-9]
     pair = pairs[0]
-    solution, mass = build_dk_solution(p, pair, dims)
+    solution, mass = plane_wave(dims, p, pair.amplitude), pair.eigenvalue
     quad_real = hestenes_quadruple(solution, rel_tol=float("inf"))
     params_real = EquationParams(mass.real, Equation.HESTENES)
     res_real = max(max_abs(hestenes_residual(q, params_real)) for q in quad_real.fields())
@@ -380,8 +376,8 @@ def check_spectral(dims: LatticeDims, momenta: int = 10, seed: int = 0) -> Verif
             residual = float(np.linalg.norm(operator @ pair.amplitude
                                             - pair.eigenvalue * pair.amplitude))
             worst_eigen = max(worst_eigen, residual)
-            solution, mass = build_dk_solution(p, pair, dims)
-            dev = max_abs(dk_residual(solution, EquationParams(mass)))
+            solution = plane_wave(dims, p, pair.amplitude)
+            dev = max_abs(dk_residual(solution, EquationParams(pair.eigenvalue)))
             worst_dk = max(worst_dk, rel_error(dev, max_abs(solution)))
         amp = rng.uniform(-1, 1, size=16) + 1j * rng.uniform(-1, 1, size=16)
         wave = plane_wave(dims, p, amp)

@@ -8,8 +8,7 @@ from dklattice.blades import (E0, E01, E012, E0123, E02, E03, E1, E12, E123,
                               E13, E2, E23, E3, GRADES, X)
 from dklattice.calculus import (HESTENES_EQUATION_BLADES, d_c, d_plus_delta,
                                 d_plus_delta_via_clifford, delta_c, dk_apply,
-                                dk_residual, graded_residuals, hestenes_apply,
-                                hestenes_residual,
+                                dk_residual, hestenes_apply, hestenes_residual,
                                 hestenes_residual_componentwise,
                                 pack_hestenes_components)
 from dklattice.fields import (Equation, EquationParams, FormField,
@@ -97,26 +96,6 @@ def test_dk_residual_rejects_wrong_equation():
         dk_residual(zeros(DIMS), EquationParams(0.0, Equation.HESTENES))
     with pytest.raises(ValueError):
         hestenes_residual(zeros(DIMS), EquationParams(0.0))
-
-
-def test_graded_residuals_partition_and_recombine():
-    f = random_field(DIMS, 7)
-    params = EquationParams(0.3 - 0.8j)
-    parts = graded_residuals(f, params)
-    assert len(parts) == 5
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    assert np.array_equal(total.coeffs, dk_residual(f, params).coeffs)
-    # grade r of the residual couples only the neighbor grades of the input
-    for r in range(5):
-        pieces = zeros(DIMS)
-        if r > 0:
-            pieces = pieces + d_c(grade_part(f, r - 1))
-        if r < 4:
-            pieces = pieces + delta_c(grade_part(f, r + 1))
-        expected = 1j * pieces - params.mass * grade_part(f, r)
-        assert max_abs(parts[r] - expected) <= 1e-13 * max(max_abs(f), 1.0)
 
 
 def test_hestenes_apply_matches_right_factors():

@@ -62,6 +62,20 @@ def test_gen_plane_wave_eigen_reports_mass(tmp_path, capsys):
     assert run_cli("residual", "dk", "-i", str(out), "--mass", mass_line[5:]) == 0
 
 
+def test_gen_plane_wave_eigen_on_light_cone(tmp_path, capsys):
+    # s(p) = 0 at p = (1,1,0,0) on 4^4: the block has 8 eigenvectors, mass 0
+    out = tmp_path / "w.json"
+    assert run_cli("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "1,1,0,0",
+                   "--eigen", "8", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "p=(1, 1, 0, 0) is defective" in err and "0..7" in err
+    assert not out.exists()
+    assert run_cli("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "1,1,0,0",
+                   "--eigen", "7", "-o", str(out)) == 0
+    assert "mass=0,0" in capsys.readouterr().out.splitlines()
+    assert run_cli("residual", "dk", "-i", str(out), "--mass", "0,0") == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "random", "--amp", "x=1,0"),
     ("gen", "constant", "--p", "1,0,0,0"),
@@ -79,6 +93,7 @@ def test_gen_plane_wave_eigen_reports_mass(tmp_path, capsys):
     ("gen", "plane-wave", "--p", "1,2,x,0", "--amp", "x=1,0"),
     ("gen", "random", "--dims", "3,3"),
     ("gen", "random", "--dims", "3,3,3,0"),
+    ("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "1,1,0,0", "--eigen", "8"),
 ])
 def test_gen_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "-o", str(tmp_path / "x.json")) == 2

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from dklattice.blades import E0, E01, E12, E123, X
 from dklattice.fields import (Equation, EquationParams, FieldFormatError,
                               FormField, conjugate, constant_field,
-                              dumps_field, even_part, grade_part, is_even,
-                              is_real, load_field, loads_field, max_abs,
-                              odd_part, plane_wave, random_field, rms,
-                              save_field, zeros)
+                              dumps_field, even_part, grade_part, load_field,
+                              loads_field, max_abs, odd_part, plane_wave,
+                              random_field, rms, save_field, zeros)
 from dklattice.lattice import LatticeDims, site_iter
 
 DIMS = LatticeDims(3, 3, 3, 3)
@@ -76,17 +75,6 @@ def test_conjugate_involution():
     f = random_field(DIMS, 5)
     assert np.array_equal(conjugate(conjugate(f)).coeffs, f.coeffs)
     assert np.array_equal(conjugate(f).coeffs, f.coeffs.conj())
-
-
-def test_is_real_and_is_even():
-    re = FormField(DIMS, np.ones(DIMS.shape + (16,)))
-    assert is_real(re)
-    assert not is_real(1j * re)
-    ev = grade_part(random_field(DIMS, 6), 2)
-    assert is_even(ev)
-    assert not is_even(grade_part(random_field(DIMS, 6), 1))
-    with pytest.raises(ValueError):
-        is_real(re, tol=-1.0)
 
 
 def test_rms_and_max_abs():

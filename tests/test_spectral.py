@@ -3,6 +3,8 @@
 import cmath
 import csv
 import io
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from dklattice.blades import ALL_MASKS, E0, TABLE
 from dklattice.calculus import d_plus_delta, dk_residual
 from dklattice.fields import EquationParams, max_abs, plane_wave, random_field
 from dklattice.lattice import LatticeDims, site_iter
-from dklattice.spectral import (EigenPair, SingularBlockError,
-                                build_dk_solution, build_symbol, eigen_solve,
-                                format_complex, propagator_solve,
-                                spectrum_rows, write_spectrum_csv)
+from dklattice.spectral import (LIGHT_CONE_TOL, EigenPair, SingularBlockError,
+                                _roots, _symbol_block, _z as _z_grid,
+                                build_symbol, eigen_solve, format_complex,
+                                propagator_solve, spectrum_rows,
+                                write_spectrum_csv)
 
 DIMS4 = LatticeDims(4, 4, 4, 4)
 DIMS3 = LatticeDims(3, 3, 3, 3)
@@ -74,11 +77,13 @@ def test_eigenvalues_at_half_extent_momenta():
 
 
 def test_eigen_solve_residuals_and_norms():
-    for p in [(1, 0, 0, 0), (1, 2, 3, 0), (2, 2, 1, 3)]:
+    # (2,2,1,3) is on the light cone: its defective block has 8 eigenvectors
+    for p, count in [((1, 0, 0, 0), 16), ((1, 2, 3, 0), 16), ((2, 2, 1, 3), 8)]:
         sym = build_symbol(p, DIMS4)
         op = 1j * sym.matrix
         pairs = eigen_solve(sym)
-        assert len(pairs) == 16
+        assert len(pairs) == count
+        assert np.linalg.matrix_rank(np.array([q.amplitude for q in pairs])) == count
         for q in pairs:
             assert abs(np.linalg.norm(q.amplitude) - 1.0) < 1e-12
             res = np.linalg.norm(op @ q.amplitude - q.eigenvalue * q.amplitude)
@@ -93,6 +98,70 @@ def test_eigen_solve_deterministic_ordering():
         assert np.array_equal(qa.amplitude, qb.amplitude)
     values = [q.eigenvalue for q in a]
     assert values == sorted(values, key=lambda v: (v.real, v.imag))
+
+
+@pytest.mark.parametrize("shape,cone_count", [((4, 4, 4, 4), 27), ((1, 2, 3, 4), 0)])
+def test_eigen_solve_full_rank_at_every_momentum(shape, cone_count):
+    # Off the light cone LAPACK eig is the oracle for the eigenvalues; on it
+    # (s(p) = 0, S(p) != 0) the block is defective, with only 8 eigenvectors
+    dims = LatticeDims(*shape)
+    seen_cone = 0
+    for p in site_iter(dims):
+        z = _z(p, dims)
+        s = z[0] ** 2 - z[1] ** 2 - z[2] ** 2 - z[3] ** 2
+        norm = sum(abs(c) ** 2 for c in z)
+        on_cone = norm > 0 and abs(s) <= 1e-12 * norm
+        seen_cone += on_cone
+        sym = build_symbol(p, dims)
+        op = 1j * sym.matrix
+        pairs = eigen_solve(sym)
+        count = 8 if on_cone else 16
+        assert len(pairs) == count
+        assert np.linalg.matrix_rank(np.array([q.amplitude for q in pairs])) == count
+        for q in pairs:
+            assert abs(np.linalg.norm(q.amplitude) - 1.0) <= 1e-12
+            assert np.linalg.norm(op @ q.amplitude - q.eigenvalue * q.amplitude) <= 1e-12
+
+        rows = [complex(r[4], r[5]) for r in spectrum_rows(dims, [p])]
+        assert len(rows) == 16
+        if abs(s) <= 1e-12 * norm:
+            # exactly 0,0, never -0
+            assert all(math.copysign(1.0, part) == 1.0 and part == 0.0
+                       for r in rows for part in (r.real, r.imag))
+            continue
+        lo, hi = rows[0], rows[8]
+        assert rows[:8] == [lo] * 8 and rows[8:] == [hi] * 8
+        assert (lo.real, lo.imag) < (hi.real, hi.imag)
+        root = 1j * cmath.sqrt(s)
+        assert min(abs(lo - root) + abs(hi + root), abs(lo + root) + abs(hi - root)) <= 1e-14
+        oracle = np.linalg.eig(op).eigenvalues
+        near_lo = np.abs(oracle - lo) <= 1e-12
+        assert np.sum(near_lo) == 8
+        assert np.all(np.abs(oracle[~near_lo] - hi) <= 1e-12)
+    assert seen_cone == cone_count
+
+
+def test_light_cone_classification_has_a_wide_gap():
+    # Over every extent tuple 1..6, |s| / sum |z|^2 is either rounding-sized
+    # (on the light cone) or far from it, and LIGHT_CONE_TOL sits in the gap
+    assert 1e-15 < LIGHT_CONE_TOL < 1e-3
+    cone_blocks = []
+    for shape in itertools.product(range(1, 7), repeat=4):
+        dims = LatticeDims(*shape)
+        z = [np.broadcast_to(c, shape)
+             for c in _z_grid(np.ix_(*(np.arange(n) for n in shape)), dims)]
+        s, root = _roots(z)
+        norm = sum(np.abs(c) ** 2 for c in z)
+        live = norm > 0                     # S(p) != 0
+        ratio = np.abs(s[live]) / norm[live]
+        assert np.all((ratio <= 1e-15) | (ratio >= 1e-3))
+        assert np.array_equal(root[live] == 0, ratio <= 1e-15)
+        cone_blocks += [_symbol_block([c[k] for c in z])
+                        for k in zip(*np.nonzero(live & (root == 0)))]
+    blocks = np.array(cone_blocks)
+    assert len(blocks) > 0
+    assert np.max(np.abs(blocks @ blocks)) <= 1e-14
+    assert np.all(np.linalg.matrix_rank(blocks) == 8)
 
 
 def test_symbol_matches_operator_on_plane_waves():
@@ -121,12 +190,12 @@ def test_propagator_matches_per_momentum_solve(shape, mass):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_build_dk_solution_solves_equation():
+def test_eigen_plane_waves_solve_equation():
     for p in [(1, 0, 0, 0), (1, 2, 3, 0)]:
         for idx in (0, 7, 15):
             pair = eigen_solve(build_symbol(p, DIMS4))[idx]
-            omega, mass = build_dk_solution(p, pair, DIMS4)
-            res = max_abs(dk_residual(omega, EquationParams(mass)))
+            omega = plane_wave(DIMS4, p, pair.amplitude)
+            res = max_abs(dk_residual(omega, EquationParams(pair.eigenvalue)))
             assert res <= 1e-12 * max_abs(omega)
 
 
