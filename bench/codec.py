@@ -1,19 +1,21 @@
-"""Time the canonical JSON field codec (dumps_field / loads_field).
+"""Time the canonical JSON field codec (dumps/loads and save/load_field).
 
 Usage:
     python3 bench/codec.py OUT.json [--repeats N]
 
 Imports dklattice from the src/ directory next to this script, so it
 measures the tree it sits in.  For each lattice (8^4 and 16^4) it times
-dumps_field and loads_field on a seeded random field and records, per
-codec direction:
+dumps_field and loads_field on a seeded random field, and save_field and
+load_field through a file in a temporary directory, and records per row:
 
 - median and min wall time over the repeats (time.perf_counter);
 - throughput in MB/s of JSON text, from the median;
 - the tracemalloc peak of one extra call, as a multiple of the field's
-  complex128 array size (tracing slows the call, so that run is not timed);
-- the SHA-256 of the text, so two result files show whether the bytes
-  written are the same.
+  complex128 array size (tracing slows the call, so that run is not timed).
+  tracemalloc sees this process only: on a field large enough for the
+  codec to fork a second process, the child's allocations are not counted;
+- the SHA-256 of the text and of the saved file, so two result files show
+  whether the bytes written are the same.
 
 A context block records the host, Python and numpy versions.  Only the
 stdlib and numpy are used.
@@ -28,6 +30,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -36,7 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from dklattice.fields import dumps_field, loads_field, random_field  # noqa: E402
+from dklattice.fields import (dumps_field, load_field, loads_field,  # noqa: E402
+                              random_field, save_field)
 from dklattice.lattice import LatticeDims  # noqa: E402
 
 SIZES = {"8^4": (8, 8, 8, 8), "16^4": (16, 16, 16, 16)}
@@ -107,6 +111,20 @@ def measure(shape: tuple, repeats: int) -> dict:
         raise SystemExit(f"round trip changed the field at {shape}")
     del loaded
     load_peak = _peak_x(loads_field, text, field_bytes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.json"
+        save_times, _ = _timed(lambda f: save_field(f, path), field, repeats)
+        save_peak = _peak_x(lambda f: save_field(f, path), field, field_bytes)
+        file_bytes = path.read_bytes()
+        if file_bytes != text.encode("ascii") + b"\n":
+            raise SystemExit(f"save_field and dumps_field differ at {shape}")
+        del file_bytes
+        read_times, loaded = _timed(load_field, path, repeats)
+        if loaded.coeffs.tobytes() != field.coeffs.tobytes():
+            raise SystemExit(f"file round trip changed the field at {shape}")
+        del loaded
+        read_peak = _peak_x(load_field, path, field_bytes)
+    file_len = len(text) + 1
     return {
         "dims": list(shape),
         "seed": SEED,
@@ -114,8 +132,11 @@ def measure(shape: tuple, repeats: int) -> dict:
         "field_bytes": field_bytes,
         "text_bytes": len(text),
         "text_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
+        "file_sha256": hashlib.sha256(text.encode("ascii") + b"\n").hexdigest(),
         "dumps": _row(dump_times, len(text), dump_peak),
         "loads": _row(load_times, len(text), load_peak),
+        "save_field": _row(save_times, file_len, save_peak),
+        "load_field": _row(read_times, file_len, read_peak),
     }
 
 
@@ -131,7 +152,7 @@ def main(argv=None) -> int:
     for label, shape in SIZES.items():
         row = measure(shape, args.repeats)
         results[label] = row
-        for direction in ("dumps", "loads"):
+        for direction in ("dumps", "loads", "save_field", "load_field"):
             r = row[direction]
             print(f"{label} {direction}: median {r['median_s']:.3f} s, "
                   f"min {r['min_s']:.3f} s, {r['mb_per_s']:.1f} MB/s, "

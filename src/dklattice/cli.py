@@ -136,7 +136,10 @@ def _cmd_gen(args) -> int:
             print(f"mass={format_complex(pair.eigenvalue)}")
         else:
             omega = plane_wave(dims, args.p, _amplitude_vector(args.amp))
-    _emit(args.output, dumps_field(omega) + "\n")
+    if args.output is None:
+        sys.stdout.write(dumps_field(omega) + "\n")
+    else:
+        save_field(omega, args.output)
     return 0
 
 

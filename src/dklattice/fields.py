@@ -4,13 +4,27 @@ A field assigns one complex coefficient per (site, blade).  Coefficients
 are stored as a C-ordered complex128 array of shape (N0, N1, N2, N3, 16)
 with the blade axis last and blades ordered by ascending mask, so the
 canonical flat order (sites row-major, then blades) is the plain ravel.
+
+The JSON codec (dumps_field, save_field, loads_field) splits a large field
+across two processes: a forked child formats or parses the second half of
+the numbers while this process handles the first.  Saves stream to disk,
+and loads fall back to one process whenever the text is not exactly in
+the canonical layout or fails a check, so bytes and errors do not depend
+on the split.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import itertools
 import json
 import os
+import re
+import signal
 import tempfile
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -165,32 +179,239 @@ class FieldFormatError(ValueError):
         self.offset = offset
 
 
+# A field with at least this many numbers (re and im counted apart), about
+# 5.6 MB of text, is formatted and parsed by two processes.
+SPLIT_MIN_NUMBERS = 1 << 18
+_CHUNK = 1 << 16  # numbers per C-level % call
+_PIPE_READ = 1 << 20
+_JSON_SPACE = " \t\n\r"
+# The integer token -0, which json would read as a plain int 0
+_NEG_ZERO_INT = re.compile(r"-0(?![0-9.eE])")
+_EXTENT = r"([1-9][0-9]{0,8})"
+_CANONICAL_HEAD = re.compile(
+    rf'\{{"dims": \[{_EXTENT}, {_EXTENT}, {_EXTENT}, {_EXTENT}\], "coeffs": \[')
+
+
+def _two_processes(numbers: int) -> bool:
+    """Whether the codec splits this many numbers across a forked child.
+
+    Only a process running one Python thread forks, so the child never
+    inherits a lock that another thread held.
+    """
+    return (numbers >= SPLIT_MIN_NUMBERS and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+class _Child:
+    """A forked child that runs work() and sends the bytes-like pieces it
+    returns down a pipe, whose read end is ``fd``.
+
+    The child always leaves through os._exit, with status 0 only after it
+    sent every piece (work() returning None means failure), so no atexit
+    hook, buffered output or tracer runs twice.  As a context manager the
+    parent reaps the child on every way out, killing it first unless
+    reap() already ran.
+    """
+
+    def __init__(self, work):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                pieces = work()
+                if pieces is not None:
+                    with open(write_fd, "wb") as out:
+                        out.writelines(pieces)
+                    status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.fd = read_fd
+        self.status = None
+
+    def read_exactly(self, view: memoryview) -> bool:
+        """Fill the byte view from the pipe; True if the child sent exactly that much."""
+        filled = 0
+        while filled < len(view):
+            n = os.readv(self.fd, [view[filled:]])
+            if n == 0:
+                return False
+            filled += n
+        return os.read(self.fd, 1) == b""
+
+    def reap(self) -> bool:
+        """Close the pipe, wait for the child and tell whether it succeeded."""
+        if self.fd >= 0:
+            os.close(self.fd)  # a child still writing gets EPIPE and exits 1
+            self.fd = -1
+        _, self.status = os.waitpid(self.pid, 0)
+        return self.status == 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.reap()
+
+
+def _format(pairs: np.ndarray) -> Iterator[str]:
+    """The ", "-separated %.17g text of pairs, in pieces of 2^16 numbers."""
+    for start in range(0, pairs.size, _CHUNK):
+        if start:
+            yield ", "
+        values = tuple(pairs[start:start + _CHUNK].tolist())
+        yield ", ".join(["%.17g"] * len(values)) % values
+
+
+def _field_text(omega: FormField) -> Iterator[str]:
+    """The text dumps_field returns, in pieces.
+
+    For a large field a forked child formats the second half of the numbers
+    while this process formats the first and hands it on piece by piece.
+    The child's text follows as it arrives; if the child failed, OSError.
+    """
+    pairs = omega.coeffs.reshape(-1).view(np.float64)  # (re, im) interleaved
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("cannot serialize non-finite coefficients")
+    dims_text = ", ".join(str(n) for n in omega.dims.shape)
+    yield f'{{"dims": [{dims_text}], "coeffs": ['
+    if not _two_processes(pairs.size):
+        yield from _format(pairs)
+    else:
+        mid = pairs.size // 2
+        with _Child(lambda: [p.encode("ascii") for p in _format(pairs[mid:])]) as child:
+            yield from _format(pairs[:mid])
+            yield ", "
+            while piece := os.read(child.fd, _PIPE_READ):
+                yield piece.decode("ascii")
+            if not child.reap():
+                raise OSError(errno.EIO, "field formatter process failed")
+    yield "]}"
+
+
 def dumps_field(omega: FormField) -> str:
     """Serialize to the canonical JSON text form.
 
     Layout: {"dims": [N0, N1, N2, N3], "coeffs": [...]} with 2 * 16 * volume
     numbers ordered site-major (row-major site order), then blade mask
     ascending, then (re, im).  Numbers carry 17 significant digits so the
-    round trip is bit exact.
+    round trip is bit exact.  A field of at least SPLIT_MIN_NUMBERS numbers
+    may have its second half formatted by a forked child (_two_processes);
+    the text is the same byte for byte.
     """
-    pairs = omega.coeffs.reshape(-1).view(np.float64)  # (re, im) interleaved
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("cannot serialize non-finite coefficients")
-    dims_text = ", ".join(str(n) for n in omega.dims.shape)
-    step = 1 << 16  # numbers per C-level % call
-    parts = [f'{{"dims": [{dims_text}], "coeffs": [']
-    for start in range(0, pairs.size, step):
-        values = tuple(pairs[start:start + step].tolist())
-        parts += [", ".join(["%.17g"] * len(values)) % values, ", "]
-    parts[-1] = "]}"
-    return "".join(parts)  # one join, so the text exists once
+    with contextlib.closing(_field_text(omega)) as pieces:
+        return "".join(pieces)
+
+
+def _exact_int(token: str):
+    """parse_int for json.loads: -0 stays a negative zero, and an integer
+    too long for int() reads as +-inf, which the finiteness check rejects."""
+    if token == "-0":
+        return -0.0
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
+def _json_loads(text: str):
+    """json.loads, calling _exact_int per integer token only when it matters:
+    the default int is about four times faster."""
+    try:
+        return json.loads(text, parse_int=_exact_int if _NEG_ZERO_INT.search(text) else None)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer token longer than int() accepts
+        return json.loads(text, parse_int=_exact_int)
+
+
+def _parse_numbers(text: str) -> np.ndarray | None:
+    """The float64 array of a JSON array of finite numbers, else None."""
+    try:
+        values = _json_loads(text)
+    except ValueError:
+        return None
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        numbers = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    return numbers if np.all(np.isfinite(numbers)) else None
+
+
+def _loads_split(text: str) -> FormField | None:
+    """Parse a large field in exactly the layout dumps_field writes, using
+    two processes; None whenever the serial parser has to decide.
+
+    The coeffs list is cut at the first ", " after its middle.  A forked
+    child parses the second half and sends back its float64 bytes while
+    this process parses the first, both into one array.  Any other layout,
+    a malformed, non-numeric or non-finite entry, a wrong count or a failed
+    child returns None.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    try:
+        dims = LatticeDims(*map(int, head.groups()))
+    except ValueError:
+        return None
+    expected = 2 * blades.NUM_BLADES * dims.volume
+    # each number takes at least one character and a separator
+    if not _two_processes(expected) or 2 * expected > len(text):
+        return None
+    end = len(text)
+    while text[end - 1] in _JSON_SPACE:
+        end -= 1
+    close = end - 2  # the "]" that ends coeffs
+    cut = text.find(", ", (head.end() + close) // 2, close)
+    if text[close:end] != "]}" or cut < 0:
+        return None
+
+    def parse_second_half():
+        numbers = _parse_numbers("[" + text[cut + 2:close + 1])
+        return None if numbers is None else [numbers.data]
+
+    try:
+        child = _Child(parse_second_half)
+    except OSError:
+        return None
+    with child:
+        first = _parse_numbers(text[head.end() - 1:cut] + "]")
+        if first is None or first.size >= expected:
+            return None
+        pairs = np.empty(expected)
+        pairs[:first.size] = first
+        if not (child.read_exactly(memoryview(pairs[first.size:]).cast("B"))
+                and child.reap()):
+            return None
+    coeffs = pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,))
+    return FormField(dims, coeffs)
 
 
 def loads_field(text: str) -> FormField:
-    """Parse the canonical JSON text form; inverse of dumps_field."""
+    """Parse the canonical JSON text form; inverse of dumps_field.
+
+    A large field in exactly the layout dumps_field writes is parsed by two
+    processes (_loads_split).  Everything else, and any text that fails a
+    check there, is parsed here in one process, so every error keeps its
+    message and byte offset.
+    """
+    field = _loads_split(text)
+    if field is not None:
+        return field
     try:
-        # dumps_field writes -0.0 as "-0", which int() would read as plain 0
-        doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+        doc = _json_loads(text)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"malformed field file: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(doc, dict):
@@ -225,8 +446,10 @@ def loads_field(text: str) -> FormField:
 
 
 def save_field(omega: FormField, path) -> None:
-    """Write the serialized field atomically (temp file plus rename)."""
-    atomic_write_text(path, dumps_field(omega) + "\n")
+    """Write the serialized field and a newline atomically (temp file plus
+    rename), streaming the text piece by piece so it is never built whole."""
+    with contextlib.closing(_field_text(omega)) as pieces:
+        atomic_write_text(path, itertools.chain(pieces, ["\n"]))
 
 
 def load_field(path) -> FormField:
@@ -237,12 +460,14 @@ def load_field(path) -> FormField:
             raise FieldFormatError("field file must be ASCII text", offset=exc.start) from exc
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and os.replace.
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text pieces in order, to path via a
+    same-directory temp file and os.replace.
 
     The file gets the mode open() would give it (0o666 less the umask), not
     the temp file's 0o600, and an OSError names path, not the temp file.
     """
+    pieces = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -251,7 +476,7 @@ def atomic_write_text(path, text: str) -> None:
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -350,6 +350,16 @@ def test_apply_rejects_non_finite_input(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_apply_rejects_over_long_integer(tmp_path, capsys):
+    src = tmp_path / "big.json"
+    coeffs = ", ".join(["9" * 5000] + ["0"] * 31)
+    src.write_text(f'{{"dims": [1, 1, 1, 1], "coeffs": [{coeffs}]}}')
+    out = tmp_path / "o.json"
+    assert run_cli("apply", "d", "-i", str(src), "-o", str(out)) == 2
+    assert capsys.readouterr().err == 'error: "coeffs" entries must all be finite numbers\n'
+    assert not out.exists()
+
+
 def test_module_entry_point(package_env):
     result = subprocess.run(
         [sys.executable, "-m", "dklattice", "verify", "2"],

@@ -1,13 +1,16 @@
 import cmath
+import functools
 import json
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dklattice import fields
 from dklattice.blades import E0, E01, E12, E123, X
 from dklattice.fields import (Equation, EquationParams, FieldFormatError,
                               FormField, conjugate, constant_field,
@@ -252,8 +255,9 @@ def test_loads_rejects_bad_documents(text):
         loads_field(text)
 
 
-@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
-                         ids=["nan", "inf", "-inf", "1e999", "10**400"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400,
+                                    "-" + "9" * 5000],
+                         ids=["nan", "inf", "-inf", "1e999", "10**400", "5000-digits"])
 def test_loads_rejects_non_finite_entries(number):
     coeffs = ["0.0"] * (2 * 16)
     coeffs[3] = number
@@ -302,3 +306,155 @@ def test_saved_file_mode_follows_umask(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_field(tmp_path / "nope.json")
+
+
+# 8*8*8*16 sites give 262,144 numbers: the smallest field that is split
+SPLIT = LatticeDims(8, 8, 8, 16)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children the codec forks; the split runs as if on two CPUs."""
+    assert threading.active_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def serial_loads(monkeypatch, text):
+    with monkeypatch.context() as m:
+        m.setattr(fields, "SPLIT_MIN_NUMBERS", 1 << 62)
+        return loads_field(text)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@functools.lru_cache(maxsize=1)
+def _split_tokens():
+    pairs = random_field(SPLIT, 22).coeffs.reshape(-1).view(np.float64).copy()
+    n = pairs.size
+    for i in (5, n // 3, n // 2 + 7, n - 4):
+        pairs[i:i + 4] = [-0.0, 0.0, 1.0, -2.0]
+    return tuple(format(v, ".17g") for v in pairs)
+
+
+def split_tokens():
+    """The numbers of a SPLIT field as text tokens, with integer tokens
+    (signed zeros among them) in both halves."""
+    return list(_split_tokens())
+
+
+def split_text(tokens):
+    return f'{{"dims": [8, 8, 8, 16], "coeffs": [{", ".join(tokens)}]}}'
+
+
+def test_split_dumps_and_save_match_reference(tmp_path, forks):
+    field = random_field(SPLIT, 21)
+    assert 2 * field.coeffs.size == fields.SPLIT_MIN_NUMBERS
+    expected = reference_dumps(field)
+    assert dumps_field(field) == expected
+    save_field(field, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_text(encoding="ascii") == expected + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_split_loads_bit_equal_to_serial(monkeypatch, forks):
+    text = split_text(split_tokens()) + "\n"
+    split = loads_field(text)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    serial = serial_loads(monkeypatch, text)
+    assert len(forks) == 1
+    assert split.coeffs.tobytes() == serial.coeffs.tobytes()
+    assert np.signbit(split.coeffs.reshape(-1).view(np.float64)[5])
+    assert dumps_field(split) == text.rstrip()
+
+
+def _replace(tokens, i, token):
+    tokens[i] = token
+
+
+def _drop_comma(tokens, i):
+    tokens[i] += " " + tokens.pop(i + 1)
+
+
+CORRUPTIONS = {
+    "nan": lambda t, i: _replace(t, i, "NaN"),
+    "true": lambda t, i: _replace(t, i, "true"),
+    "string": lambda t, i: _replace(t, i, '"x"'),
+    "dropped-comma": _drop_comma,
+    "1e999": lambda t, i: _replace(t, i, "1e999"),
+    "5000-digits": lambda t, i: _replace(t, i, "9" * 5000),
+    "one-too-many": lambda t, i: t.insert(i, "0.5"),
+    "one-too-few": lambda t, i: t.pop(i),
+}
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_split_errors_match_serial(corruption, half, monkeypatch, forks):
+    tokens = split_tokens()
+    CORRUPTIONS[corruption](tokens, len(tokens) // 4 + half * len(tokens) // 2)
+    text = split_text(tokens)
+    with pytest.raises(FieldFormatError) as split:
+        loads_field(text)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    with pytest.raises(FieldFormatError) as serial:
+        serial_loads(monkeypatch, text)
+    assert str(split.value) == str(serial.value)
+    assert split.value.offset == serial.value.offset
+
+
+def test_failing_child_leaves_no_temp_file_or_zombie(tmp_path, monkeypatch, forks):
+    parent = os.getpid()
+    real_format, real_parse = fields._format, fields._parse_numbers
+
+    def in_parent_only(real):
+        def wrapper(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(fields, "_format", in_parent_only(real_format))
+    monkeypatch.setattr(fields, "_parse_numbers", in_parent_only(real_parse))
+    field = random_field(SPLIT, 24)
+    with pytest.raises(OSError, match="field formatter process failed"):
+        save_field(field, tmp_path / "f.json")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError, match="field formatter process failed"):
+        dumps_field(field)
+    # a failed parsing child sends the text down the serial path
+    text = reference_dumps(field)
+    assert loads_field(text).coeffs.tobytes() == field.coeffs.tobytes()
+    assert len(forks) == 3
+    assert_reaped(forks)
+
+
+def test_small_fields_never_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    # 7^4 sites give 76,832 numbers, below the split threshold
+    for field in (random_field(SMALL, 25), random_field(LatticeDims(7, 7, 7, 7), 25)):
+        path = tmp_path / "f.json"
+        save_field(field, path)
+        assert load_field(path).coeffs.tobytes() == field.coeffs.tobytes()
+        assert loads_field(dumps_field(field)).coeffs.tobytes() == field.coeffs.tobytes()
