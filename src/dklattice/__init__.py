@@ -24,9 +24,9 @@ from .calculus import (d_c, delta_c, d_plus_delta, dk_apply, dk_residual,
 from .spectral import (EigenPair, SingularBlockError, SymbolMatrix,
                        build_symbol, eigen_solve, propagator_solve,
                        spectrum_rows, write_spectrum_csv)
-from .transfer import (ConsistencyError, DecompositionResult,
-                       HestenesQuadruple, IndependenceReport, Prop4Report,
-                       decompose, hestenes_quadruple, omega_pm, verify_prop4,
+from .transfer import (DecompositionResult, HestenesQuadruple,
+                       IndependenceReport, Prop4Report, decompose,
+                       hestenes_quadruple, omega_pm, verify_prop4,
                        verify_quadruple_independence)
 from .verify import Check, Verification, blade_product_oracle, run_checks
 
@@ -49,7 +49,7 @@ __all__ = [
     "EigenPair", "SingularBlockError", "SymbolMatrix",
     "build_symbol", "eigen_solve", "propagator_solve", "spectrum_rows",
     "write_spectrum_csv",
-    "ConsistencyError", "DecompositionResult", "HestenesQuadruple",
+    "DecompositionResult", "HestenesQuadruple",
     "IndependenceReport", "Prop4Report", "decompose", "hestenes_quadruple",
     "omega_pm", "verify_prop4", "verify_quadruple_independence",
     "Check", "Verification", "blade_product_oracle", "run_checks",

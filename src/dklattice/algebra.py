@@ -19,7 +19,7 @@ import numpy as np
 
 from . import blades
 from .blades import TABLE
-from .fields import FormField, constant_field, max_abs
+from .fields import FormField, constant_field
 from .lattice import LatticeDims
 
 _ZERO = Fraction(0)
@@ -201,7 +201,6 @@ def left_mul(c: ConstantForm, a: FormField) -> FormField:
     return _gather_mul(a, _B, c.as_vector()[_A])
 
 
-def is_constant(omega: FormField, tol: float = 0.0) -> bool:
-    """True when the 16-vector is the same at every site, within tol."""
-    first = omega.coeffs[(0, 0, 0, 0)]
-    return max_abs(FormField(omega.dims, omega.coeffs - first)) <= tol
+def is_constant(omega: FormField) -> bool:
+    """True when the 16-vector is exactly the same at every site."""
+    return bool(np.all(omega.coeffs == omega.coeffs[0, 0, 0, 0]))

@@ -133,20 +133,22 @@ def _hestenes_gather() -> tuple[np.ndarray, np.ndarray]:
 
 HESTENES_SIGN, HESTENES_SRC = _hestenes_gather()
 
+# Odd-grade content above this fraction of max(max_abs(omega), 1) warns.
+ODD_WARN_RATIO = 1e-12
 
-def hestenes_residual_componentwise(omega: FormField, params: EquationParams,
-                                    odd_rel_tol: float = 1e-12) -> np.ndarray:
+
+def hestenes_residual_componentwise(omega: FormField, params: EquationParams) -> np.ndarray:
     """Evaluate the eight scalar Hestenes equations directly.
 
     Returns an array of shape (8, N0, N1, N2, N3) holding left minus right
     of each equation at every site, ordered as HESTENES_EQUATION_BLADES.
     Only even-grade input blades enter the equations; a warning is issued
-    when the odd part of omega exceeds odd_rel_tol relative to its scale.
+    when the odd part of omega exceeds ODD_WARN_RATIO relative to its scale.
     """
     s = _hestenes_sign(params)
     coeffs = omega.coeffs
     odd = np.max(np.abs(coeffs[..., list(blades.ODD_BLADES)]))
-    if odd > odd_rel_tol * max(max_abs(omega), 1.0):
+    if odd > ODD_WARN_RATIO * max(max_abs(omega), 1.0):
         warnings.warn(f"odd-grade content of size {odd:.3e} is ignored by the "
                       "componentwise Hestenes equations", stacklevel=2)
     lhs = _stencil(coeffs, HESTENES_SIGN, HESTENES_SRC)

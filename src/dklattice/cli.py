@@ -25,7 +25,7 @@ from .spectral import (build_symbol, eigen_solve, format_complex,
                        propagator_solve, write_spectrum_csv)
 from .transfer import (decompose, hestenes_quadruple, tag_label,
                        verify_quadruple_independence)
-from .verify import CHECK_NAMES, rel_error, run_checks
+from .verify import CHECK_NAMES, QUADRUPLE_ROUTE_BOUND, rel_error, run_checks
 
 _EQUATIONS = {equation.value: equation for equation in Equation}
 
@@ -205,7 +205,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_quadruple(args) -> int:
     omega = load_field(args.input)
-    quad = hestenes_quadruple(omega, rel_tol=float("inf"))
+    quad = hestenes_quadruple(omega)
     for i, member in enumerate(quad.fields(), start=1):
         save_field(member, f"{args.out_prefix}.q{i}.json")
     scale = max_abs(omega)
@@ -214,7 +214,7 @@ def _cmd_quadruple(args) -> int:
     independence = verify_quadruple_independence(quad)
     for line in independence.lines():
         print(line)
-    ok = route_rel <= 1e-14
+    ok = route_rel <= QUADRUPLE_ROUTE_BOUND
     if args.mass.imag == 0.0:
         params = EquationParams(args.mass, Equation.HESTENES)
         res_scale = max(scale, 1.0) * max(1.0, abs(args.mass))

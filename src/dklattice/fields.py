@@ -324,28 +324,26 @@ def _exact_int(token: str):
 
 
 def _json_loads(text: str):
-    """json.loads, calling _exact_int per integer token only when it matters:
-    the default int is about four times faster."""
+    """json.loads with the default int, about four times faster than
+    _exact_int, which is used only for an integer token too long for int()."""
     try:
-        return json.loads(text, parse_int=_exact_int if _NEG_ZERO_INT.search(text) else None)
+        return json.loads(text)
     except json.JSONDecodeError:
         raise
-    except ValueError:  # an integer token longer than int() accepts
+    except ValueError:
         return json.loads(text, parse_int=_exact_int)
 
 
 def _parse_numbers(text: str) -> np.ndarray | None:
-    """The float64 array of a JSON array of finite numbers, else None."""
+    """The float64 array of a JSON array of finite numbers, else None.  float()
+    reads integer tokens: -0 stays a negative zero, a huge one becomes +-inf."""
     try:
-        values = _json_loads(text)
-    except ValueError:
+        values = json.loads(text, parse_int=float)
+    except (ValueError, RecursionError):
         return None
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+    if not isinstance(values, list) or not set(map(type, values)) <= {float}:
         return None
-    try:
-        numbers = np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        return None
+    numbers = np.asarray(values, dtype=np.float64)
     return numbers if np.all(np.isfinite(numbers)) else None
 
 
@@ -414,6 +412,8 @@ def loads_field(text: str) -> FormField:
         doc = _json_loads(text)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"malformed field file: {exc.msg}", offset=exc.pos) from exc
+    except RecursionError:
+        raise FieldFormatError("malformed field file: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FieldFormatError("field file must contain a JSON object")
     extra = set(doc) - {"dims", "coeffs"}
@@ -433,8 +433,11 @@ def loads_field(text: str) -> FormField:
     if not isinstance(coeffs_raw, list) or len(coeffs_raw) != expected:
         got = len(coeffs_raw) if isinstance(coeffs_raw, list) else type(coeffs_raw).__name__
         raise FieldFormatError(f'"coeffs" must be a list of {expected} numbers, got {got}')
-    if not set(map(type, coeffs_raw)) <= {int, float}:
+    kinds = set(map(type, coeffs_raw))
+    if not kinds <= {int, float}:
         raise FieldFormatError('"coeffs" entries must all be numbers')
+    if int in kinds and _NEG_ZERO_INT.search(text):  # json reads -0 as int 0
+        coeffs_raw = json.loads(text, parse_int=_exact_int)["coeffs"]
     try:
         pairs = np.asarray(coeffs_raw, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range

@@ -64,10 +64,6 @@ def omega_pm(omega: FormField, sign: str) -> FormField:
     return s * (term0 + term12)
 
 
-class ConsistencyError(RuntimeError):
-    """The two construction routes of the Hestenes quadruple disagree."""
-
-
 @dataclass(frozen=True)
 class HestenesQuadruple:
     """Even parts of omega_plus times 1, e0, e1 e2, and e0 e1 e2."""
@@ -104,51 +100,29 @@ def _quadruple_closed_form(omega: FormField):
     return q1, q2, q3, q4
 
 
-def hestenes_quadruple(omega: FormField, rel_tol: float = 1e-14) -> HestenesQuadruple:
+def hestenes_quadruple(omega: FormField) -> HestenesQuadruple:
     """Build the four even real companion fields of omega.
 
     Both the direct route (even parts of omega_plus times blades) and the
-    closed-form route are evaluated; a deviation beyond rel_tol relative to
-    the scale of omega raises ConsistencyError.
+    closed-form route are evaluated; the members come from the direct route
+    and route_deviation is the largest absolute difference between the two.
+    verify.QUADRUPLE_ROUTE_BOUND bounds it relative to max_abs(omega).
     """
     direct = _quadruple_direct(omega)
     closed = _quadruple_closed_form(omega)
     deviation = max(max_abs(a - b) for a, b in zip(direct, closed))
-    scale = max_abs(omega)
-    if deviation > rel_tol * scale:
-        raise ConsistencyError(
-            f"quadruple routes disagree by {deviation:.3e} at scale {scale:.3e}")
     return HestenesQuadruple(*direct, route_deviation=deviation)
 
 
 @dataclass(frozen=True)
 class Prop4Report:
-    """Residuals of the four projector parts against their equations."""
+    """Max-abs residuals of omega (dk_residual) and of its four projector
+    parts (residuals, keyed by tag) against their equations."""
 
     mass: complex
     scale: float
-    rel_tol: float
     dk_residual: float
     residuals: dict
-
-    @property
-    def precondition_ok(self) -> bool:
-        return self.dk_residual <= self.rel_tol * self.scale
-
-    @property
-    def passed(self) -> bool:
-        if not self.precondition_ok:
-            return False
-        return all(v <= self.rel_tol * self.scale for v in self.residuals.values())
-
-    def lines(self) -> list[str]:
-        out = [f"scale={self.scale:.9g}",
-               f"dk_residual={self.dk_residual:.9g}",
-               f"precondition_ok={str(self.precondition_ok).lower()}"]
-        for tag, value in self.residuals.items():
-            out.append(f"residual_{tag_label(tag)}={value:.9g}")
-        out.append(f"status={'pass' if self.passed else 'fail'}")
-        return out
 
 
 def tag_label(tag: str) -> str:
@@ -164,13 +138,13 @@ _PART_EQUATIONS = {
 }
 
 
-def verify_prop4(omega: FormField, mass: complex, rel_tol: float = 1e-12) -> Prop4Report:
-    """Check the solution-transfer claims for one candidate solution.
+def verify_prop4(omega: FormField, mass: complex) -> Prop4Report:
+    """Measure the solution-transfer claims for one candidate solution.
 
-    The input must satisfy the Dirac-Kahler equation at mass (reported as
-    dk_residual and flagged instead of silently passed when violated).
-    The "++" and "--" parts are tested against the Hestenes equation, the
-    "-+" and "+-" parts against its sign-flipped variant.
+    dk_residual is the max-abs residual of omega against the Dirac-Kahler
+    equation at mass, the precondition of the claims.  The "++" and "--"
+    parts are measured against the Hestenes equation, the "-+" and "+-"
+    parts against its sign-flipped variant.  scale is max_abs(omega).
     """
     mass = complex(mass)
     scale = max_abs(omega)
@@ -179,8 +153,11 @@ def verify_prop4(omega: FormField, mass: complex, rel_tol: float = 1e-12) -> Pro
     for tag, part in decompose(omega).parts():
         params = EquationParams(mass, _PART_EQUATIONS[tag])
         residuals[tag] = max_abs(hestenes_residual(part, params))
-    return Prop4Report(mass=mass, scale=scale, rel_tol=rel_tol,
-                       dk_residual=dk, residuals=residuals)
+    return Prop4Report(mass=mass, scale=scale, dk_residual=dk, residuals=residuals)
+
+
+# Singular values below this fraction of the largest count as zero.
+RANK_THRESHOLD_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -198,18 +175,17 @@ class IndependenceReport:
         return out
 
 
-def verify_quadruple_independence(quad: HestenesQuadruple,
-                                  threshold_ratio: float = 1e-10) -> IndependenceReport:
+def verify_quadruple_independence(quad: HestenesQuadruple) -> IndependenceReport:
     """Report the rank of the four stacked fields.
 
     Rows are the flattened coefficient arrays; singular values below
-    threshold_ratio times the largest count as zero.  All-zero input has
-    rank 0.
+    RANK_THRESHOLD_RATIO times the largest count as zero.  All-zero input
+    has rank 0.
     """
     matrix = np.stack([f.coeffs.ravel() for f in quad.fields()])
     singular = np.linalg.svd(matrix, compute_uv=False)
     top = float(singular[0])
-    threshold = threshold_ratio * top
+    threshold = RANK_THRESHOLD_RATIO * top
     rank = 0 if top == 0.0 else int(np.sum(singular > threshold))
     return IndependenceReport(rank=rank,
                               singular_values=tuple(float(s) for s in singular),

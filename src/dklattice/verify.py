@@ -20,10 +20,13 @@ from .calculus import (d_c, d_plus_delta, d_plus_delta_via_clifford, delta_c,
                        hestenes_residual_componentwise, pack_hestenes_components)
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
-from .lattice import LatticeDims, site_iter
+from .lattice import LatticeDims, shift, site_iter
 from .spectral import build_symbol, eigen_solve, propagator_solve
 from .transfer import (decompose, hestenes_quadruple, verify_prop4,
                        verify_quadruple_independence)
+
+# Bound on the quadruple's route_deviation relative to max_abs(omega).
+QUADRUPLE_ROUTE_BOUND = 1e-14
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     omega = constant_field(dims, amp)
     scale = max_abs(omega)
 
-    quad = hestenes_quadruple(omega, rel_tol=float("inf"))
+    quad = hestenes_quadruple(omega)
     params = EquationParams(0.0, Equation.HESTENES)
     odd_dev = max(max_abs(odd_part(q)) for q in quad.fields())
     imag_dev = max(float(np.max(np.abs(q.coeffs.imag))) for q in quad.fields())
@@ -276,7 +279,8 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     ver.add("prop5_max_rel_odd", rel_error(odd_dev, scale), 1e-14)
     ver.add("prop5_max_rel_imag", rel_error(imag_dev, scale), 1e-14)
     ver.add("prop5_residual_mass0", res_dev, 0.0)
-    ver.add("prop5_max_rel_route_dev", rel_error(quad.route_deviation, scale), 1e-14)
+    ver.add("prop5_max_rel_route_dev", rel_error(quad.route_deviation, scale),
+            QUADRUPLE_ROUTE_BOUND)
     rank_report = verify_quadruple_independence(quad)
     ver.note("prop5_rank", rank_report.rank)
     for i, s in enumerate(rank_report.singular_values):
@@ -294,7 +298,7 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
              if abs(pair.eigenvalue.imag) <= 1e-12 and pair.eigenvalue.real > 1e-9]
     pair = pairs[0]
     solution, mass = plane_wave(dims, p, pair.amplitude), pair.eigenvalue
-    quad_real = hestenes_quadruple(solution, rel_tol=float("inf"))
+    quad_real = hestenes_quadruple(solution)
     params_real = EquationParams(mass.real, Equation.HESTENES)
     res_real = max(max_abs(hestenes_residual(q, params_real)) for q in quad_real.fields())
     sol_scale = max_abs(solution)
@@ -341,17 +345,31 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
     return ver
 
 
+def dk_matrix_oracle(dims: LatticeDims) -> np.ndarray:
+    """The matrix of dk_apply, sum_mu i (T_mu - 1) kron L_mu, built without the
+    blade table: T_mu shifts sites forward (lattice.shift), and L_mu is left
+    multiplication by e_mu, read from blade_product_oracle.  Each block
+    (T_mu - 1)[k, j] i L_mu is added in place, so no Kronecker temporary of
+    the full size is built."""
+    n = blades.NUM_BLADES
+    blocks = np.zeros((dims.volume, n, dims.volume, n), dtype=np.complex128)
+    for mu in blades.AXES:
+        left = np.zeros((n, n), dtype=np.complex128)
+        for b in blades.ALL_MASKS:
+            sign, mask = blade_product_oracle(1 << mu, b)
+            left[mask, b] = 1j * sign
+        for k, site in enumerate(site_iter(dims)):
+            blocks[k, :, np.ravel_multi_index(shift(site, mu, dims), dims.shape)] += left
+            blocks[k, :, k] -= left
+    return blocks.reshape(dims.volume * n, dims.volume * n)
+
+
 def check_matrix_oracle(vectors: int = 20, seed: int = 0) -> Verification:
-    """Matrix-free operator versus its assembled matrix on a 2^4 lattice."""
+    """Matrix-free operator versus the independent matrix on a 2^4 lattice."""
     ver = Verification()
     dims = LatticeDims(2, 2, 2, 2)
-    n = dims.volume * blades.NUM_BLADES
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        basis = np.zeros(n)
-        basis[j] = 1.0
-        column = dk_apply(FormField(dims, basis.reshape(dims.shape + (16,))))
-        matrix[:, j] = column.coeffs.ravel()
+    matrix = dk_matrix_oracle(dims)
+    n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(vectors):

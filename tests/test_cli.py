@@ -366,3 +366,51 @@ def test_module_entry_point(package_env):
         capture_output=True, text=True, timeout=120, env=package_env)
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "status=pass"
+
+
+VERIFY_ALL_KEYS = [
+    "clifford_oracle_mismatches", "clifford_rule1_violations",
+    "clifford_rule2_violations", "clifford_rule3_violations",
+    "clifford_anticommutator_violations", "clifford_associativity_violations",
+    "prop1_max_rel_dev", "prop2_idempotence_dev", "prop2_commutation_dev",
+    "prop2_absorption_dev", "prop3_projector_sum_violations",
+    "prop3_max_rel_reconstruction", "prop4_max_rel_dk_residual",
+    "prop4_max_rel_hestenes", "prop4_max_rel_flipped", "prop5_max_rel_odd",
+    "prop5_max_rel_imag", "prop5_residual_mass0", "prop5_max_rel_route_dev",
+    "prop5_realmass_max_rel_residual", "nilpotency_dd_max_rel",
+    "nilpotency_deltadelta_max_rel", "componentwise_max_rel_dev",
+    "matrix_oracle_max_rel_dev", "spectral_eigen_residual_max",
+    "spectral_max_rel_dk_residual", "spectral_max_rel_symbol_dev",
+    "propagator_max_rel_residual", "constant_form_violations",
+    "prop1_trials", "prop3_trials", "prop4_solutions_checked", "prop5_rank",
+    "prop5_sigma_0", "prop5_sigma_1", "prop5_sigma_2", "prop5_sigma_3",
+    "prop5_realmass_momentum", "prop5_realmass_value", "nilpotency_trials",
+    "componentwise_trials", "matrix_oracle_dimension", "spectral_momenta",
+    "propagator_sources", "propagator_mass", "status",
+]
+QUADRUPLE_KEYS = ["route_rel", "rank", "rank_threshold",
+                  "sigma_0", "sigma_1", "sigma_2", "sigma_3"]
+
+
+def test_report_keys_are_pinned(tmp_path, capsys):
+    def keys(*argv):
+        run_cli(*argv)
+        return [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+
+    field = str(tmp_path / "r.json")
+    wave = str(tmp_path / "w.json")
+    prefix = str(tmp_path / "out")
+    save_field(random_field(LatticeDims(2, 2, 2, 2), 1), field)
+    assert keys("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "0,2,0,0",
+                "--eigen", "15", "-o", wave) == ["mass"]
+    assert keys("verify", "all", "--dims", "2,2,2,2", "--trials", "1") == VERIFY_ALL_KEYS
+    assert keys("residual", "dk", "-i", field) == ["max_abs", "rms", "scale", "rel", "status"]
+    assert keys("decompose", "-i", field, "--out-prefix", prefix) == [
+        "reconstruction_rel", "status"]
+    assert keys("quadruple", "-i", wave, "--mass", "2,0", "--out-prefix", prefix) == (
+        QUADRUPLE_KEYS + ["residual_q1", "residual_q2", "residual_q3", "residual_q4",
+                          "status"])
+    assert keys("quadruple", "-i", field, "--mass", "1,0.5", "--out-prefix", prefix) == (
+        QUADRUPLE_KEYS + ["mass_real", "status"])
+    assert keys("solve", "-i", field, "--mass", "1,0", "-o", str(tmp_path / "s.json")) == [
+        "residual_rel", "status"]

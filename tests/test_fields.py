@@ -3,6 +3,8 @@ import functools
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dklattice import fields
+from dklattice.cli import main
 from dklattice.blades import E0, E01, E12, E123, X
 from dklattice.fields import (Equation, EquationParams, FieldFormatError,
                               FormField, conjugate, constant_field,
@@ -276,6 +279,18 @@ def test_loads_rejects_boolean_entries():
         loads_field(doc)
 
 
+def test_deeply_nested_coeffs_exit_2(tmp_path, package_env):
+    src = tmp_path / "deep.json"
+    src.write_text('{"dims": [1, 1, 1, 1], "coeffs": ' + "[" * 100_000 + "}")
+    result = subprocess.run(
+        [sys.executable, "-m", "dklattice", "apply", "d", "-i", str(src),
+         "-o", str(tmp_path / "o.json")],
+        capture_output=True, text=True, timeout=120, env=package_env)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_save_load_round_trip(tmp_path):
     f = random_field(SMALL, 9)
     path = tmp_path / "field.json"
@@ -400,6 +415,7 @@ CORRUPTIONS = {
     "dropped-comma": _drop_comma,
     "1e999": lambda t, i: _replace(t, i, "1e999"),
     "5000-digits": lambda t, i: _replace(t, i, "9" * 5000),
+    "nested": lambda t, i: _replace(t, i, "[" * 100_000 + "0" + "]" * 100_000),
     "one-too-many": lambda t, i: t.insert(i, "0.5"),
     "one-too-few": lambda t, i: t.pop(i),
 }
@@ -419,6 +435,17 @@ def test_split_errors_match_serial(corruption, half, monkeypatch, forks):
         serial_loads(monkeypatch, text)
     assert str(split.value) == str(serial.value)
     assert split.value.offset == serial.value.offset
+
+
+def test_split_deeply_nested_coeffs_exit_2(tmp_path, capsys, forks):
+    src = tmp_path / "deep.json"
+    src.write_text(split_text(["[" * 200_000 + ", ".join(["0"] * 200_000) + "]" * 200_000]))
+    assert main(["apply", "d", "-i", str(src), "-o", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
 def test_failing_child_leaves_no_temp_file_or_zombie(tmp_path, monkeypatch, forks):

@@ -11,9 +11,9 @@ from dklattice.fields import (Equation, EquationParams, FormField,
                               random_field, zeros)
 from dklattice.lattice import LatticeDims
 from dklattice.spectral import build_symbol, eigen_solve
-from dklattice.transfer import (ConsistencyError, DECOMPOSITION_TAGS,
-                                decompose, hestenes_quadruple, omega_pm,
-                                verify_prop4, verify_quadruple_independence)
+from dklattice.transfer import (DECOMPOSITION_TAGS, decompose,
+                                hestenes_quadruple, omega_pm, verify_prop4,
+                                verify_quadruple_independence)
 
 DIMS = LatticeDims(3, 3, 3, 3)
 DIMS4 = LatticeDims(4, 4, 4, 4)
@@ -108,10 +108,8 @@ def test_quadruple_routes_agree():
 def test_quadruple_route_tolerance_enforced():
     f = random_field(DIMS, 10)
     # both constructions use only exact sign flips and halvings, so they
-    # agree bit for bit and survive a zero tolerance
-    assert hestenes_quadruple(f, rel_tol=0.0).route_deviation == 0.0
-    with pytest.raises(ConsistencyError):
-        hestenes_quadruple(f, rel_tol=-1.0)
+    # agree bit for bit
+    assert hestenes_quadruple(f).route_deviation == 0.0
 
 
 def test_quadruple_constant_mass_zero():
@@ -146,18 +144,16 @@ def test_verify_prop4_on_eigen_solution():
     pair = eigen_solve(build_symbol((1, 2, 0, 3), DIMS))[3]
     omega, mass = plane_wave(DIMS, (1, 2, 0, 3), pair.amplitude), pair.eigenvalue
     report = verify_prop4(omega, mass)
-    assert report.precondition_ok
-    assert report.passed
-    lines = report.lines()
-    assert lines[-1] == "status=pass"
-    assert any(line.startswith("residual_pp=") for line in lines)
+    assert report.scale == max_abs(omega)
+    assert report.dk_residual <= 1e-12 * report.scale
+    assert sorted(report.residuals) == sorted(DECOMPOSITION_TAGS)
+    for tag, value in report.residuals.items():
+        assert value <= 1e-12 * report.scale, tag
 
 
 def test_verify_prop4_flags_non_solution():
     report = verify_prop4(random_field(DIMS, 11), 1.0)
-    assert not report.precondition_ok
-    assert not report.passed
-    assert report.lines()[-1] == "status=fail"
+    assert report.dk_residual > 1e-12 * report.scale
 
 
 def test_projector_parts_solve_their_equations():

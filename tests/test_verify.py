@@ -1,14 +1,18 @@
 """The verification harness itself: report format and check behavior."""
 
+import numpy as np
 import pytest
 
+from dklattice import blades, calculus
+from dklattice.calculus import dk_apply
+from dklattice.fields import random_field
 from dklattice.lattice import LatticeDims
 from dklattice.verify import (CHECK_NAMES, Verification, check_clifford,
                               check_componentwise, check_constants,
                               check_matrix_oracle, check_nilpotency,
                               check_prop1, check_prop2, check_prop3,
                               check_prop4, check_prop5, check_propagator,
-                              check_spectral, run_checks)
+                              check_spectral, dk_matrix_oracle, run_checks)
 
 DIMS = LatticeDims(3, 3, 3, 3)
 
@@ -96,6 +100,29 @@ def test_check_matrix_oracle():
     ver = check_matrix_oracle(vectors=5)
     assert ver.passed
     assert ("matrix_oracle_dimension", "256") in ver.info
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 1, 4)])
+def test_dk_matrix_oracle_matches_operator_without_the_table(shape, monkeypatch):
+    dims = LatticeDims(*shape)
+    f = random_field(dims, 4)
+    expected = dk_apply(f).coeffs.ravel()
+    for name in ("TABLE", "GEN_SIGN", "GEN_SRC"):
+        monkeypatch.setattr(blades, name, None)
+    matrix = dk_matrix_oracle(dims)
+    assert np.max(np.abs(matrix @ f.coeffs.ravel() - expected)) <= 1e-14
+
+
+def test_check_matrix_oracle_catches_a_flipped_stencil_sign(monkeypatch):
+    real_stencil = calculus._stencil
+
+    def flipped(coeffs, sign, src):
+        sign = sign.copy()
+        sign[2, 5] = -sign[2, 5]
+        return real_stencil(coeffs, sign, src)
+
+    monkeypatch.setattr(calculus, "_stencil", flipped)
+    assert not check_matrix_oracle(vectors=2).passed
 
 
 def test_check_spectral():
