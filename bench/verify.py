@@ -1,0 +1,91 @@
+"""Time each `dklattice verify` check family in process.
+
+Usage:
+    python3 bench/verify.py OUT.json [--repeats N]
+
+Imports dklattice from the src/ directory next to this script, so it
+measures the tree it sits in.  At 3^4 and at --trials 20 and 50 it calls
+run_checks once per family, and once for "all", and records per row:
+
+- median and min wall time over the repeats (time.perf_counter);
+- the work counts the family reports (trials, solutions, momenta, sources);
+- whether every check of the family passed.
+
+One untimed `verify all` at 2^4 runs first, so imports, the cached
+projectors and numpy's lazy set-up are not in the first timed call.  The
+timed calls run back to back in one process, so this does not show what a
+fresh `dklattice verify` process pays once, such as waking the BLAS
+threads; perfbench/ measures that end to end.  A context block records the
+host, Python and numpy versions.  Only the stdlib and numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from codec import context  # noqa: E402  (bench/codec.py, next to this script)
+
+from dklattice.lattice import LatticeDims  # noqa: E402
+from dklattice.verify import CHECK_NAMES, run_checks  # noqa: E402
+
+DIMS = (3, 3, 3, 3)
+TRIALS = (20, 50)
+SEED = 0
+WORK_COUNTS = ("prop1_trials", "prop3_trials", "prop4_solutions_checked",
+               "nilpotency_trials", "componentwise_trials", "spectral_momenta",
+               "propagator_sources")
+
+
+def measure(name: str, dims: LatticeDims, trials: int, repeats: int) -> dict:
+    times = []
+    report = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        report = run_checks(name, dims, trials=trials, seed=SEED)
+        times.append(time.perf_counter() - start)
+    info = dict(report.info)
+    return {
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "repeats": repeats,
+        "work": {key: int(info[key]) for key in WORK_COUNTS if key in info},
+        "passed": report.passed,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write the results to")
+    parser.add_argument("--repeats", type=int, default=7,
+                        help="timed calls per family and trial count (default 7)")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    run_checks("all", LatticeDims(2, 2, 2, 2), trials=1, seed=SEED)
+    dims = LatticeDims(*DIMS)
+    results = {}
+    for trials in TRIALS:
+        rows = {}
+        for name in CHECK_NAMES + ("all",):
+            row = measure(name, dims, trials, args.repeats)
+            rows[name] = row
+            print(f"trials {trials} {name}: median {row['median_s'] * 1e3:.1f} ms, "
+                  f"min {row['min_s'] * 1e3:.1f} ms, work {row['work']}, "
+                  f"{'pass' if row['passed'] else 'FAIL'}")
+        results[f"trials_{trials}"] = rows
+    doc = {"benchmark": "verify", "dims": list(DIMS), "seed": SEED,
+           "context": context(), "results": results}
+    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                              encoding="ascii")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

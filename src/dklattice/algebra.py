@@ -178,27 +178,39 @@ def clifford_mul(a: FormField, b: FormField) -> FormField:
 _A, _B = np.indices(TABLE.sign.shape)
 
 
-def _gather_mul(a: FormField, rows: np.ndarray, values: np.ndarray) -> FormField:
-    """a times the matrix with entry [rows, result] = sign * values, as one matmul."""
+def _gather_matrix(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The 16 x 16 matrix with entry [rows, result] = sign * values."""
     matrix = np.zeros((blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
     matrix[rows, TABLE.result] = TABLE.sign * values
+    return matrix
+
+
+def _gather_mul(a: FormField, matrix: np.ndarray) -> FormField:
+    """a times a 16 x 16 product matrix at every site, as one matmul."""
     flat = a.coeffs.reshape(-1, blades.NUM_BLADES) @ matrix
     return FormField(a.dims, flat.reshape(a.coeffs.shape))
+
+
+def right_mul_matrix(c: ConstantForm) -> np.ndarray:
+    """The matrix M with a * c = a @ M for any row 16-vector a.
+
+    Row a holds sign[a, b] * c[b] at column result[a, b].
+    """
+    return _gather_matrix(_A, c.as_vector()[_B])
 
 
 def right_mul(a: FormField, c: ConstantForm) -> FormField:
     """Clifford product a * c with a constant right factor.
 
-    One (V, 16) @ (16, 16) matmul whose row a holds sign[a, b] * c[b] at
-    column result[a, b].  Multiplication by a single blade is a signed
-    permutation of components with no rounding.
+    One (V, 16) @ (16, 16) matmul with right_mul_matrix(c).  Multiplication
+    by a single blade is a signed permutation of components with no rounding.
     """
-    return _gather_mul(a, _A, c.as_vector()[_B])
+    return _gather_mul(a, right_mul_matrix(c))
 
 
 def left_mul(c: ConstantForm, a: FormField) -> FormField:
     """Clifford product c * a with a constant left factor, as one matmul."""
-    return _gather_mul(a, _B, c.as_vector()[_A])
+    return _gather_mul(a, _gather_matrix(_B, c.as_vector()[_A]))
 
 
 def is_constant(omega: FormField) -> bool:

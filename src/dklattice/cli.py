@@ -293,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("prop", choices=_VERIFY_CHOICES)
     verify.add_argument("--dims", type=_parse_dims,
                         default=LatticeDims(3, 3, 3, 3))
-    verify.add_argument("--trials", type=_trials, default=50)
+    verify.add_argument("--trials", type=_trials, default=50,
+                        help="random fields per sampled family (default 50); "
+                             "families 4 and spectral cover every momentum and ignore it")
     verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--tol-scale", type=_tolerance, default=1.0,
                         help="multiply every bound by this factor")

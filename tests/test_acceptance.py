@@ -55,12 +55,12 @@ def test_criterion_06_matrix_oracle_dimension_256():
 
 
 def test_criterion_07_eigen_plane_waves_solve_equation():
-    _finish(7, check_spectral(DIMS4, momenta=10, seed=0))
+    _finish(7, check_spectral(DIMS4, seed=0))
 
 
 def test_criterion_08_projector_parts_transfer():
-    # 16 eigen solutions at each of 10 momenta, all four parts checked
-    _finish(8, check_prop4(DIMS4, momenta=10, seed=0))
+    # every eigen solution at all 256 momenta, all four parts checked
+    _finish(8, check_prop4(DIMS4))
 
 
 def test_criterion_09_quadruple_real_even_exact():

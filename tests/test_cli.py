@@ -185,6 +185,17 @@ def test_verify_rejects_trials_below_one(prop, trials, capsys):
     assert "negative dimensions" not in err
 
 
+@pytest.mark.parametrize("trials", ["1", "20"])
+def test_verify_all_covers_every_momentum(trials, capsys):
+    # families 4 and spectral do not sample momenta, so --trials leaves them alone
+    assert run_cli("verify", "all", "--dims", "3,3,3,3", "--trials", trials) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "prop4_solutions_checked=1248" in out
+    assert "spectral_momenta=81" in out
+    assert "prop5_realmass_momentum=0,0,1,2" in out
+    assert out[-1] == "status=pass"
+
+
 def test_verify_tol_scale_tightened(capsys):
     # clifford checks are exact, so even a crushed tolerance passes
     assert run_cli("verify", "clifford", "--tol-scale", "1e-6") == 0
@@ -378,7 +389,8 @@ VERIFY_ALL_KEYS = [
     "prop4_max_rel_hestenes", "prop4_max_rel_flipped", "prop5_max_rel_odd",
     "prop5_max_rel_imag", "prop5_residual_mass0", "prop5_max_rel_route_dev",
     "prop5_realmass_max_rel_residual", "nilpotency_dd_max_rel",
-    "nilpotency_deltadelta_max_rel", "componentwise_max_rel_dev",
+    "nilpotency_deltadelta_max_rel", "nilpotency_dd_integer_max_abs",
+    "nilpotency_deltadelta_integer_max_abs", "componentwise_max_rel_dev",
     "matrix_oracle_max_rel_dev", "spectral_eigen_residual_max",
     "spectral_max_rel_dk_residual", "spectral_max_rel_symbol_dev",
     "propagator_max_rel_residual", "constant_form_violations",

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dklattice import blades, calculus
+from dklattice import blades, calculus, transfer
 from dklattice.calculus import dk_apply
-from dklattice.fields import random_field
+from dklattice.fields import Equation, random_field
 from dklattice.lattice import LatticeDims
 from dklattice.verify import (CHECK_NAMES, Verification, check_clifford,
                               check_componentwise, check_constants,
@@ -73,13 +73,38 @@ def test_check_prop3():
 
 
 def test_check_prop4():
-    assert check_prop4(DIMS, momenta=3).passed
+    ver = check_prop4(DIMS)
+    assert ver.passed
+    # 75 momenta with 16 eigen solutions, 6 light-cone momenta with 8
+    assert ("prop4_solutions_checked", "1248") in ver.info
+
+
+def test_check_prop4_catches_swapped_part_equations(monkeypatch):
+    for tag in ("++", "--"):
+        monkeypatch.setitem(transfer._PART_EQUATIONS, tag, Equation.HESTENES_FLIPPED)
+    for tag in ("-+", "+-"):
+        monkeypatch.setitem(transfer._PART_EQUATIONS, tag, Equation.HESTENES)
+    ver = check_prop4(DIMS)
+    assert not ver.passed
+    failed = {c.name for c in ver.checks if not c.passed}
+    assert failed == {"prop4_max_rel_hestenes", "prop4_max_rel_flipped"}
 
 
 def test_check_prop5():
+    # an odd lattice still has real-mass solutions: p = (0,0,1,2), mass sqrt(3)
     ver = check_prop5(DIMS)
     assert ver.passed
-    assert ("prop5_realmass", "skipped (no even spatial extent)") in ver.info
+    assert any(c.name == "prop5_realmass_max_rel_residual" for c in ver.checks)
+    assert ("prop5_realmass_momentum", "0,0,1,2") in ver.info
+    assert ("prop5_realmass_value", "1.73205081") in ver.info
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 1, 1), (1, 1, 1, 1)])
+def test_check_prop5_skips_without_a_real_mass(shape):
+    ver = check_prop5(LatticeDims(*shape))
+    assert ver.passed
+    assert ("prop5_realmass", "skipped (no real nonzero eigenvalue)") in ver.info
+    assert not any(c.name.startswith("prop5_realmass") for c in ver.checks)
 
 
 def test_check_prop5_real_mass_branch():
@@ -89,7 +114,12 @@ def test_check_prop5_real_mass_branch():
 
 
 def test_check_nilpotency():
-    assert check_nilpotency(DIMS, trials=5).passed
+    ver = check_nilpotency(DIMS, trials=5)
+    assert ver.passed
+    exact = {c.name: c for c in ver.checks if "_integer_" in c.name}
+    assert set(exact) == {"nilpotency_dd_integer_max_abs",
+                          "nilpotency_deltadelta_integer_max_abs"}
+    assert all(c.value == 0.0 and c.bound == 0.0 for c in exact.values())
 
 
 def test_check_componentwise():
@@ -113,7 +143,7 @@ def test_dk_matrix_oracle_matches_operator_without_the_table(shape, monkeypatch)
     assert np.max(np.abs(matrix @ f.coeffs.ravel() - expected)) <= 1e-14
 
 
-def test_check_matrix_oracle_catches_a_flipped_stencil_sign(monkeypatch):
+def _flip_one_stencil_sign(monkeypatch):
     real_stencil = calculus._stencil
 
     def flipped(coeffs, sign, src):
@@ -122,11 +152,24 @@ def test_check_matrix_oracle_catches_a_flipped_stencil_sign(monkeypatch):
         return real_stencil(coeffs, sign, src)
 
     monkeypatch.setattr(calculus, "_stencil", flipped)
+
+
+def test_check_matrix_oracle_catches_a_flipped_stencil_sign(monkeypatch):
+    _flip_one_stencil_sign(monkeypatch)
     assert not check_matrix_oracle(vectors=2).passed
 
 
 def test_check_spectral():
-    assert check_spectral(DIMS, momenta=3).passed
+    ver = check_spectral(DIMS)
+    assert ver.passed
+    assert ("spectral_momenta", "81") in ver.info
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 3, 2, 4)])
+def test_check_spectral_catches_a_flipped_stencil_sign(shape, monkeypatch):
+    _flip_one_stencil_sign(monkeypatch)
+    ver = check_spectral(LatticeDims(*shape))
+    assert [c.name for c in ver.checks if not c.passed] == ["spectral_max_rel_symbol_dev"]
 
 
 def test_check_propagator():
