@@ -1,11 +1,13 @@
 """Time each `dklattice verify` check family in process.
 
 Usage:
-    python3 bench/verify.py OUT.json [--repeats N]
+    python3 bench/verify.py OUT.json [--repeats N] [--dims N0,N1,N2,N3]
+                                     [--trials T [T ...]]
 
 Imports dklattice from the src/ directory next to this script, so it
-measures the tree it sits in.  At 3^4 and at --trials 20 and 50 it calls
-run_checks once per family, and once for "all", and records per row:
+measures the tree it sits in.  At the given extents (default 3,3,3,3) and
+trial counts (default 20 and 50) it calls run_checks once per family, and
+once for "all", and records per row:
 
 - median and min wall time over the repeats (time.perf_counter);
 - the work counts the family reports (trials, solutions, momenta, sources);
@@ -32,10 +34,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from codec import context  # noqa: E402  (bench/codec.py, next to this script)
 
+from dklattice.cli import _parse_dims  # noqa: E402
 from dklattice.lattice import LatticeDims  # noqa: E402
 from dklattice.verify import CHECK_NAMES, run_checks  # noqa: E402
 
-DIMS = (3, 3, 3, 3)
+DIMS = "3,3,3,3"
 TRIALS = (20, 50)
 SEED = 0
 WORK_COUNTS = ("prop1_trials", "prop3_trials", "prop4_solutions_checked",
@@ -65,22 +68,27 @@ def main(argv=None) -> int:
     parser.add_argument("out", help="JSON file to write the results to")
     parser.add_argument("--repeats", type=int, default=7,
                         help="timed calls per family and trial count (default 7)")
+    parser.add_argument("--dims", type=_parse_dims, default=DIMS,
+                        help=f"lattice extents n0,n1,n2,n3 (default {DIMS})")
+    parser.add_argument("--trials", type=int, nargs="+", default=list(TRIALS),
+                        help="trial counts to run (default 20 50)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if min(args.trials) < 1:
+        parser.error("--trials must be at least 1")
     run_checks("all", LatticeDims(2, 2, 2, 2), trials=1, seed=SEED)
-    dims = LatticeDims(*DIMS)
     results = {}
-    for trials in TRIALS:
+    for trials in args.trials:
         rows = {}
         for name in CHECK_NAMES + ("all",):
-            row = measure(name, dims, trials, args.repeats)
+            row = measure(name, args.dims, trials, args.repeats)
             rows[name] = row
             print(f"trials {trials} {name}: median {row['median_s'] * 1e3:.1f} ms, "
                   f"min {row['min_s'] * 1e3:.1f} ms, work {row['work']}, "
                   f"{'pass' if row['passed'] else 'FAIL'}")
         results[f"trials_{trials}"] = rows
-    doc = {"benchmark": "verify", "dims": list(DIMS), "seed": SEED,
+    doc = {"benchmark": "verify", "dims": list(args.dims.shape), "seed": SEED,
            "context": context(), "results": results}
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                               encoding="ascii")

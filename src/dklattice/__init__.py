@@ -21,9 +21,8 @@ from .algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul, is_constant,
 from .calculus import (d_c, delta_c, d_plus_delta, dk_apply, dk_residual,
                        hestenes_apply, hestenes_residual,
                        hestenes_residual_componentwise, pack_hestenes_components)
-from .spectral import (EigenPair, SingularBlockError, SymbolMatrix,
-                       build_symbol, eigen_solve, propagator_solve,
-                       spectrum_rows, write_spectrum_csv)
+from .spectral import (SingularBlockError, build_symbol, eigen_solve,
+                       propagator_solve, spectrum_rows, write_spectrum_csv)
 from .transfer import (DecompositionResult, HestenesQuadruple,
                        IndependenceReport, Prop4Report, decompose,
                        hestenes_quadruple, omega_pm, verify_prop4,
@@ -46,9 +45,8 @@ __all__ = [
     "dk_apply", "dk_residual", "hestenes_apply",
     "hestenes_residual", "hestenes_residual_componentwise",
     "pack_hestenes_components",
-    "EigenPair", "SingularBlockError", "SymbolMatrix",
-    "build_symbol", "eigen_solve", "propagator_solve", "spectrum_rows",
-    "write_spectrum_csv",
+    "SingularBlockError", "build_symbol", "eigen_solve", "propagator_solve",
+    "spectrum_rows", "write_spectrum_csv",
     "DecompositionResult", "HestenesQuadruple",
     "IndependenceReport", "Prop4Report", "decompose", "hestenes_quadruple",
     "omega_pm", "verify_prop4", "verify_quadruple_independence",

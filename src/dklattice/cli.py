@@ -21,8 +21,8 @@ from .fields import (Equation, EquationParams, atomic_write_text,
                      constant_field, dumps_field, load_field, max_abs,
                      plane_wave, random_field, rms, save_field)
 from .lattice import LatticeDims, site_iter
-from .spectral import (build_symbol, eigen_solve, format_complex,
-                       propagator_solve, write_spectrum_csv)
+from .spectral import (eigen_solve, format_complex, propagator_solve,
+                       write_spectrum_csv)
 from .transfer import (decompose, hestenes_quadruple, tag_label,
                        verify_quadruple_independence)
 from .verify import CHECK_NAMES, QUADRUPLE_ROUTE_BOUND, rel_error, run_checks
@@ -126,14 +126,13 @@ def _cmd_gen(args) -> int:
         if (args.eigen is None) == (not args.amp):
             raise ValueError("plane-wave needs exactly one of --amp or --eigen")
         if args.eigen is not None:
-            pairs = eigen_solve(build_symbol(args.p, dims))
-            if not 0 <= args.eigen < len(pairs):
-                defective = "" if len(pairs) == NUM_BLADES else (
+            eigenvalues, amplitudes = eigen_solve(args.p, dims)
+            if not 0 <= args.eigen < len(eigenvalues):
+                defective = "" if len(eigenvalues) == NUM_BLADES else (
                     f"the block at p={tuple(args.p)} is defective (light cone): ")
-                raise ValueError(f"{defective}--eigen must be in 0..{len(pairs) - 1}")
-            pair = pairs[args.eigen]
-            omega = plane_wave(dims, args.p, pair.amplitude)
-            print(f"mass={format_complex(pair.eigenvalue)}")
+                raise ValueError(f"{defective}--eigen must be in 0..{len(eigenvalues) - 1}")
+            omega = plane_wave(dims, args.p, amplitudes[args.eigen])
+            print(f"mass={format_complex(eigenvalues[args.eigen])}")
         else:
             omega = plane_wave(dims, args.p, _amplitude_vector(args.amp))
     if args.output is None:

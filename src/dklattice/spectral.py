@@ -16,7 +16,6 @@ defective: S^2 = 0 with rank 8, so the eigenvalue 0 has only 8 eigenvectors.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +50,20 @@ def _roots(z):
     return s, np.where(cone, 0j, 1j * np.sqrt(s))
 
 
+def _grid_z(dims: LatticeDims) -> tuple:
+    """z_mu at every momentum of the lattice, as arrays that broadcast together."""
+    return _z(np.ix_(*(np.arange(n) for n in dims.shape)), dims)
+
+
+def _nearest_eigenvalue(root, mass: complex) -> tuple:
+    """Distance from mass to the nearest block eigenvalue +-root, its momentum
+    and that eigenvalue; root is the grid of i sqrt(s(p)) from _roots."""
+    eigenvalues = np.where(np.abs(root - mass) <= np.abs(root + mass), root, -root)
+    distances = np.abs(eigenvalues - mass)
+    p = np.unravel_index(int(np.argmin(distances)), distances.shape)
+    return float(distances[p]), p, eigenvalues[p]
+
+
 def _momentum(p, dims: LatticeDims) -> tuple:
     if len(p) != 4:
         raise ValueError(f"momentum must have four components, got {p!r}")
@@ -64,66 +77,44 @@ def _eigenvalues(p, dims: LatticeDims) -> list:
     return sorted((0j - root, 0j + root), key=lambda v: (v.real, v.imag))
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """16 x 16 momentum-space block of d_c + delta_c at one momentum."""
-
-    p: tuple
-    dims: LatticeDims
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if arr.shape != (16, 16):
-            raise ValueError(f"symbol must be 16 x 16, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+def build_symbol(p, dims: LatticeDims) -> np.ndarray:
+    """Read-only 16 x 16 symbol S(p) of d_c + delta_c at integer momentum p."""
+    block = _symbol_block(_z(_momentum(p, dims), dims))
+    block.setflags(write=False)
+    return block
 
 
-def build_symbol(p, dims: LatticeDims) -> SymbolMatrix:
-    """Symbol of d_c + delta_c at integer momentum p."""
-    p = _momentum(p, dims)
-    return SymbolMatrix(p=p, dims=dims, matrix=_symbol_block(_z(p, dims)))
+def eigen_solve(p, dims: LatticeDims) -> tuple[np.ndarray, np.ndarray]:
+    """Independent eigenpairs of i S(p), sorted by (re, im) of the eigenvalue.
 
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue and unit-norm amplitude of i times a symbol block."""
-
-    eigenvalue: complex
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        amp = np.array(self.amplitude, dtype=np.complex128, copy=True)
-        if amp.shape != (16,):
-            raise ValueError(f"amplitude must have shape (16,), got {amp.shape}")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
-
-
-def eigen_solve(symbol: SymbolMatrix) -> list[EigenPair]:
-    """Independent eigenpairs of i * symbol, sorted by (re, im) of the eigenvalue.
-
-    Off the light cone there are 16: e_B -+ S e_B / sqrt(s) for the 8 even
-    blades B, in blade order within each eigenvalue.  On it there are 8 with
-    eigenvalue 0, the leading left singular vectors of S, which span
-    ker S = range S; at S = 0 the 16 unit blades.  Each eigenpair yields an
-    exact plane-wave solution of the massive equation with the eigenvalue as
-    its (generally complex) mass.
+    Returns read-only arrays (eigenvalues, amplitudes) of shapes (k,) and
+    (k, 16): row j of amplitudes is the unit eigenvector of eigenvalues[j]
+    (rows, unlike the columns of numpy's eig).  Off the light cone k = 16:
+    e_B -+ S e_B / sqrt(s) for the 8 even blades B, in blade order within
+    each eigenvalue.  On it k = 8, all with eigenvalue 0: the leading left
+    singular vectors of S, which span ker S = range S; at S = 0 the 16 unit
+    blades.  Each row yields an exact plane-wave solution of the massive
+    equation with its eigenvalue as the (generally complex) mass.
     """
-    lo, hi = _eigenvalues(symbol.p, symbol.dims)
+    p = _momentum(p, dims)
+    lo, hi = _eigenvalues(p, dims)
+    symbol = _symbol_block(_z(p, dims))
     unit = np.eye(blades.NUM_BLADES)
     even = list(blades.EVEN_BLADES)
     if hi != 0:  # off the light cone
         # lam^2 = -s turns i S (e_B + i S e_B / lam) into lam (e_B + i S e_B / lam)
-        op = 1j * symbol.matrix[:, even]
+        op = 1j * symbol[:, even]
         groups = [(lam, unit[:, even] + op / lam) for lam in (lo, hi)]
-    elif symbol.matrix.any():
-        groups = [(hi, np.linalg.svd(symbol.matrix)[0][:, :8])]
+    elif symbol.any():
+        groups = [(hi, np.linalg.svd(symbol)[0][:, :8])]
     else:
         groups = [(hi, unit)]
-    return [EigenPair(lam, v / np.linalg.norm(v)) for lam, vectors in groups for v in vectors.T]
+    eigenvalues = np.array([lam for lam, vectors in groups for _ in vectors.T])
+    amplitudes = np.array([v / np.linalg.norm(v) for _, vectors in groups for v in vectors.T],
+                          dtype=np.complex128)
+    eigenvalues.setflags(write=False)
+    amplitudes.setflags(write=False)
+    return eigenvalues, amplitudes
 
 
 class SingularBlockError(ValueError):
@@ -154,12 +145,10 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     """
     mass = complex(mass)
     dims = source.dims
-    s, root = _roots(_z(np.ix_(*(np.arange(n) for n in dims.shape)), dims))
-    eigenvalues = np.where(np.abs(root - mass) <= np.abs(root + mass), root, -root)
-    distances = np.abs(eigenvalues - mass)
-    if distances.min() <= 1e-12 * max(1.0, abs(mass)):
-        p = np.unravel_index(int(np.argmin(distances)), distances.shape)
-        raise SingularBlockError(momentum=p, eigenvalue=eigenvalues[p], mass=mass)
+    s, root = _roots(_grid_z(dims))
+    distance, p, eigenvalue = _nearest_eigenvalue(root, mass)
+    if distance <= 1e-12 * max(1.0, abs(mass)):
+        raise SingularBlockError(momentum=p, eigenvalue=eigenvalue, mass=mass)
     transformed = np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3))
     transformed /= (-s - mass * mass)[..., None]
     g = FormField(dims, np.fft.ifftn(transformed, axes=(0, 1, 2, 3)))

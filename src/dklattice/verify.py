@@ -21,12 +21,21 @@ from .calculus import (_hestenes_sign, d_c, d_plus_delta, d_plus_delta_via_cliff
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
 from .lattice import LatticeDims, shift, site_iter
-from .spectral import _z, build_symbol, eigen_solve, propagator_solve
+from .spectral import (_grid_z, _nearest_eigenvalue, _roots, build_symbol,
+                       eigen_solve, propagator_solve)
 from .transfer import (_PART_EQUATIONS, DECOMPOSITION_TAGS, decompose,
                        hestenes_quadruple, verify_quadruple_independence)
 
 # Bound on the quadruple's route_deviation relative to max_abs(omega).
 QUADRUPLE_ROUTE_BOUND = 1e-14
+
+# check_propagator's default masses, tried in order: the first farther than
+# PROPAGATOR_MASS_GAP max(1, |m|) from every block eigenvalue is used.  Over
+# all extents up to 12, mass 1 is either within 1e-15 of the spectrum (as at
+# 6^4 and 12^4) or at least 3.3e-3 from it, so the gap keeps mass 1 wherever
+# it can be solved.
+PROPAGATOR_MASSES = (1.0 + 0.0j, 0.5 + 0.0j, 0.75 + 0.25j)
+PROPAGATOR_MASS_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -170,6 +179,18 @@ def check_clifford() -> Verification:
     return ver
 
 
+def _integer_field(dims: LatticeDims, seed: int) -> FormField:
+    """A field of Gaussian integers below 2^20 in size.
+
+    Every sum, difference and power-of-two scaling of its coefficients in
+    the checks is exact in float64, so identities without irrational
+    numbers hold exactly on it and are checked with bound 0.
+    """
+    rng = np.random.default_rng(seed)
+    parts = rng.integers(1 - 2 ** 20, 2 ** 20, size=(2,) + dims.shape + (16,))
+    return FormField(dims, parts[0] + 1j * parts[1])
+
+
 def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verification:
     """Stencil route versus generator route for d_c + delta_c."""
     ver = Verification()
@@ -179,6 +200,9 @@ def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
         dev = max_abs(d_plus_delta(omega) - d_plus_delta_via_clifford(omega))
         worst = max(worst, rel_error(dev, max_abs(omega)))
     ver.add("prop1_max_rel_dev", worst, 1e-13)
+    integer = _integer_field(dims, seed)
+    ver.add("prop1_integer_max_abs",
+            max_abs(d_plus_delta(integer) - d_plus_delta_via_clifford(integer)), 0)
     ver.note("prop1_trials", trials)
     return ver
 
@@ -229,6 +253,8 @@ def check_prop3(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
         dev = max_abs(decompose(omega).total() - omega)
         worst = max(worst, rel_error(dev, max_abs(omega)))
     ver.add("prop3_max_rel_reconstruction", worst, 1e-14)
+    integer = _integer_field(dims, seed)
+    ver.add("prop3_integer_max_abs", max_abs(decompose(integer).total() - integer), 0)
     ver.note("prop3_trials", trials)
     return ver
 
@@ -274,12 +300,10 @@ def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
     eigen = rel_dk = 0.0
     worst = {Equation.HESTENES: 0.0, Equation.HESTENES_FLIPPED: 0.0}
     for p in site_iter(dims):
-        symbol = build_symbol(p, dims)
-        pairs = eigen_solve(symbol)
-        amps = np.array([pair.amplitude for pair in pairs])
-        lam = np.array([pair.eigenvalue for pair in pairs])[:, None]
+        lam, amps = eigen_solve(p, dims)
+        lam = lam[:, None]
         scale = np.max(np.abs(amps), axis=1)
-        s_t = symbol.matrix.T  # rows times S^T are the rows of S a
+        s_t = build_symbol(p, dims).T  # rows times S^T are the rows of S a
         dk = 1j * (amps @ s_t) - lam * amps
         eigen = max(eigen, float(np.max(np.linalg.norm(dk, axis=1))))
         rel_dk = max(rel_dk, _row_rel(dk, scale))
@@ -289,7 +313,7 @@ def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
             equation = _PART_EQUATIONS[tag]
             worst[equation] = max(worst[equation], _row_rel(residual, scale))
         momenta += 1
-        solutions += len(pairs)
+        solutions += len(amps)
     return _MomentumSweep(momenta=momenta, solutions=solutions, eigen_residual=eigen,
                           rel_dk=rel_dk, rel_hestenes=worst[Equation.HESTENES],
                           rel_flipped=worst[Equation.HESTENES_FLIPPED])
@@ -324,6 +348,8 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     ver.add("prop5_residual_mass0", res_dev, 0.0)
     ver.add("prop5_max_rel_route_dev", rel_error(quad.route_deviation, scale),
             QUADRUPLE_ROUTE_BOUND)
+    ver.add("prop5_integer_route_max_abs",
+            hestenes_quadruple(_integer_field(dims, seed)).route_deviation, 0)
     rank_report = verify_quadruple_independence(quad)
     ver.note("prop5_rank", rank_report.rank)
     for i, s in enumerate(rank_report.singular_values):
@@ -331,15 +357,15 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
 
     # The first momentum in site order with a real positive eigenvalue gives
     # a plane-wave solution of real mass, a nontrivial real-mass exercise.
-    found = next(((p, pair) for p in site_iter(dims)
-                  for pair in eigen_solve(build_symbol(p, dims))
-                  if abs(pair.eigenvalue.imag) <= 1e-12 and pair.eigenvalue.real > 1e-9),
+    found = next(((p, lam, amp) for p in site_iter(dims)
+                  for lam, amp in zip(*eigen_solve(p, dims))
+                  if abs(lam.imag) <= 1e-12 and lam.real > 1e-9),
                  None)
     if found is None:
         ver.note("prop5_realmass", "skipped (no real nonzero eigenvalue)")
         return ver
-    p, pair = found
-    solution, mass = plane_wave(dims, p, pair.amplitude), pair.eigenvalue
+    p, mass, amp = found
+    solution = plane_wave(dims, p, amp)
     quad_real = hestenes_quadruple(solution)
     params_real = EquationParams(mass.real, Equation.HESTENES)
     res_real = max(max_abs(hestenes_residual(q, params_real)) for q in quad_real.fields())
@@ -351,12 +377,7 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
 
 
 def check_nilpotency(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verification:
-    """d_c twice and delta_c twice vanish on random fields.
-
-    On a field of Gaussian integers below 2^20 in size every difference and
-    sum is an integer well inside float64's exact range, so there both
-    vanish exactly.
-    """
+    """d_c twice and delta_c twice vanish on random fields, exactly on integer ones."""
     ver = Verification()
     worst_d = worst_delta = 0.0
     for t in range(trials):
@@ -366,9 +387,7 @@ def check_nilpotency(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Ver
         worst_delta = max(worst_delta, rel_error(max_abs(delta_c(delta_c(omega))), scale))
     ver.add("nilpotency_dd_max_rel", worst_d, 1e-13)
     ver.add("nilpotency_deltadelta_max_rel", worst_delta, 1e-13)
-    rng = np.random.default_rng(seed)
-    parts = rng.integers(1 - 2 ** 20, 2 ** 20, size=(2,) + dims.shape + (16,))
-    integer = FormField(dims, parts[0] + 1j * parts[1])
+    integer = _integer_field(dims, seed)
     ver.add("nilpotency_dd_integer_max_abs", max_abs(d_c(d_c(integer))), 0)
     ver.add("nilpotency_deltadelta_integer_max_abs", max_abs(delta_c(delta_c(integer))), 0)
     ver.note("nilpotency_trials", trials)
@@ -441,8 +460,7 @@ def _symbol_route(omega: FormField) -> np.ndarray:
     S(p) acts as the generator gather with z_mu(p) in place of delta_mu, one
     signed gather per axis over all modes; no block per momentum is built.
     """
-    dims = omega.dims
-    z = _z(np.ix_(*(np.arange(n) for n in dims.shape)), dims)
+    z = _grid_z(omega.dims)
     modes = np.fft.fftn(omega.coeffs, axes=(0, 1, 2, 3))
     out = np.zeros_like(modes)
     for mu in blades.AXES:
@@ -464,10 +482,23 @@ def check_spectral(dims: LatticeDims, seed: int = 0) -> Verification:
 
 
 def check_propagator(dims: LatticeDims, sources: int = 10, seed: int = 0,
-                     mass: complex = 1.0 + 0.0j) -> Verification:
-    """A-posteriori residual of the momentum-block solver."""
+                     mass: complex | None = None) -> Verification:
+    """A-posteriori residual of the momentum-block solver.
+
+    An explicit mass is used as given, otherwise the first of
+    PROPAGATOR_MASSES far enough from the spectrum.  When the mass is within
+    PROPAGATOR_MASS_GAP max(1, |m|) of a block eigenvalue no source is
+    solved, and the residual reads inf, a failure.
+    """
     ver = Verification()
-    worst = 0.0
+    root = _roots(_grid_z(dims))[1]
+    for mass in PROPAGATOR_MASSES if mass is None else (complex(mass),):
+        distance = _nearest_eigenvalue(root, mass)[0]
+        if distance > PROPAGATOR_MASS_GAP * max(1.0, abs(mass)):
+            break
+    else:
+        sources = 0
+    worst = 0.0 if sources else float("inf")
     params = EquationParams(mass)
     for t in range(sources):
         source = random_field(dims, seed + t)
@@ -477,6 +508,7 @@ def check_propagator(dims: LatticeDims, sources: int = 10, seed: int = 0,
     ver.add("propagator_max_rel_residual", worst, 1e-11)
     ver.note("propagator_sources", sources)
     ver.note("propagator_mass", f"{mass.real:.9g},{mass.imag:.9g}")
+    ver.note("propagator_mass_distance", f"{distance:.9g}")
     return ver
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dklattice import verify
 from dklattice.algebra import ConstantForm
 from dklattice.calculus import dk_apply
 from dklattice.cli import main
@@ -196,6 +197,25 @@ def test_verify_all_covers_every_momentum(trials, capsys):
     assert out[-1] == "status=pass"
 
 
+@pytest.mark.parametrize("prop,dims", [("all", "6,6,6,6"), ("propagator", "12,12,12,12")])
+def test_verify_propagator_avoids_the_spectrum(prop, dims, capsys):
+    # mass 1 is a block eigenvalue at 6^4 and 12^4
+    assert run_cli("verify", prop, "--dims", dims, "--trials", "1") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "propagator_mass=0.5,0" in out
+    assert out[-1] == "status=pass"
+
+
+def test_verify_propagator_fails_without_a_usable_mass(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "PROPAGATOR_MASSES", (1.0 + 0.0j,))
+    assert run_cli("verify", "propagator", "--dims", "6,6,6,6", "--trials", "1") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["propagator_max_rel_residual=inf", "propagator_sources=0",
+                       "propagator_mass=1,0"]
+    assert float(out[3].removeprefix("propagator_mass_distance=")) < 1e-12
+    assert out[4:] == ["status=fail"]
+
+
 def test_verify_tol_scale_tightened(capsys):
     # clifford checks are exact, so even a crushed tolerance passes
     assert run_cli("verify", "clifford", "--tol-scale", "1e-6") == 0
@@ -383,12 +403,12 @@ VERIFY_ALL_KEYS = [
     "clifford_oracle_mismatches", "clifford_rule1_violations",
     "clifford_rule2_violations", "clifford_rule3_violations",
     "clifford_anticommutator_violations", "clifford_associativity_violations",
-    "prop1_max_rel_dev", "prop2_idempotence_dev", "prop2_commutation_dev",
+    "prop1_max_rel_dev", "prop1_integer_max_abs", "prop2_idempotence_dev", "prop2_commutation_dev",
     "prop2_absorption_dev", "prop3_projector_sum_violations",
-    "prop3_max_rel_reconstruction", "prop4_max_rel_dk_residual",
+    "prop3_max_rel_reconstruction", "prop3_integer_max_abs", "prop4_max_rel_dk_residual",
     "prop4_max_rel_hestenes", "prop4_max_rel_flipped", "prop5_max_rel_odd",
     "prop5_max_rel_imag", "prop5_residual_mass0", "prop5_max_rel_route_dev",
-    "prop5_realmass_max_rel_residual", "nilpotency_dd_max_rel",
+    "prop5_integer_route_max_abs", "prop5_realmass_max_rel_residual", "nilpotency_dd_max_rel",
     "nilpotency_deltadelta_max_rel", "nilpotency_dd_integer_max_abs",
     "nilpotency_deltadelta_integer_max_abs", "componentwise_max_rel_dev",
     "matrix_oracle_max_rel_dev", "spectral_eigen_residual_max",
@@ -398,7 +418,7 @@ VERIFY_ALL_KEYS = [
     "prop5_sigma_0", "prop5_sigma_1", "prop5_sigma_2", "prop5_sigma_3",
     "prop5_realmass_momentum", "prop5_realmass_value", "nilpotency_trials",
     "componentwise_trials", "matrix_oracle_dimension", "spectral_momenta",
-    "propagator_sources", "propagator_mass", "status",
+    "propagator_sources", "propagator_mass", "propagator_mass_distance", "status",
 ]
 QUADRUPLE_KEYS = ["route_rel", "rank", "rank_threshold",
                   "sigma_0", "sigma_1", "sigma_2", "sigma_3"]

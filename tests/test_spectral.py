@@ -13,7 +13,7 @@ from dklattice.blades import ALL_MASKS, E0, TABLE
 from dklattice.calculus import d_plus_delta, dk_residual
 from dklattice.fields import EquationParams, max_abs, plane_wave, random_field
 from dklattice.lattice import LatticeDims, site_iter
-from dklattice.spectral import (LIGHT_CONE_TOL, EigenPair, SingularBlockError,
+from dklattice.spectral import (LIGHT_CONE_TOL, SingularBlockError,
                                 _roots, _symbol_block, _z as _z_grid,
                                 build_symbol, eigen_solve, format_complex,
                                 propagator_solve, spectrum_rows,
@@ -29,7 +29,7 @@ def _z(p, dims):
 
 
 def test_symbol_zero_momentum_is_zero():
-    assert np.max(np.abs(build_symbol((0, 0, 0, 0), DIMS4).matrix)) == 0.0
+    assert np.max(np.abs(build_symbol((0, 0, 0, 0), DIMS4))) == 0.0
 
 
 def test_symbol_at_half_extent_is_left_mul_by_e0():
@@ -40,7 +40,7 @@ def test_symbol_at_half_extent_is_left_mul_by_e0():
     for b in ALL_MASKS:
         sign, mask = TABLE.mul_masks(E0, b)
         left_e0[mask, b] = sign
-    assert np.max(np.abs(sym.matrix - (-2.0) * left_e0)) < 1e-14
+    assert np.max(np.abs(sym - (-2.0) * left_e0)) < 1e-14
 
 
 def test_symbol_square_is_scalar():
@@ -48,7 +48,7 @@ def test_symbol_square_is_scalar():
     for p in [(1, 2, 3, 0), (0, 2, 0, 0), (1, 1, 1, 1), (3, 0, 1, 2)]:
         z = _z(p, DIMS4)
         w = -(z[0] ** 2 - z[1] ** 2 - z[2] ** 2 - z[3] ** 2)
-        op = 1j * build_symbol(p, DIMS4).matrix
+        op = 1j * build_symbol(p, DIMS4)
         assert np.max(np.abs(op @ op - w * np.eye(16))) < 1e-12
 
 
@@ -62,15 +62,13 @@ def test_symbol_square_frozen_value():
 def test_eigenvalues_at_half_extent_momenta():
     # time-axis half extent: purely imaginary +-2i, eight each;
     # space-axis half extent: purely real +-2, eight each
-    values_t = np.array([q.eigenvalue for q in
-                         eigen_solve(build_symbol((2, 0, 0, 0), DIMS4))])
+    values_t = eigen_solve((2, 0, 0, 0), DIMS4)[0]
     assert np.max(np.abs(values_t.real)) < 1e-12
     imag_sorted = np.sort(values_t.imag)
     assert np.all(np.abs(imag_sorted[:8] + 2.0) < 1e-12)
     assert np.all(np.abs(imag_sorted[8:] - 2.0) < 1e-12)
 
-    values_s = np.array([q.eigenvalue for q in
-                         eigen_solve(build_symbol((0, 2, 0, 0), DIMS4))])
+    values_s = eigen_solve((0, 2, 0, 0), DIMS4)[0]
     assert np.max(np.abs(values_s.imag)) < 1e-12
     assert np.all(np.abs(values_s.real[:8] + 2.0) < 1e-12)
     assert np.all(np.abs(values_s.real[8:] - 2.0) < 1e-12)
@@ -79,24 +77,22 @@ def test_eigenvalues_at_half_extent_momenta():
 def test_eigen_solve_residuals_and_norms():
     # (2,2,1,3) is on the light cone: its defective block has 8 eigenvectors
     for p, count in [((1, 0, 0, 0), 16), ((1, 2, 3, 0), 16), ((2, 2, 1, 3), 8)]:
-        sym = build_symbol(p, DIMS4)
-        op = 1j * sym.matrix
-        pairs = eigen_solve(sym)
-        assert len(pairs) == count
-        assert np.linalg.matrix_rank(np.array([q.amplitude for q in pairs])) == count
-        for q in pairs:
-            assert abs(np.linalg.norm(q.amplitude) - 1.0) < 1e-12
-            res = np.linalg.norm(op @ q.amplitude - q.eigenvalue * q.amplitude)
+        op = 1j * build_symbol(p, DIMS4)
+        values, amps = eigen_solve(p, DIMS4)
+        assert values.shape == (count,) and amps.shape == (count, 16)
+        assert np.linalg.matrix_rank(amps) == count
+        for value, amp in zip(values, amps):
+            assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
+            res = np.linalg.norm(op @ amp - value * amp)
             assert res < 1e-12
 
 
 def test_eigen_solve_deterministic_ordering():
-    a = eigen_solve(build_symbol((1, 2, 3, 0), DIMS4))
-    b = eigen_solve(build_symbol((1, 2, 3, 0), DIMS4))
-    for qa, qb in zip(a, b):
-        assert qa.eigenvalue == qb.eigenvalue
-        assert np.array_equal(qa.amplitude, qb.amplitude)
-    values = [q.eigenvalue for q in a]
+    values_a, amps_a = eigen_solve((1, 2, 3, 0), DIMS4)
+    values_b, amps_b = eigen_solve((1, 2, 3, 0), DIMS4)
+    assert np.array_equal(values_a, values_b)
+    assert np.array_equal(amps_a, amps_b)
+    values = list(values_a)
     assert values == sorted(values, key=lambda v: (v.real, v.imag))
 
 
@@ -112,15 +108,14 @@ def test_eigen_solve_full_rank_at_every_momentum(shape, cone_count):
         norm = sum(abs(c) ** 2 for c in z)
         on_cone = norm > 0 and abs(s) <= 1e-12 * norm
         seen_cone += on_cone
-        sym = build_symbol(p, dims)
-        op = 1j * sym.matrix
-        pairs = eigen_solve(sym)
+        op = 1j * build_symbol(p, dims)
+        values, amps = eigen_solve(p, dims)
         count = 8 if on_cone else 16
-        assert len(pairs) == count
-        assert np.linalg.matrix_rank(np.array([q.amplitude for q in pairs])) == count
-        for q in pairs:
-            assert abs(np.linalg.norm(q.amplitude) - 1.0) <= 1e-12
-            assert np.linalg.norm(op @ q.amplitude - q.eigenvalue * q.amplitude) <= 1e-12
+        assert len(values) == len(amps) == count
+        assert np.linalg.matrix_rank(amps) == count
+        for value, amp in zip(values, amps):
+            assert abs(np.linalg.norm(amp) - 1.0) <= 1e-12
+            assert np.linalg.norm(op @ amp - value * amp) <= 1e-12
 
         rows = [complex(r[4], r[5]) for r in spectrum_rows(dims, [p])]
         assert len(rows) == 16
@@ -170,7 +165,7 @@ def test_symbol_matches_operator_on_plane_waves():
         sym = build_symbol(p, DIMS4)
         amp = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
         wave = plane_wave(DIMS4, p, amp)
-        expected = plane_wave(DIMS4, p, sym.matrix @ amp)
+        expected = plane_wave(DIMS4, p, sym @ amp)
         dev = max_abs(d_plus_delta(wave) - expected)
         assert dev <= 1e-13 * max_abs(wave)
 
@@ -183,7 +178,7 @@ def test_propagator_matches_per_momentum_solve(shape, mass):
     source = random_field(dims, 24)
     transformed = np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3))
     for p in site_iter(dims):
-        block = 1j * build_symbol(p, dims).matrix - mass * np.eye(16)
+        block = 1j * build_symbol(p, dims) - mass * np.eye(16)
         transformed[p] = np.linalg.solve(block, transformed[p])
     expected = np.fft.ifftn(transformed, axes=(0, 1, 2, 3))
     got = propagator_solve(source, mass).coeffs
@@ -193,9 +188,9 @@ def test_propagator_matches_per_momentum_solve(shape, mass):
 def test_eigen_plane_waves_solve_equation():
     for p in [(1, 0, 0, 0), (1, 2, 3, 0)]:
         for idx in (0, 7, 15):
-            pair = eigen_solve(build_symbol(p, DIMS4))[idx]
-            omega = plane_wave(DIMS4, p, pair.amplitude)
-            res = max_abs(dk_residual(omega, EquationParams(pair.eigenvalue)))
+            values, amps = eigen_solve(p, DIMS4)
+            omega = plane_wave(DIMS4, p, amps[idx])
+            res = max_abs(dk_residual(omega, EquationParams(values[idx])))
             assert res <= 1e-12 * max_abs(omega)
 
 
@@ -262,8 +257,15 @@ def test_spectrum_csv_format():
                [",".join(line.split(",")[:4]) for line in lines[1:]])
 
 
-def test_eigen_pair_is_read_only():
-    pair = eigen_solve(build_symbol((1, 0, 0, 0), DIMS4))[0]
-    assert isinstance(pair, EigenPair)
-    with pytest.raises(ValueError):
-        pair.amplitude[0] = 1.0
+def test_eigen_solve_and_symbol_are_read_only():
+    values, amps = eigen_solve((1, 0, 0, 0), DIMS4)
+    symbol = build_symbol((1, 0, 0, 0), DIMS4)
+    for array, index in ((values, 0), (amps, (0, 0)), (symbol, (0, 0))):
+        with pytest.raises(ValueError):
+            array[index] = 1.0
+
+
+@pytest.mark.parametrize("p", [(1, 0, 0), (1, 0, 0, 0, 0), ()])
+def test_eigen_solve_rejects_momentum_without_four_components(p):
+    with pytest.raises(ValueError, match="four components"):
+        eigen_solve(p, DIMS4)

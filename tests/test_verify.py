@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from dklattice import blades, calculus, transfer
+from dklattice import blades, calculus, transfer, verify
 from dklattice.calculus import dk_apply
 from dklattice.fields import Equation, random_field
 from dklattice.lattice import LatticeDims
-from dklattice.verify import (CHECK_NAMES, Verification, check_clifford,
+from dklattice.spectral import SingularBlockError, propagator_solve
+from dklattice.verify import (CHECK_NAMES, PROPAGATOR_MASS_GAP, Verification,
+                              check_clifford,
                               check_componentwise, check_constants,
                               check_matrix_oracle, check_nilpotency,
                               check_prop1, check_prop2, check_prop3,
@@ -60,6 +62,28 @@ def test_check_clifford_is_clean():
 
 def test_check_prop1():
     assert check_prop1(DIMS, trials=5).passed
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 1, 4)])
+def test_integer_twins_are_exact(shape):
+    dims = LatticeDims(*shape)
+    checks = {c.name: c for ver in (check_prop1(dims, trials=1), check_prop3(dims, trials=1),
+                                    check_prop5(dims))
+              for c in ver.checks}
+    for name in ("prop1_integer_max_abs", "prop3_integer_max_abs",
+                 "prop5_integer_route_max_abs"):
+        assert checks[name].value == 0.0 and checks[name].bound == 0.0, name
+
+
+def test_prop1_integer_twin_catches_a_relative_perturbation(monkeypatch):
+    # a relative 1e-15 change of the Clifford route hides under the float
+    # bound of 1e-13, but not under the exact bound of the integer twin
+    real_route = verify.d_plus_delta_via_clifford
+    monkeypatch.setattr(verify, "d_plus_delta_via_clifford",
+                        lambda omega: real_route(omega) * (1 + 1e-15))
+    checks = {c.name: c for c in check_prop1(DIMS, trials=5).checks}
+    assert checks["prop1_max_rel_dev"].passed
+    assert not checks["prop1_integer_max_abs"].passed
 
 
 def test_check_prop2():
@@ -174,6 +198,32 @@ def test_check_spectral_catches_a_flipped_stencil_sign(shape, monkeypatch):
 
 def test_check_propagator():
     assert check_propagator(DIMS, sources=3).passed
+
+
+@pytest.mark.parametrize("shape", [(n,) * 4 for n in range(1, 13)] + [
+    (2, 3, 1, 4), (6, 1, 1, 1), (12, 1, 1, 1), (3, 4, 5, 6)])
+def test_check_propagator_mass_choice(shape):
+    # mass 1 is a block eigenvalue at 6^4 and 12^4, so 0.5 is used there
+    dims = LatticeDims(*shape)
+    singular = shape in ((6,) * 4, (12,) * 4)
+    if singular:
+        with pytest.raises(SingularBlockError):
+            propagator_solve(random_field(dims, 0), 1.0)
+    ver = check_propagator(dims, sources=1)
+    info = dict(ver.info)
+    assert ver.passed
+    assert info["propagator_mass"] == ("0.5,0" if singular else "1,0")
+    assert float(info["propagator_mass_distance"]) > PROPAGATOR_MASS_GAP
+
+
+def test_check_propagator_honours_an_explicit_mass():
+    info = dict(check_propagator(DIMS, sources=1, mass=0.3 - 0.8j).info)
+    assert info["propagator_mass"] == "0.3,-0.8"
+    # an explicit mass on the spectrum is not replaced: nothing is solved
+    ver = check_propagator(LatticeDims(6, 6, 6, 6), sources=1, mass=1.0)
+    assert not ver.passed
+    assert ("propagator_sources", "0") in ver.info
+
 
 
 def test_check_constants():
