@@ -5,12 +5,13 @@ are stored as a C-ordered complex128 array of shape (N0, N1, N2, N3, 16)
 with the blade axis last and blades ordered by ascending mask, so the
 canonical flat order (sites row-major, then blades) is the plain ravel.
 
-The JSON codec (dumps_field, save_field, loads_field) splits a large field
-across two processes: a forked child formats or parses the second half of
-the numbers while this process handles the first.  Saves stream to disk,
-and loads fall back to one process whenever the text is not exactly in
-the canonical layout or fails a check, so bytes and errors do not depend
-on the split.
+The JSON codec parses a field in one process: text in exactly the layout
+dumps_field writes is cut into pieces that orjson parses into one float64
+array, and any other text, or any that fails a check there, goes whole
+through json, so errors do not depend on the fast path.  Saving a large
+field splits it across two processes: a forked child formats the second
+half of the numbers while this process formats the first and streams it
+to disk.
 """
 
 from __future__ import annotations
@@ -180,20 +181,23 @@ class FieldFormatError(ValueError):
 
 
 # A field with at least this many numbers (re and im counted apart), about
-# 5.6 MB of text, is formatted and parsed by two processes.
+# 5.6 MB of text, is formatted by two processes.
 SPLIT_MIN_NUMBERS = 1 << 18
-_CHUNK = 1 << 16  # numbers per C-level % call
+_CHUNK = 1 << 16  # numbers per C-level % call and per orjson piece
 _PIPE_READ = 1 << 20
 _JSON_SPACE = " \t\n\r"
-# The integer token -0, which json would read as a plain int 0
+# The integer token -0, which json and orjson read as a plain int 0
 _NEG_ZERO_INT = re.compile(r"-0(?![0-9.eE])")
+# An integer token of 19 digits or more.  orjson reads one that does not fit
+# 64 bits, so of magnitude at least 2^63, as a float it rounds itself.
+_LONG_INT = re.compile(r"(?<![0-9.])[0-9]{19,}(?![0-9.eE])")
 _EXTENT = r"([1-9][0-9]{0,8})"
 _CANONICAL_HEAD = re.compile(
     rf'\{{"dims": \[{_EXTENT}, {_EXTENT}, {_EXTENT}, {_EXTENT}\], "coeffs": \[')
 
 
 def _two_processes(numbers: int) -> bool:
-    """Whether the codec splits this many numbers across a forked child.
+    """Whether a save splits this many numbers across a forked child.
 
     Only a process running one Python thread forks, so the child never
     inherits a lock that another thread held.
@@ -207,10 +211,9 @@ class _Child:
     returns down a pipe, whose read end is ``fd``.
 
     The child always leaves through os._exit, with status 0 only after it
-    sent every piece (work() returning None means failure), so no atexit
-    hook, buffered output or tracer runs twice.  As a context manager the
-    parent reaps the child on every way out, killing it first unless
-    reap() already ran.
+    sent every piece, so no atexit hook, buffered output or tracer runs
+    twice.  As a context manager the parent reaps the child on every way
+    out, killing it first unless reap() already ran.
     """
 
     def __init__(self, work):
@@ -225,26 +228,14 @@ class _Child:
             status = 1
             try:
                 os.close(read_fd)
-                pieces = work()
-                if pieces is not None:
-                    with open(write_fd, "wb") as out:
-                        out.writelines(pieces)
-                    status = 0
+                with open(write_fd, "wb") as out:
+                    out.writelines(work())
+                status = 0
             finally:
                 os._exit(status)
         os.close(write_fd)
         self.fd = read_fd
         self.status = None
-
-    def read_exactly(self, view: memoryview) -> bool:
-        """Fill the byte view from the pipe; True if the child sent exactly that much."""
-        filled = 0
-        while filled < len(view):
-            n = os.readv(self.fd, [view[filled:]])
-            if n == 0:
-                return False
-            filled += n
-        return os.read(self.fd, 1) == b""
 
     def reap(self) -> bool:
         """Close the pipe, wait for the child and tell whether it succeeded."""
@@ -334,28 +325,15 @@ def _json_loads(text: str):
         return json.loads(text, parse_int=_exact_int)
 
 
-def _parse_numbers(text: str) -> np.ndarray | None:
-    """The float64 array of a JSON array of finite numbers, else None.  float()
-    reads integer tokens: -0 stays a negative zero, a huge one becomes +-inf."""
-    try:
-        values = json.loads(text, parse_int=float)
-    except (ValueError, RecursionError):
-        return None
-    if not isinstance(values, list) or not set(map(type, values)) <= {float}:
-        return None
-    numbers = np.asarray(values, dtype=np.float64)
-    return numbers if np.all(np.isfinite(numbers)) else None
+def _loads_fast(text: str) -> FormField | None:
+    """Parse a field in exactly the layout dumps_field writes with orjson;
+    None whenever the serial parser has to decide.
 
-
-def _loads_split(text: str) -> FormField | None:
-    """Parse a large field in exactly the layout dumps_field writes, using
-    two processes; None whenever the serial parser has to decide.
-
-    The coeffs list is cut at the first ", " after its middle.  A forked
-    child parses the second half and sends back its float64 bytes while
-    this process parses the first, both into one array.  Any other layout,
-    a malformed, non-numeric or non-finite entry, a wrong count or a failed
-    child returns None.
+    The coeffs list is cut at ", " into pieces of about _CHUNK numbers, and
+    orjson parses each straight into one float64 array, so the whole list
+    never exists as Python floats at once.  Any other layout, a malformed or
+    non-numeric entry, a wrong count, a value that is not finite, or an
+    integer token beyond 64 bits returns None.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None:
@@ -366,33 +344,52 @@ def _loads_split(text: str) -> FormField | None:
         return None
     expected = 2 * blades.NUM_BLADES * dims.volume
     # each number takes at least one character and a separator
-    if not _two_processes(expected) or 2 * expected > len(text):
+    if 2 * expected > len(text):
         return None
     end = len(text)
     while text[end - 1] in _JSON_SPACE:
         end -= 1
     close = end - 2  # the "]" that ends coeffs
-    cut = text.find(", ", (head.end() + close) // 2, close)
-    if text[close:end] != "]}" or cut < 0:
+    if text[close:end] != "]}":
         return None
+    import array  # here, not at the top, so that verify loads neither
+    import orjson
 
-    def parse_second_half():
-        numbers = _parse_numbers("[" + text[cut + 2:close + 1])
-        return None if numbers is None else [numbers.data]
-
-    try:
-        child = _Child(parse_second_half)
-    except OSError:
+    pairs = np.empty(expected)
+    begin = head.end()
+    step = _CHUNK * (close - begin) // expected  # bytes of about _CHUNK numbers
+    filled = 0
+    negative_zeros = False  # whether an integer token -0 has been seen
+    while True:
+        cut = text.find(", ", begin + step, close)
+        piece = text[begin:close if cut < 0 else cut]
+        if negative_zeros:
+            # orjson reads the token -0 as int 0 but -0.0 as a negative zero;
+            # in an exponent, -0.0 is a decode error
+            piece = (piece + ",").replace("-0,", "-0.0,")[:-1]
+        if "t" in piece or "f" in piece:  # true and false, which array("d") takes
+            return None
+        try:
+            numbers = array.array("d", orjson.loads("[" + piece + "]"))
+        except (ValueError, TypeError):  # TypeError: a non-number
+            return None
+        if not numbers or filled + len(numbers) > expected:
+            return None
+        chunk = pairs[filled:filled + len(numbers)]
+        chunk[:] = numbers
+        if not chunk.all() and _NEG_ZERO_INT.search(piece):
+            if negative_zeros:  # a -0 that no "," follows
+                return None
+            negative_zeros = True
+            continue  # parse the piece again
+        if np.abs(chunk).max() >= 2.0 ** 63 and _LONG_INT.search(piece):
+            return None
+        filled += len(numbers)
+        if cut < 0:
+            break
+        begin = cut + 2
+    if filled != expected or not np.all(np.isfinite(pairs)):
         return None
-    with child:
-        first = _parse_numbers(text[head.end() - 1:cut] + "]")
-        if first is None or first.size >= expected:
-            return None
-        pairs = np.empty(expected)
-        pairs[:first.size] = first
-        if not (child.read_exactly(memoryview(pairs[first.size:]).cast("B"))
-                and child.reap()):
-            return None
     coeffs = pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,))
     return FormField(dims, coeffs)
 
@@ -400,12 +397,12 @@ def _loads_split(text: str) -> FormField | None:
 def loads_field(text: str) -> FormField:
     """Parse the canonical JSON text form; inverse of dumps_field.
 
-    A large field in exactly the layout dumps_field writes is parsed by two
-    processes (_loads_split).  Everything else, and any text that fails a
-    check there, is parsed here in one process, so every error keeps its
-    message and byte offset.
+    Text in exactly the layout dumps_field writes is parsed in pieces by
+    orjson (_loads_fast).  Everything else, and any text that fails a check
+    there, is parsed whole by json, so every error keeps its message and
+    byte offset.
     """
-    field = _loads_split(text)
+    field = _loads_fast(text)
     if field is not None:
         return field
     try:

@@ -61,7 +61,7 @@ def _nearest_eigenvalue(root, mass: complex) -> tuple:
     eigenvalues = np.where(np.abs(root - mass) <= np.abs(root + mass), root, -root)
     distances = np.abs(eigenvalues - mass)
     p = np.unravel_index(int(np.argmin(distances)), distances.shape)
-    return float(distances[p]), p, eigenvalues[p]
+    return float(distances[p]), p, 0j + eigenvalues[p]  # 0j + turns a -0 part into 0
 
 
 def _momentum(p, dims: LatticeDims) -> tuple:

@@ -286,7 +286,7 @@ def test_solve_singular_mass(tmp_path, capsys):
     code = run_cli("solve", "-i", str(src), "--mass", "2,0",
                    "-o", str(tmp_path / "out.json"))
     assert code == 2
-    assert "matches eigenvalue 2," in capsys.readouterr().err
+    assert "matches eigenvalue 2,0 of the momentum block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,10 @@ import stat
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -347,7 +349,7 @@ def forks(monkeypatch):
 
 def serial_loads(monkeypatch, text):
     with monkeypatch.context() as m:
-        m.setattr(fields, "SPLIT_MIN_NUMBERS", 1 << 62)
+        m.setattr(fields, "_loads_fast", lambda text: None)
         return loads_field(text)
 
 
@@ -391,10 +393,10 @@ def test_split_dumps_and_save_match_reference(tmp_path, forks):
 def test_split_loads_bit_equal_to_serial(monkeypatch, forks):
     text = split_text(split_tokens()) + "\n"
     split = loads_field(text)
-    assert len(forks) == 1
+    assert len(forks) == 0
     assert_reaped(forks)
     serial = serial_loads(monkeypatch, text)
-    assert len(forks) == 1
+    assert len(forks) == 0
     assert split.coeffs.tobytes() == serial.coeffs.tobytes()
     assert np.signbit(split.coeffs.reshape(-1).view(np.float64)[5])
     assert dumps_field(split) == text.rstrip()
@@ -429,7 +431,7 @@ def test_split_errors_match_serial(corruption, half, monkeypatch, forks):
     text = split_text(tokens)
     with pytest.raises(FieldFormatError) as split:
         loads_field(text)
-    assert len(forks) == 1
+    assert len(forks) == 0
     assert_reaped(forks)
     with pytest.raises(FieldFormatError) as serial:
         serial_loads(monkeypatch, text)
@@ -444,13 +446,13 @@ def test_split_deeply_nested_coeffs_exit_2(tmp_path, capsys, forks):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
-    assert len(forks) == 1
+    assert len(forks) == 0
     assert_reaped(forks)
 
 
 def test_failing_child_leaves_no_temp_file_or_zombie(tmp_path, monkeypatch, forks):
     parent = os.getpid()
-    real_format, real_parse = fields._format, fields._parse_numbers
+    real_format = fields._format
 
     def in_parent_only(real):
         def wrapper(*args):
@@ -460,17 +462,16 @@ def test_failing_child_leaves_no_temp_file_or_zombie(tmp_path, monkeypatch, fork
         return wrapper
 
     monkeypatch.setattr(fields, "_format", in_parent_only(real_format))
-    monkeypatch.setattr(fields, "_parse_numbers", in_parent_only(real_parse))
     field = random_field(SPLIT, 24)
     with pytest.raises(OSError, match="field formatter process failed"):
         save_field(field, tmp_path / "f.json")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(OSError, match="field formatter process failed"):
         dumps_field(field)
-    # a failed parsing child sends the text down the serial path
+    # a load forks no child
     text = reference_dumps(field)
     assert loads_field(text).coeffs.tobytes() == field.coeffs.tobytes()
-    assert len(forks) == 3
+    assert len(forks) == 2
     assert_reaped(forks)
 
 
@@ -485,3 +486,90 @@ def test_small_fields_never_fork(tmp_path, monkeypatch):
         save_field(field, path)
         assert load_field(path).coeffs.tobytes() == field.coeffs.tobytes()
         assert loads_field(dumps_field(field)).coeffs.tobytes() == field.coeffs.tobytes()
+
+
+def test_loads_never_fork(tmp_path, monkeypatch, forks):
+    # with the threshold at one site, every save below forks once; no load does
+    monkeypatch.setattr(fields, "SPLIT_MIN_NUMBERS", 32)
+    for dims in (ONE_SITE, SMALL, LatticeDims(7, 7, 7, 7), SPLIT):
+        field = random_field(dims, 27)
+        path = tmp_path / "f.json"
+        save_field(field, path)
+        saves = len(forks)
+        assert load_field(path).coeffs.tobytes() == field.coeffs.tobytes()
+        assert loads_field(path.read_text()).coeffs.tobytes() == field.coeffs.tobytes()
+        assert len(forks) == saves
+    assert len(forks) == 4
+    assert_reaped(forks)
+
+
+def test_fast_path_cuts_pieces_at_separators(monkeypatch):
+    # 7^4 sites give 76,832 numbers, below the old split threshold.  Every
+    # token but the last is 22 characters long, so the pieces are exact.
+    n = 2 * 16 * 7 ** 4
+    assert n == 76_832
+    pairs = np.random.default_rng(26).uniform(0.5, 1.0, n)
+    pairs[-1] = -0.0
+    tokens = [format(v, ".16e") for v in pairs[:-1]] + ["-0"]
+    assert {len(t) for t in tokens[:-1]} == {22}
+    text = f'{{"dims": [7, 7, 7, 7], "coeffs": [{", ".join(tokens)}]}}\n'
+    serial = serial_loads(monkeypatch, text)
+    assert serial.coeffs.tobytes() == pairs.tobytes()
+    real_loads = orjson.loads
+    for chunk in (fields._CHUNK, n - 1):  # the second leaves one number last
+        sizes = []
+
+        def loads(piece):
+            numbers = real_loads(piece)
+            sizes.append(len(numbers))
+            return numbers
+
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_CHUNK", chunk)
+            m.setattr(orjson, "loads", loads)
+            fast = fields._loads_fast(text)
+        assert fast is not None
+        assert fast.coeffs.tobytes() == serial.coeffs.tobytes()
+        assert (sizes[0], sizes[-1]) == (chunk, n - chunk)
+
+
+# Each token must load bit-equal to json or fail with the same error.
+HALFWAY = "1.00000000000000011102230246251565404236316680908203125"  # 1 + 2^-53
+EXPLICIT_TOKENS = ["0", "1", "-0", "-0.0", str(2**53 + 1), str(2**64 + 1), "9" * 5000,
+                   "1e-400", "5e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
+                   HALFWAY, HALFWAY[:-1] + "4", HALFWAY[:-1] + "6"]
+BAD_TOKENS = ["NaN", "1e999", "01", "1.", "-", "true", "null", '"1"', "[1]", "1e-0", "-0 "]
+# valid tokens that may send a text down the json path
+LEAVE_FAST_PATH = {str(2**64 + 1), "1e-0", "-0 "}
+
+
+def _outcome(text):
+    """The field's bytes, or the message and offset of its FieldFormatError."""
+    try:
+        return loads_field(text).coeffs.tobytes()
+    except FieldFormatError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(FINITE_BITS.map(lambda v: format(v, ".17g")), FINITE_BITS.map(repr)),
+                min_size=32, max_size=32),
+       st.lists(st.tuples(st.integers(0, 31), st.sampled_from(EXPLICIT_TOKENS + BAD_TOKENS)),
+                max_size=4),
+       st.sampled_from([1, 3, 7, fields._CHUNK]))
+@example(["-0"] * 32, [], 3)
+@example(["0", "-0"] * 15 + ["0", "1e-0"], [], 1)
+def test_fast_path_matches_json(tokens, replacements, chunk):
+    for i, token in replacements:
+        tokens[i] = token
+    text = f'{{"dims": [1, 1, 1, 1], "coeffs": [{", ".join(tokens)}]}}'
+    with mock.patch.object(fields, "_CHUNK", chunk):
+        fast = fields._loads_fast(text)
+        loaded = _outcome(text)
+    with mock.patch.object(fields, "_loads_fast", lambda text: None):
+        serial = _outcome(text)
+    assert loaded == serial
+    if fast is not None:
+        assert fast.coeffs.tobytes() == serial
+    elif isinstance(serial, bytes):
+        assert LEAVE_FAST_PATH & set(tokens)
