@@ -19,7 +19,7 @@ import numpy as np
 
 from . import blades
 from .blades import TABLE
-from .fields import FormField, constant_field
+from .fields import FormField, _adopt, constant_field
 from .lattice import LatticeDims
 
 _ZERO = Fraction(0)
@@ -171,7 +171,7 @@ def clifford_mul(a: FormField, b: FormField) -> FormField:
     for m in blades.ALL_MASKS:
         src = TABLE.result[m]
         out += a.coeffs[..., m, None] * (b.coeffs[..., src] * TABLE.sign[m, src])
-    return FormField(a.dims, out)
+    return _adopt(a.dims, out)
 
 
 # Row and column index of every entry of the 16 x 16 sign/result tables.
@@ -188,7 +188,7 @@ def _gather_matrix(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _gather_mul(a: FormField, matrix: np.ndarray) -> FormField:
     """a times a 16 x 16 product matrix at every site, as one matmul."""
     flat = a.coeffs.reshape(-1, blades.NUM_BLADES) @ matrix
-    return FormField(a.dims, flat.reshape(a.coeffs.shape))
+    return _adopt(a.dims, flat.reshape(a.coeffs.shape))
 
 
 def right_mul_matrix(c: ConstantForm) -> np.ndarray:

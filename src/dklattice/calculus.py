@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blades
 from .algebra import ConstantForm, left_mul, right_mul
-from .fields import (Equation, EquationParams, FormField, max_abs)
+from .fields import (Equation, EquationParams, FormField, _adopt, max_abs)
 from .lattice import delta_mu
 
 # Signs of the d_c and delta_c stencils, shape (4, 16) like blades.GEN_SIGN:
@@ -31,30 +31,73 @@ _RAISES = blades.GRADES[blades.GEN_SRC] < blades.GRADES
 D_SIGN = np.where(_RAISES, blades.GEN_SIGN, 0)
 DELTA_SIGN = np.where(_RAISES, 0, blades.GEN_SIGN)
 
+# Field kernels work in site slabs along axis 0 of about this many bytes, so
+# their temporaries stay in cache instead of growing with the field.  At 8^4
+# a slab is one site row: 1 MiB slabs there held the whole field and took
+# twice as long, and from 16^4 up a slab is one row either way.
+SLAB_BYTES = 1 << 17
+
+
+def site_slabs(coeffs: np.ndarray):
+    """Slices of axis 0 that cut coeffs into slabs of about SLAB_BYTES,
+    at least one site row each."""
+    n0 = coeffs.shape[0]
+    rows = max(1, SLAB_BYTES // coeffs[0].nbytes)
+    return [slice(start, min(start + rows, n0)) for start in range(0, n0, rows)]
+
 
 def _stencil(coeffs: np.ndarray, sign: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Sum over axes mu of sign[mu] * delta_mu(coeffs[..., src[mu]])."""
+    """Sum over axes mu of sign[mu] * delta_mu(coeffs[..., src[mu]]).
+
+    Accumulates into the output one site slab at a time (site_slabs), with
+    two slab-sized buffers: the gathered blades t and their difference.
+    The difference is one subtraction over the flat slab, shifted by the
+    stride of axis mu, after which the sites on the far edge of the axis
+    are overwritten with their periodic neighbours; along axis 0 that
+    neighbour row lies across the slab edge.  Every element is still
+    out += sign[mu] * (t[k + e_mu] - t[k]), for mu = 0..3 in order, so the
+    result does not depend on the slabs.
+    """
     out = np.zeros(coeffs.shape[:-1] + sign.shape[1:], dtype=np.complex128)
-    for mu in blades.AXES:
-        diff = delta_mu(np.take(coeffs, src[mu], axis=-1), mu)
-        diff *= sign[mu]
-        out += diff
+    n0 = coeffs.shape[0]
+    slabs = site_slabs(coeffs)
+    t_buf = np.empty((slabs[0].stop,) + out.shape[1:], dtype=np.complex128)
+    diff_buf = np.empty_like(t_buf)
+    # complex, as numpy would cast it on every product, but once
+    sign = sign.astype(np.complex128)
+    for slab in slabs:
+        n = slab.stop - slab.start
+        t, diff = t_buf[:n], diff_buf[:n]
+        flat_t, flat_diff = t.reshape(-1), diff.reshape(-1)
+        for mu in blades.AXES:
+            np.take(coeffs[slab], src[mu], axis=-1, out=t, mode="clip")
+            step = t.strides[mu] // t.itemsize
+            np.subtract(flat_t[step:], flat_t[:-step], out=flat_diff[:-step])
+            if mu == 0:
+                np.take(coeffs[slab.stop % n0], src[mu], axis=-1, out=diff[-1], mode="clip")
+                np.subtract(diff[-1], t[-1], out=diff[-1])
+            else:
+                edge = (slice(None),) * mu + (slice(-1, None),)
+                start = (slice(None),) * mu + (slice(None, 1),)
+                np.subtract(t[start], t[edge], out=diff[edge])
+            diff *= sign[mu]
+            out[slab] += diff
     return out
 
 
 def d_c(omega: FormField) -> FormField:
     """Grade-raising difference operator."""
-    return FormField(omega.dims, _stencil(omega.coeffs, D_SIGN, blades.GEN_SRC))
+    return _adopt(omega.dims, _stencil(omega.coeffs, D_SIGN, blades.GEN_SRC))
 
 
 def delta_c(omega: FormField) -> FormField:
     """Grade-lowering difference operator."""
-    return FormField(omega.dims, _stencil(omega.coeffs, DELTA_SIGN, blades.GEN_SRC))
+    return _adopt(omega.dims, _stencil(omega.coeffs, DELTA_SIGN, blades.GEN_SRC))
 
 
 def d_plus_delta(omega: FormField) -> FormField:
     """(d_c + delta_c) applied as one signed gather per axis."""
-    return FormField(omega.dims, _stencil(omega.coeffs, blades.GEN_SIGN, blades.GEN_SRC))
+    return _adopt(omega.dims, _stencil(omega.coeffs, blades.GEN_SIGN, blades.GEN_SRC))
 
 
 _E_CONST = tuple(ConstantForm.e(mu) for mu in blades.AXES)
@@ -70,7 +113,7 @@ def d_plus_delta_via_clifford(omega: FormField) -> FormField:
     """
     total = None
     for mu in blades.AXES:
-        diff = FormField(omega.dims, delta_mu(omega.coeffs, mu))
+        diff = _adopt(omega.dims, delta_mu(omega.coeffs, mu))
         term = left_mul(_E_CONST[mu], diff)
         total = term if total is None else total + term
     return total
@@ -82,10 +125,15 @@ def dk_apply(omega: FormField) -> FormField:
 
 
 def dk_residual(omega: FormField, params: EquationParams) -> FormField:
-    """i (d_c + delta_c) omega - m omega."""
+    """i (d_c + delta_c) omega - m omega, written a site slab at a time into
+    one new array, so only (d_c + delta_c) omega is a whole temporary."""
     if params.equation is not Equation.DIRAC_KAHLER:
         raise ValueError(f"expected Dirac-Kahler equation params, got {params.equation}")
-    return dk_apply(omega) - params.mass * omega
+    grad = d_plus_delta(omega).coeffs
+    out = np.empty_like(grad)
+    for slab in site_slabs(out):
+        np.subtract(grad[slab] * 1j, omega.coeffs[slab] * params.mass, out=out[slab])
+    return _adopt(omega.dims, out)
 
 
 def hestenes_apply(omega: FormField) -> FormField:
@@ -169,4 +217,4 @@ def pack_hestenes_components(residuals: np.ndarray, dims) -> FormField:
     coeffs = np.zeros(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128)
     for j, mask in enumerate(HESTENES_EQUATION_BLADES):
         coeffs[..., mask] = residuals[j]
-    return FormField(dims, coeffs)
+    return _adopt(dims, coeffs)

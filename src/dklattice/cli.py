@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 
 import numpy as np
 
 from .blades import MASK_BY_NAME, NUM_BLADES, blade_name
-from .calculus import (d_c, delta_c, dk_apply, dk_residual, hestenes_apply,
-                       hestenes_residual)
+from .calculus import (d_c, d_plus_delta, delta_c, dk_apply, dk_residual,
+                       hestenes_apply, hestenes_residual, site_slabs)
 from .fields import (Equation, EquationParams, atomic_write_text,
                      constant_field, dumps_field, load_field, max_abs,
                      plane_wave, random_field, rms, save_field)
@@ -66,6 +67,30 @@ _parse_momentum = _arg_type(_ints, lambda p: len(p) == 4, "expected integers p0,
 _tolerance = _arg_type(float, lambda v: 0.0 <= v < np.inf, "must be a finite number >= 0")
 _seed = _arg_type(int, lambda v: v >= 0, "must be a non-negative integer")
 _trials = _arg_type(int, lambda v: v >= 1, "must be a positive integer")
+
+
+# Options whose re,im or p0,p1,p2,p3 value may start with a minus sign.
+# argparse reads a token such as -2,0.5 as an option, because its pattern of
+# negative numbers has no comma, so main joins each of these options to such
+# a value as --mass=-2,0.5.
+_SIGNED_OPTIONS = ("--mass", "--p")
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _join_signed_values(argv: list) -> list:
+    joined = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--":
+            return joined + argv[i:]
+        if (argv[i] in _SIGNED_OPTIONS and i + 1 < len(argv)
+                and _NEGATIVE.match(argv[i + 1])):
+            joined.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    return joined
 
 
 def _parse_dims(text: str) -> LatticeDims:
@@ -229,11 +254,24 @@ def _cmd_quadruple(args) -> int:
     return 0 if ok else 1
 
 
+def _solve_residual(solution, mass: complex, source) -> float:
+    """max_abs(dk_residual(solution, m) - source), one site slab at a time,
+    so that besides the two fields only (d_c + delta_c) solution is whole."""
+    grad = d_plus_delta(solution).coeffs
+    dev = 0.0
+    for slab in site_slabs(grad):
+        residual = grad[slab] * 1j
+        residual -= solution.coeffs[slab] * mass
+        residual -= source.coeffs[slab]
+        dev = max(dev, float(np.max(np.abs(residual))))
+    return dev
+
+
 def _cmd_solve(args) -> int:
     source = load_field(args.input)
     solution = propagator_solve(source, args.mass)
     save_field(solution, args.output)
-    dev = max_abs(dk_residual(solution, EquationParams(args.mass)) - source)
+    dev = _solve_residual(solution, args.mass, source)
     scale = max_abs(source)
     rel = rel_error(dev, scale)
     print(f"residual_rel={rel:.9g}")
@@ -331,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None
+                                                      else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,10 +5,15 @@ are stored as a C-ordered complex128 array of shape (N0, N1, N2, N3, 16)
 with the blade axis last and blades ordered by ascending mask, so the
 canonical flat order (sites row-major, then blades) is the plain ravel.
 
-The JSON codec parses a field in one process: text in exactly the layout
-dumps_field writes is cut into pieces that orjson parses into one float64
-array, and any other text, or any that fails a check there, goes whole
-through json, so errors do not depend on the fast path.  Saving a large
+The public FormField constructor copies the array it is given.  Kernels
+wrap the arrays they have just computed with _adopt instead, which marks
+the array read-only and keeps it, so a result is never copied.
+
+The JSON codec parses a field in one process: bytes in exactly the layout
+dumps_field writes are cut into pieces that orjson parses into one float64
+array, and any other text, or any that fails a check there, is decoded and
+goes whole through json, so errors do not depend on the fast path.  A file
+is read as bytes and never decoded whole on the fast path.  Saving a large
 field splits it across two processes: a forked child formats the second
 half of the numbers while this process formats the first and streams it
 to disk.
@@ -64,7 +69,9 @@ class FormField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128, order="C", copy=True)
+        self._keep(np.array(self.coeffs, dtype=np.complex128, order="C", copy=True))
+
+    def _keep(self, arr: np.ndarray) -> None:
         expected = self.dims.shape + (blades.NUM_BLADES,)
         if arr.shape != expected:
             raise ValueError(f"coefficient array must have shape {expected}, got {arr.shape}")
@@ -75,23 +82,35 @@ class FormField:
         if not isinstance(other, FormField):
             return NotImplemented
         _check_same_dims(self, other)
-        return FormField(self.dims, self.coeffs + other.coeffs)
+        return _adopt(self.dims, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
         _check_same_dims(self, other)
-        return FormField(self.dims, self.coeffs - other.coeffs)
+        return _adopt(self.dims, self.coeffs - other.coeffs)
 
     def __neg__(self):
-        return FormField(self.dims, -self.coeffs)
+        return _adopt(self.dims, -self.coeffs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            return FormField(self.dims, self.coeffs * scalar)
+            return _adopt(self.dims, self.coeffs * scalar)
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _adopt(dims: LatticeDims, coeffs: np.ndarray) -> FormField:
+    """FormField around an array a kernel has just computed, without a copy.
+
+    The array is marked read-only and kept, so the caller must hold no
+    writable reference to it that outlives its own use of the field.
+    """
+    field = object.__new__(FormField)
+    object.__setattr__(field, "dims", dims)
+    field._keep(np.asarray(coeffs, dtype=np.complex128, order="C"))
+    return field
 
 
 def _check_same_dims(a: FormField, b: FormField):
@@ -100,7 +119,7 @@ def _check_same_dims(a: FormField, b: FormField):
 
 
 def zeros(dims: LatticeDims) -> FormField:
-    return FormField(dims, np.zeros(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128))
+    return _adopt(dims, np.zeros(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128))
 
 
 def constant_field(dims: LatticeDims, amplitude) -> FormField:
@@ -115,20 +134,20 @@ def grade_part(omega: FormField, r: int) -> FormField:
     """Projection onto the blades of grade r (0 <= r <= 4)."""
     if r not in (0, 1, 2, 3, 4):
         raise ValueError(f"grade must be 0..4, got {r}")
-    return FormField(omega.dims, omega.coeffs * (blades.GRADES == r))
+    return _adopt(omega.dims, omega.coeffs * (blades.GRADES == r))
 
 
 def even_part(omega: FormField) -> FormField:
-    return FormField(omega.dims, omega.coeffs * (blades.GRADES % 2 == 0))
+    return _adopt(omega.dims, omega.coeffs * (blades.GRADES % 2 == 0))
 
 
 def odd_part(omega: FormField) -> FormField:
-    return FormField(omega.dims, omega.coeffs * (blades.GRADES % 2 == 1))
+    return _adopt(omega.dims, omega.coeffs * (blades.GRADES % 2 == 1))
 
 
 def conjugate(omega: FormField) -> FormField:
     """Componentwise complex conjugate."""
-    return FormField(omega.dims, np.conj(omega.coeffs))
+    return _adopt(omega.dims, np.conj(omega.coeffs))
 
 
 def max_abs(omega: FormField) -> float:
@@ -154,7 +173,7 @@ def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:
     phase = (p[0] * k0 / dims.n0 + p[1] * k1 / dims.n1
              + p[2] * k2 / dims.n2 + p[3] * k3 / dims.n3)
     wave = np.exp(2j * np.pi * phase)
-    return FormField(dims, wave[..., None] * amp)
+    return _adopt(dims, wave[..., None] * amp)
 
 
 def random_field(dims: LatticeDims, seed: int) -> FormField:
@@ -163,11 +182,18 @@ def random_field(dims: LatticeDims, seed: int) -> FormField:
     Draws from numpy's PCG64 generator seeded with `seed`: one uniform(-1, 1)
     block of shape (2, N0, N1, N2, N3, 16), slab 0 the real parts and slab 1
     the imaginary parts.  The same seed and extents always reproduce the
-    field bit for bit.
+    field bit for bit.  The block is drawn in pieces of _CHUNK numbers
+    straight into the real and imaginary parts of the field; successive
+    draws continue one stream, so the pieces do not change the values.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    block = rng.uniform(-1.0, 1.0, size=(2,) + dims.shape + (blades.NUM_BLADES,))
-    return FormField(dims, block[0] + 1j * block[1])
+    coeffs = np.empty(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128)
+    flat = coeffs.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for start in range(0, part.size, _CHUNK):
+            piece = part[start:start + _CHUNK]
+            piece[...] = rng.uniform(-1.0, 1.0, size=piece.size)
+    return _adopt(dims, coeffs)
 
 
 class FieldFormatError(ValueError):
@@ -183,17 +209,23 @@ class FieldFormatError(ValueError):
 # A field with at least this many numbers (re and im counted apart), about
 # 5.6 MB of text, is formatted by two processes.
 SPLIT_MIN_NUMBERS = 1 << 18
-_CHUNK = 1 << 16  # numbers per C-level % call and per orjson piece
+_CHUNK = 1 << 16  # numbers per C-level % call and per random draw
+# Numbers per orjson piece.  A piece briefly takes about 62 bytes a number
+# (its text, the Python floats and their list, and an array of doubles), so
+# this keeps it near 0.25 MB.
+_PIECE = 1 << 12
 _PIPE_READ = 1 << 20
-_JSON_SPACE = " \t\n\r"
-# The integer token -0, which json and orjson read as a plain int 0
+_JSON_SPACE = b" \t\n\r"
+# The integer token -0, which json and orjson read as a plain int 0, in the
+# decoded text json parses and in the bytes orjson parses
 _NEG_ZERO_INT = re.compile(r"-0(?![0-9.eE])")
+_NEG_ZERO_INT_BYTES = re.compile(_NEG_ZERO_INT.pattern.encode("ascii"))
 # An integer token of 19 digits or more.  orjson reads one that does not fit
 # 64 bits, so of magnitude at least 2^63, as a float it rounds itself.
-_LONG_INT = re.compile(r"(?<![0-9.])[0-9]{19,}(?![0-9.eE])")
-_EXTENT = r"([1-9][0-9]{0,8})"
+_LONG_INT = re.compile(rb"(?<![0-9.])[0-9]{19,}(?![0-9.eE])")
+_EXTENT = rb"([1-9][0-9]{0,8})"
 _CANONICAL_HEAD = re.compile(
-    rf'\{{"dims": \[{_EXTENT}, {_EXTENT}, {_EXTENT}, {_EXTENT}\], "coeffs": \[')
+    rb'\{"dims": \[' + b", ".join([_EXTENT] * 4) + rb'\], "coeffs": \[')
 
 
 def _two_processes(numbers: int) -> bool:
@@ -325,17 +357,18 @@ def _json_loads(text: str):
         return json.loads(text, parse_int=_exact_int)
 
 
-def _loads_fast(text: str) -> FormField | None:
+def _loads_fast(data: bytes) -> FormField | None:
     """Parse a field in exactly the layout dumps_field writes with orjson;
     None whenever the serial parser has to decide.
 
-    The coeffs list is cut at ", " into pieces of about _CHUNK numbers, and
-    orjson parses each straight into one float64 array, so the whole list
-    never exists as Python floats at once.  Any other layout, a malformed or
-    non-numeric entry, a wrong count, a value that is not finite, or an
-    integer token beyond 64 bits returns None.
+    The coeffs list is cut at ", " into pieces of about _PIECE numbers, and
+    orjson parses each piece of bytes straight into one float64 array, so
+    neither the whole text as str nor the whole list as Python floats ever
+    exists.  Any other layout, a malformed or non-numeric entry, a wrong
+    count, a value that is not finite, or an integer token beyond 64 bits
+    returns None.
     """
-    head = _CANONICAL_HEAD.match(text)
+    head = _CANONICAL_HEAD.match(data)
     if head is None:
         return None
     try:
@@ -344,40 +377,41 @@ def _loads_fast(text: str) -> FormField | None:
         return None
     expected = 2 * blades.NUM_BLADES * dims.volume
     # each number takes at least one character and a separator
-    if 2 * expected > len(text):
+    if 2 * expected > len(data):
         return None
-    end = len(text)
-    while text[end - 1] in _JSON_SPACE:
+    end = len(data)
+    while data[end - 1] in _JSON_SPACE:
         end -= 1
     close = end - 2  # the "]" that ends coeffs
-    if text[close:end] != "]}":
+    if data[close:end] != b"]}":
         return None
     import array  # here, not at the top, so that verify loads neither
     import orjson
 
     pairs = np.empty(expected)
+    view = memoryview(data)
     begin = head.end()
-    step = _CHUNK * (close - begin) // expected  # bytes of about _CHUNK numbers
+    step = _PIECE * (close - begin) // expected  # bytes of about _PIECE numbers
     filled = 0
     negative_zeros = False  # whether an integer token -0 has been seen
     while True:
-        cut = text.find(", ", begin + step, close)
-        piece = text[begin:close if cut < 0 else cut]
+        cut = data.find(b", ", begin + step, close)
+        piece = b"".join((b"[", view[begin:close if cut < 0 else cut], b"]"))
         if negative_zeros:
             # orjson reads the token -0 as int 0 but -0.0 as a negative zero;
             # in an exponent, -0.0 is a decode error
-            piece = (piece + ",").replace("-0,", "-0.0,")[:-1]
-        if "t" in piece or "f" in piece:  # true and false, which array("d") takes
+            piece = piece.replace(b"-0,", b"-0.0,").replace(b"-0]", b"-0.0]")
+        if b"t" in piece or b"f" in piece:  # true and false, which array("d") takes
             return None
         try:
-            numbers = array.array("d", orjson.loads("[" + piece + "]"))
+            numbers = array.array("d", orjson.loads(piece))
         except (ValueError, TypeError):  # TypeError: a non-number
             return None
         if not numbers or filled + len(numbers) > expected:
             return None
         chunk = pairs[filled:filled + len(numbers)]
         chunk[:] = numbers
-        if not chunk.all() and _NEG_ZERO_INT.search(piece):
+        if not chunk.all() and _NEG_ZERO_INT_BYTES.search(piece):
             if negative_zeros:  # a -0 that no "," follows
                 return None
             negative_zeros = True
@@ -390,19 +424,29 @@ def _loads_fast(text: str) -> FormField | None:
         begin = cut + 2
     if filled != expected or not np.all(np.isfinite(pairs)):
         return None
-    coeffs = pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,))
-    return FormField(dims, coeffs)
+    return _adopt(dims, pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,)))
 
 
-def loads_field(text: str) -> FormField:
-    """Parse the canonical JSON text form; inverse of dumps_field.
+def loads_field(text: str | bytes) -> FormField:
+    """Parse the canonical JSON text form, as str or as ASCII bytes; inverse
+    of dumps_field.
 
-    Text in exactly the layout dumps_field writes is parsed in pieces by
-    orjson (_loads_fast).  Everything else, and any text that fails a check
-    there, is parsed whole by json, so every error keeps its message and
-    byte offset.
+    Bytes in exactly the layout dumps_field writes are parsed in pieces by
+    orjson (_loads_fast); ASCII str is encoded for it.  Everything else, and
+    any text that fails a check there, is decoded and parsed whole by json,
+    so every error keeps its message and byte offset.  Bytes that are not
+    ASCII raise FieldFormatError at the offset of the first such byte.
     """
-    field = _loads_fast(text)
+    if isinstance(text, str):
+        field = _loads_fast(text.encode("ascii")) if text.isascii() else None
+    else:
+        field = _loads_fast(text)
+        if field is None:
+            try:
+                text = text.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise FieldFormatError("field file must be ASCII text",
+                                       offset=exc.start) from exc
     if field is not None:
         return field
     try:
@@ -441,8 +485,7 @@ def loads_field(text: str) -> FormField:
         pairs = np.array(np.inf)
     if not np.all(np.isfinite(pairs)):
         raise FieldFormatError('"coeffs" entries must all be finite numbers')
-    coeffs = pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,))
-    return FormField(dims, coeffs)
+    return _adopt(dims, pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,)))
 
 
 def save_field(omega: FormField, path) -> None:
@@ -453,11 +496,14 @@ def save_field(omega: FormField, path) -> None:
 
 
 def load_field(path) -> FormField:
+    """Read a field file as bytes and parse it with loads_field.
+
+    A file in the canonical layout is never decoded to str, so a load holds
+    the file's bytes and the field, not a second copy of the text.
+    """
     with open(path, "rb") as fh:
-        try:
-            return loads_field(fh.read().decode("ascii"))
-        except UnicodeDecodeError as exc:
-            raise FieldFormatError("field file must be ASCII text", offset=exc.start) from exc
+        data = fh.read()
+    return loads_field(data)
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:

@@ -20,8 +20,8 @@ import csv
 import numpy as np
 
 from . import blades
-from .calculus import dk_apply
-from .fields import FormField
+from .calculus import d_plus_delta, site_slabs
+from .fields import FormField, _adopt
 from .lattice import LatticeDims
 
 # On the light cone |s(p)| <= LIGHT_CONE_TOL sum_mu |z_mu|^2: rounding leaves
@@ -142,6 +142,11 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     eigenvalues are +-i sqrt(s(p)), exactly 0 on the light cone;
     SingularBlockError is raised when the nearer one lies within
     1e-12 max(1, |m|) of m.
+
+    Two field-sized arrays are made besides the source: the transforms and
+    the divide run in place in one work array g, and (d_c + delta_c) g is
+    the other.  i (d_c + delta_c) g + m g is then written over g one site
+    slab at a time, and g is returned.
     """
     mass = complex(mass)
     dims = source.dims
@@ -149,10 +154,15 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     distance, p, eigenvalue = _nearest_eigenvalue(root, mass)
     if distance <= 1e-12 * max(1.0, abs(mass)):
         raise SingularBlockError(momentum=p, eigenvalue=eigenvalue, mass=mass)
-    transformed = np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3))
-    transformed /= (-s - mass * mass)[..., None]
-    g = FormField(dims, np.fft.ifftn(transformed, axes=(0, 1, 2, 3)))
-    return dk_apply(g) + mass * g
+    work = np.empty_like(source.coeffs)
+    np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3), out=work)
+    work /= (-s - mass * mass)[..., None]
+    np.fft.ifftn(work, axes=(0, 1, 2, 3), out=work)
+    # a read-only view of g, which d_plus_delta reads before g is overwritten
+    grad = d_plus_delta(_adopt(dims, work.view())).coeffs
+    for slab in site_slabs(work):
+        np.add(grad[slab] * 1j, work[slab] * mass, out=work[slab])
+    return _adopt(dims, work)
 
 
 def spectrum_rows(dims: LatticeDims, momenta):

@@ -1,12 +1,16 @@
 """Difference operators, equation residuals, componentwise equations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dklattice import calculus
 from dklattice.algebra import ConstantForm, right_mul
 from dklattice.blades import (E0, E01, E012, E0123, E02, E03, E1, E12, E123,
-                              E13, E2, E23, E3, GRADES, X)
-from dklattice.calculus import (HESTENES_EQUATION_BLADES, d_c, d_plus_delta,
+                              E13, E2, E23, E3, GEN_SIGN, GEN_SRC, GRADES, X)
+from dklattice.calculus import (D_SIGN, DELTA_SIGN, HESTENES_EQUATION_BLADES,
+                                HESTENES_SIGN, HESTENES_SRC, d_c, d_plus_delta,
                                 d_plus_delta_via_clifford, delta_c, dk_apply,
                                 dk_residual, hestenes_apply, hestenes_residual,
                                 hestenes_residual_componentwise,
@@ -166,3 +170,59 @@ def test_componentwise_shape_and_packing_validation():
     assert res.shape == (8,) + DIMS.shape
     with pytest.raises(ValueError):
         pack_hestenes_components(res[:7], DIMS)
+
+
+def _roll_stencil(coeffs, sign, src):
+    """The whole-field formula: sum over mu of sign[mu] * (t(k + e_mu) - t(k)),
+    with t = coeffs[..., src[mu]] and the neighbour taken by np.roll."""
+    out = np.zeros(coeffs.shape[:-1] + sign.shape[1:], dtype=np.complex128)
+    for mu in range(4):
+        t = coeffs[..., src[mu]]
+        diff = np.roll(t, -1, axis=mu) - t
+        diff *= sign[mu]
+        out += diff
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1, 4), (5, 4, 3, 2), (1, 4, 3, 2), (8, 8, 8, 8)])
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_slab_stencil_equals_whole_field_formula(shape, rows, monkeypatch):
+    dims = LatticeDims(*shape)
+    coeffs = random_field(dims, 31).coeffs.copy()
+    # exact zeros of both signs, so that the sign of a zero result counts too
+    coeffs.real[..., ::3] = -0.0
+    coeffs.imag[..., 1::3] = 0.0
+    f = FormField(dims, coeffs)
+    if rows is not None:  # else the module's own slab size
+        monkeypatch.setattr(calculus, "SLAB_BYTES", rows * coeffs[0].nbytes)
+        assert len(calculus.site_slabs(coeffs)) == -(-shape[0] // rows)
+    for op, sign in ((d_c, D_SIGN), (delta_c, DELTA_SIGN), (d_plus_delta, GEN_SIGN)):
+        assert op(f).coeffs.tobytes() == _roll_stencil(coeffs, sign, GEN_SRC).tobytes()
+    even = even_part(f)
+    params = EquationParams(0.75 - 0.5j, Equation.HESTENES)
+    rhs = even.coeffs[..., list(HESTENES_EQUATION_BLADES)]
+    lhs = _roll_stencil(even.coeffs, HESTENES_SIGN, HESTENES_SRC)
+    expected = np.moveaxis(lhs - (1.0 * params.mass) * rhs, -1, 0)
+    assert hestenes_residual_componentwise(even, params).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 1])
+def test_dk_residual_equals_whole_field_composition(slab_bytes, monkeypatch):
+    f = random_field(LatticeDims(5, 4, 3, 2), 33)
+    params = EquationParams(0.75 - 0.25j)
+    expected = dk_apply(f) - params.mass * f
+    if slab_bytes is not None:  # one site row per slab
+        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+    assert dk_residual(f, params).coeffs.tobytes() == expected.coeffs.tobytes()
+
+
+def test_d_plus_delta_peak_memory_at_8_4():
+    f = random_field(LatticeDims(8, 8, 8, 8), 32)
+    d_plus_delta(f)
+    tracemalloc.start()
+    try:
+        d_plus_delta(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * f.coeffs.nbytes

@@ -1,16 +1,19 @@
 """Command line behavior: files, reports, exit codes."""
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dklattice import verify
+from dklattice import calculus, verify
 from dklattice.algebra import ConstantForm
-from dklattice.calculus import dk_apply
-from dklattice.cli import main
-from dklattice.fields import load_field, max_abs, random_field, save_field
+from dklattice.calculus import dk_apply, dk_residual
+from dklattice.cli import _join_signed_values, _solve_residual, main
+from dklattice.fields import (EquationParams, load_field, max_abs, random_field,
+                              save_field)
+from dklattice.spectral import propagator_solve
 from dklattice.lattice import LatticeDims
 
 DIMS = LatticeDims(3, 3, 3, 3)
@@ -287,6 +290,59 @@ def test_solve_singular_mass(tmp_path, capsys):
                    "-o", str(tmp_path / "out.json"))
     assert code == 2
     assert "matches eigenvalue 2,0 of the momentum block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape, slab_bytes", [((3, 3, 3, 3), None), ((5, 4, 3, 2), 1)])
+def test_solve_residual_equals_whole_field_residual(shape, slab_bytes, monkeypatch):
+    dims = LatticeDims(*shape)
+    source = random_field(dims, 14)
+    mass = 0.75 - 0.25j
+    solution = propagator_solve(source, mass)
+    expected = max_abs(dk_residual(solution, EquationParams(mass)) - source)
+    if slab_bytes is not None:  # one site row per slab
+        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+    assert _solve_residual(solution, mass, source) == expected
+
+
+def test_gen_random_16_4_file_is_unchanged(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("gen", "random", "--dims", "16,16,16,16", "--seed", "1", "-o", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5f10a49def25be9d1f5b011b38517e0a38d7e051b548f03a9f08cdf2e4b0a872")
+
+
+@pytest.mark.parametrize("option, value, argv", [
+    ("--mass", "-2,0.5", ("solve", "-i", "{src}", "-o", "{out}.json")),
+    ("--mass", "-0.5,-1", ("residual", "dk", "-i", "{src}")),
+    ("--mass", "-2,0", ("quadruple", "-i", "{src}", "--out-prefix", "{out}")),
+    ("--p", "-1,0,0,-2", ("gen", "plane-wave", "--amp", "x=1,0", "-o", "{out}.json")),
+    ("--p", "-1,0,0,-2", ("spectrum", "-o", "{out}.csv")),
+    ("--p", "-.5,0,0,0", ("spectrum",)),
+], ids=["solve", "residual", "quadruple", "gen", "spectrum", "spectrum-bad"])
+def test_negative_values_read_as_values(option, value, argv, tmp_path, capsys):
+    src = tmp_path / "src.json"
+    save_field(random_field(DIMS, 15), src)
+    results = []
+    for name, form in (("spaced", [option, value]), ("joined", [f"{option}={value}"])):
+        out = tmp_path / name
+        code = run_cli(*(a.format(src=src, out=out) for a in argv), *form)
+        captured = capsys.readouterr()
+        files = sorted((p.name[len(name):], p.read_bytes())
+                       for p in tmp_path.iterdir() if p.name.startswith(name))
+        results.append((code, captured.out, captured.err, files))
+    assert results[0] == results[1]
+    code, out, err, files = results[0]
+    assert "expected one argument" not in err
+    if option == "--p" and value.startswith("-."):  # not integers: a usage error
+        assert code == 2 and "expected integers p0,p1,p2,p3" in err
+    else:
+        assert code in (0, 1) and err == ""
+        assert files or out
+
+
+def test_signed_values_are_joined_only_before_double_dash():
+    argv = ["spectrum", "--p", "-1,0,0,0", "--", "--p", "-1,0,0,0"]
+    assert _join_signed_values(argv) == ["spectrum", "--p=-1,0,0,0", "--", "--p", "-1,0,0,0"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 import cmath
 import functools
+import hashlib
 import json
 import os
 import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +133,31 @@ def test_random_field_deterministic():
     assert a.coeffs.tobytes() == b.coeffs.tobytes()
     c = random_field(DIMS, 43)
     assert a.coeffs.tobytes() != c.coeffs.tobytes()
+
+
+def test_random_field_keeps_its_values_at_16_4():
+    # SHA-256 of the coefficients drawn as one uniform block of shape
+    # (2, 16, 16, 16, 16, 16), real parts first
+    f = random_field(LatticeDims(16, 16, 16, 16), 1)
+    assert hashlib.sha256(f.coeffs.tobytes()).hexdigest() == (
+        "5aa7dc14b00011e28fa162a9f7ac152138af7b03cae3475e12950ba11aa71158")
+
+
+def test_constructor_copies_the_callers_array():
+    arr = np.arange(DIMS.volume * 16, dtype=np.complex128).reshape(DIMS.shape + (16,))
+    f = FormField(DIMS, arr)
+    arr[...] = -1
+    assert np.array_equal(f.coeffs.reshape(-1), np.arange(DIMS.volume * 16))
+    assert not f.coeffs.flags.writeable
+
+
+def test_kernel_results_are_read_only():
+    f = random_field(DIMS, 3)
+    for result in (f, f + f, f - f, -f, 2 * f, conjugate(f), even_part(f), zeros(DIMS),
+                   plane_wave(DIMS, (1, 0, 0, 0), np.ones(16)), loads_field(dumps_field(f))):
+        assert not result.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            result.coeffs[0, 0, 0, 0, 0] = 1
 
 
 def test_random_field_range():
@@ -318,6 +345,40 @@ def test_saved_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
+
+def test_loads_field_takes_bytes():
+    f = random_field(DIMS, 14)
+    text = dumps_field(f)
+    assert loads_field(text.encode("ascii")).coeffs.tobytes() == f.coeffs.tobytes()
+    # a layout only json parses
+    loose = text.replace(", ", ",")
+    assert loads_field(loose.encode("ascii")).coeffs.tobytes() == f.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("where", ["coeffs", "end"])
+def test_loads_field_rejects_non_ascii_bytes_at_their_offset(where):
+    data = dumps_field(random_field(SMALL, 15)).encode("ascii")
+    offset = data.index(b", ") + 1 if where == "coeffs" else len(data)
+    data = data[:offset] + "\u00a0".encode("utf-8") + data[offset:]
+    with pytest.raises(FieldFormatError) as info:
+        loads_field(data)
+    assert str(info.value) == f"field file must be ASCII text (byte offset {offset})"
+    assert info.value.offset == offset
+
+
+def test_load_field_peak_memory_at_8_4(tmp_path):
+    f = random_field(LatticeDims(8, 8, 8, 8), 16)
+    path = tmp_path / "f.json"
+    save_field(f, path)
+    load_field(path)
+    tracemalloc.start()
+    try:
+        load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= os.path.getsize(path) + 1.5 * f.coeffs.nbytes
 
 
 def test_load_missing_file(tmp_path):
@@ -516,7 +577,7 @@ def test_fast_path_cuts_pieces_at_separators(monkeypatch):
     serial = serial_loads(monkeypatch, text)
     assert serial.coeffs.tobytes() == pairs.tobytes()
     real_loads = orjson.loads
-    for chunk in (fields._CHUNK, n - 1):  # the second leaves one number last
+    for chunk in (fields._PIECE, n - 1):  # the second leaves one number last
         sizes = []
 
         def loads(piece):
@@ -525,12 +586,14 @@ def test_fast_path_cuts_pieces_at_separators(monkeypatch):
             return numbers
 
         with monkeypatch.context() as m:
-            m.setattr(fields, "_CHUNK", chunk)
+            m.setattr(fields, "_PIECE", chunk)
             m.setattr(orjson, "loads", loads)
-            fast = fields._loads_fast(text)
+            fast = fields._loads_fast(text.encode("ascii"))
         assert fast is not None
         assert fast.coeffs.tobytes() == serial.coeffs.tobytes()
-        assert (sizes[0], sizes[-1]) == (chunk, n - chunk)
+        full = (n - 1) // chunk  # pieces of exactly chunk numbers before the last
+        assert sizes[:full] == [chunk] * full
+        assert sizes[-1] == n - full * chunk
 
 
 # Each token must load bit-equal to json or fail with the same error.
@@ -556,19 +619,20 @@ def _outcome(text):
                 min_size=32, max_size=32),
        st.lists(st.tuples(st.integers(0, 31), st.sampled_from(EXPLICIT_TOKENS + BAD_TOKENS)),
                 max_size=4),
-       st.sampled_from([1, 3, 7, fields._CHUNK]))
+       st.sampled_from([1, 3, 7, fields._PIECE]))
 @example(["-0"] * 32, [], 3)
 @example(["0", "-0"] * 15 + ["0", "1e-0"], [], 1)
 def test_fast_path_matches_json(tokens, replacements, chunk):
     for i, token in replacements:
         tokens[i] = token
     text = f'{{"dims": [1, 1, 1, 1], "coeffs": [{", ".join(tokens)}]}}'
-    with mock.patch.object(fields, "_CHUNK", chunk):
-        fast = fields._loads_fast(text)
+    with mock.patch.object(fields, "_PIECE", chunk):
+        fast = fields._loads_fast(text.encode("ascii"))
         loaded = _outcome(text)
+        from_bytes = _outcome(text.encode("ascii"))
     with mock.patch.object(fields, "_loads_fast", lambda text: None):
         serial = _outcome(text)
-    assert loaded == serial
+    assert loaded == from_bytes == serial
     if fast is not None:
         assert fast.coeffs.tobytes() == serial
     elif isinstance(serial, bytes):

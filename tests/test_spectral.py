@@ -6,15 +6,19 @@ import io
 import itertools
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dklattice import calculus
 from dklattice.blades import ALL_MASKS, E0, TABLE
-from dklattice.calculus import d_plus_delta, dk_residual
-from dklattice.fields import EquationParams, max_abs, plane_wave, random_field
+from dklattice.calculus import d_plus_delta, dk_apply, dk_residual
+from dklattice.fields import (EquationParams, FormField, max_abs, plane_wave,
+                              random_field)
 from dklattice.lattice import LatticeDims, site_iter
 from dklattice.spectral import (LIGHT_CONE_TOL, SingularBlockError,
-                                _roots, _symbol_block, _z as _z_grid,
+                                _grid_z, _roots, _symbol_block, _z as _z_grid,
                                 build_symbol, eigen_solve, format_complex,
                                 propagator_solve, spectrum_rows,
                                 write_spectrum_csv)
@@ -183,6 +187,38 @@ def test_propagator_matches_per_momentum_solve(shape, mass):
     expected = np.fft.ifftn(transformed, axes=(0, 1, 2, 3))
     got = propagator_solve(source, mass).coeffs
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 3, 1, 4)])
+@pytest.mark.parametrize("mass", [1.0 + 0.0j, 0.75 + 0.25j])
+@pytest.mark.parametrize("slab_bytes", [None, 1])
+def test_propagator_equals_transform_divide_transform(shape, mass, slab_bytes, monkeypatch):
+    # fftn, divide by -s - m^2, ifftn, then i (d + delta) g + m g, each step
+    # into a new array: the in-place solve must give the same bytes
+    dims = LatticeDims(*shape)
+    source = random_field(dims, 25)
+    s, _ = _roots(_grid_z(dims))
+    transformed = np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3))
+    transformed /= (-s - mass * mass)[..., None]
+    g = FormField(dims, np.fft.ifftn(transformed, axes=(0, 1, 2, 3)))
+    expected = dk_apply(g) + mass * g
+    if slab_bytes is not None:  # one site row per slab
+        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+    got = propagator_solve(source, mass)
+    assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+    assert not got.coeffs.flags.writeable
+
+
+def test_propagator_peak_memory_at_8_4():
+    source = random_field(LatticeDims(8, 8, 8, 8), 26)
+    propagator_solve(source, 1.0)
+    tracemalloc.start()
+    try:
+        propagator_solve(source, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * source.coeffs.nbytes
 
 
 def test_eigen_plane_waves_solve_equation():
