@@ -16,6 +16,7 @@ fields is the main transcription check.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -71,15 +72,15 @@ def _stencil(coeffs: np.ndarray, sign: np.ndarray, src: np.ndarray) -> np.ndarra
         flat_t, flat_diff = t.reshape(-1), diff.reshape(-1)
         for mu in blades.AXES:
             np.take(coeffs[slab], src[mu], axis=-1, out=t, mode="clip")
-            step = t.strides[mu] // t.itemsize
+            step = math.prod(t.shape[mu + 1:])  # flat distance to k + e_mu
             np.subtract(flat_t[step:], flat_t[:-step], out=flat_diff[:-step])
             if mu == 0:
                 np.take(coeffs[slab.stop % n0], src[mu], axis=-1, out=diff[-1], mode="clip")
                 np.subtract(diff[-1], t[-1], out=diff[-1])
             else:
                 edge = (slice(None),) * mu + (slice(-1, None),)
-                start = (slice(None),) * mu + (slice(None, 1),)
-                np.subtract(t[start], t[edge], out=diff[edge])
+                first = (slice(None),) * mu + (slice(None, 1),)
+                np.subtract(t[first], t[edge], out=diff[edge])
             diff *= sign[mu]
             out[slab] += diff
     return out
