@@ -30,22 +30,28 @@ LIGHT_CONE_TOL = 1e-12
 
 
 def _symbol_block(z) -> np.ndarray:
-    """Assemble the 16 x 16 symbol of d_c + delta_c from four per-axis multipliers."""
-    out = np.zeros((blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
+    """The 16 x 16 symbols of d_c + delta_c from four per-axis multipliers, stacked
+    along the shape that the z_mu share."""
+    z = np.moveaxis(np.asarray(z), 0, -1)
+    out = np.zeros(z.shape[:-1] + (blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
     # e_mu maps blade GEN_SRC[mu, o] onto o, and the four generators fill
     # disjoint entries, so all of them are written straight into the block.
-    out[np.arange(blades.NUM_BLADES), blades.GEN_SRC] = blades.GEN_SIGN * np.array(z)[:, None]
+    out[..., np.arange(blades.NUM_BLADES), blades.GEN_SRC] = blades.GEN_SIGN * z[..., :, None]
     return out
 
 
 def _z(p, dims: LatticeDims) -> tuple:
-    """Per-axis exp(2 pi i p_mu/N_mu) - 1, for integer or broadcastable array p_mu."""
+    """Per-axis exp(2 pi i p_mu/N_mu) - 1, for broadcastable integer arrays p_mu.
+
+    Arrays also for one momentum: numpy's scalar arithmetic rounds unlike
+    its array loops, and a momentum must give the grid's bits.
+    """
     return tuple(np.exp(2j * np.pi * p[mu] / dims.extent(mu)) - 1.0 for mu in blades.AXES)
 
 
 def _roots(z):
     """s(p) and the eigenvalue root i sqrt(s(p)), exactly 0 on the light cone."""
-    s = sum(g * z_mu ** 2 for g, z_mu in zip(blades.METRIC, z))
+    s = sum(g * (z_mu * z_mu) for g, z_mu in zip(blades.METRIC, z))
     cone = np.abs(s) <= LIGHT_CONE_TOL * sum(abs(z_mu) ** 2 for z_mu in z)
     return s, np.where(cone, 0j, 1j * np.sqrt(s))
 
@@ -53,6 +59,16 @@ def _roots(z):
 def _grid_z(dims: LatticeDims) -> tuple:
     """z_mu at every momentum of the lattice, as arrays that broadcast together."""
     return _z(np.ix_(*(np.arange(n) for n in dims.shape)), dims)
+
+
+def _eigenvalue_pair(root) -> tuple:
+    """The eigenvalues (lo, hi) = 0 -+ root of i S(p), ordered by (re, im).
+
+    0 -+ root has no -0 part, so the light cone reads 0,0 for both.
+    """
+    a, b = 0j - root, 0j + root
+    a_first = (a.real < b.real) | ((a.real == b.real) & (a.imag <= b.imag))
+    return np.where(a_first, a, b), np.where(a_first, b, a)
 
 
 def _nearest_eigenvalue(root, mass: complex) -> tuple:
@@ -70,16 +86,44 @@ def _momentum(p, dims: LatticeDims) -> tuple:
     return tuple(int(c) % n for c, n in zip(p, dims.shape))
 
 
-def _eigenvalues(p, dims: LatticeDims) -> list:
-    """The eigenvalues -+i sqrt(s(p)) of i S(p), sorted by (re, im)."""
-    root = complex(_roots(_z(p, dims))[1])
-    # 0j -+ root has no -0 part, so the light cone reads 0,0 for both.
-    return sorted((0j - root, 0j + root), key=lambda v: (v.real, v.imag))
+def _eigen_stack(momenta: np.ndarray, dims: LatticeDims) -> list:
+    """The eigenpairs of eigen_solve, and the symbols, of an (M, 4) stack of momenta.
+
+    Three groups, for the momenta off the light cone (k = 16), on it with
+    S != 0 (k = 8, one batched SVD) and with S = 0 (k = 16), each a tuple
+    (eigenvalues, amplitudes, symbols) of shapes (m, k), (m, k, 16) and
+    (m, 16, 16) in stack order.  A momentum's rows depend on it alone, so
+    they carry the bits eigen_solve gives it.
+    """
+    z = _z(np.asarray(momenta).T, dims)
+    lo, hi = _eigenvalue_pair(_roots(z)[1])
+    symbols = _symbol_block(z)
+    off = hi != 0
+    zero = ~symbols.any(axis=(1, 2))
+    cone = ~off & ~zero
+    n = blades.NUM_BLADES
+    even = list(blades.EVEN_BLADES)
+    pair = np.stack([lo[off], hi[off]], axis=1)
+    # lam^2 = -s turns i S (e_B + i S e_B / lam) into lam (e_B + i S e_B / lam)
+    columns = np.eye(n)[:, even] + (1j * symbols[off][:, None, :, even]) / pair[:, :, None, None]
+    groups = [
+        (np.repeat(pair, 8, axis=1),
+         np.swapaxes(columns, 2, 3).reshape(-1, n, n)),
+        (np.zeros((int(cone.sum()), 8), dtype=np.complex128),
+         np.swapaxes(np.linalg.svd(symbols[cone])[0][:, :, :8], 1, 2)),
+        (np.zeros((int(zero.sum()), n), dtype=np.complex128),
+         np.broadcast_to(np.eye(n, dtype=np.complex128), (int(zero.sum()), n, n))),
+    ]
+    # np.linalg.norm of one row sums as these two vecdot calls do
+    return [(values, amps / np.sqrt(np.vecdot(amps.real, amps.real)
+                                    + np.vecdot(amps.imag, amps.imag))[..., None],
+             symbols[kind])
+            for (values, amps), kind in zip(groups, (off, cone, zero))]
 
 
 def build_symbol(p, dims: LatticeDims) -> np.ndarray:
     """Read-only 16 x 16 symbol S(p) of d_c + delta_c at integer momentum p."""
-    block = _symbol_block(_z(_momentum(p, dims), dims))
+    block = _symbol_block(_z(np.array(_momentum(p, dims))[:, None], dims))[0]
     block.setflags(write=False)
     return block
 
@@ -95,23 +139,13 @@ def eigen_solve(p, dims: LatticeDims) -> tuple[np.ndarray, np.ndarray]:
     singular vectors of S, which span ker S = range S; at S = 0 the 16 unit
     blades.  Each row yields an exact plane-wave solution of the massive
     equation with its eigenvalue as the (generally complex) mass.
+
+    This is _eigen_stack on a stack of one momentum, so the momentum sweep
+    of verify checks exactly these rows.
     """
-    p = _momentum(p, dims)
-    lo, hi = _eigenvalues(p, dims)
-    symbol = _symbol_block(_z(p, dims))
-    unit = np.eye(blades.NUM_BLADES)
-    even = list(blades.EVEN_BLADES)
-    if hi != 0:  # off the light cone
-        # lam^2 = -s turns i S (e_B + i S e_B / lam) into lam (e_B + i S e_B / lam)
-        op = 1j * symbol[:, even]
-        groups = [(lam, unit[:, even] + op / lam) for lam in (lo, hi)]
-    elif symbol.any():
-        groups = [(hi, np.linalg.svd(symbol)[0][:, :8])]
-    else:
-        groups = [(hi, unit)]
-    eigenvalues = np.array([lam for lam, vectors in groups for _ in vectors.T])
-    amplitudes = np.array([v / np.linalg.norm(v) for _, vectors in groups for v in vectors.T],
-                          dtype=np.complex128)
+    stack = np.array([_momentum(p, dims)])
+    eigenvalues, amplitudes = next((values[0], amps[0])
+                                   for values, amps, _ in _eigen_stack(stack, dims) if len(values))
     eigenvalues.setflags(write=False)
     amplitudes.setflags(write=False)
     return eigenvalues, amplitudes
@@ -169,11 +203,12 @@ def spectrum_rows(dims: LatticeDims, momenta):
     """Eigenvalue rows (p0, p1, p2, p3, re_lambda, im_lambda), 16 per momentum.
 
     -i sqrt(s(p)) and +i sqrt(s(p)), 8 rows each in (re, im) order; 0,0 on the
-    light cone.
+    light cone.  The eigenvalues of all momenta are computed as one stack.
     """
-    for p in momenta:
-        p = _momentum(p, dims)
-        for lam in _eigenvalues(p, dims):
+    stack = np.array([_momentum(p, dims) for p in momenta], dtype=np.int64).reshape(-1, 4)
+    lo, hi = _eigenvalue_pair(_roots(_z(stack.T, dims))[1])
+    for p, *pair in zip(map(tuple, stack.tolist()), lo.tolist(), hi.tolist()):
+        for lam in pair:
             for _ in range(8):
                 yield p + (lam.real, lam.imag)
 

@@ -9,6 +9,7 @@ them directly at their contract tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .calculus import (_hestenes_sign, d_c, d_plus_delta, d_plus_delta_via_cliff
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
 from .lattice import LatticeDims, shift, site_iter
-from .spectral import (_grid_z, _nearest_eigenvalue, _roots, build_symbol,
-                       eigen_solve, propagator_solve)
+from .spectral import (_eigen_stack, _eigenvalue_pair, _grid_z, _nearest_eigenvalue,
+                       _roots, eigen_solve, propagator_solve)
 from .transfer import (_PART_EQUATIONS, DECOMPOSITION_TAGS, decompose,
                        hestenes_quadruple, verify_quadruple_independence)
 
@@ -36,6 +37,11 @@ QUADRUPLE_ROUTE_BOUND = 1e-14
 # it can be solved.
 PROPAGATOR_MASSES = (1.0 + 0.0j, 0.5 + 0.0j, 0.75 + 0.25j)
 PROPAGATOR_MASS_GAP = 1e-3
+
+# Momenta per stack of the momentum sweep.  Each stack's products stay 16 x 16
+# slices over at most 256 rows: one (N, 16) @ (16, 16) product with N >= 256
+# wakes the OpenBLAS threads, about 8 ms a call on 2 cores.
+SWEEP_MOMENTA = 16
 
 
 @dataclass(frozen=True)
@@ -280,7 +286,7 @@ class _MomentumSweep:
 
 def _row_rel(residual: np.ndarray, scale: np.ndarray) -> float:
     """Largest row max-abs of residual relative to that row's (positive) scale."""
-    return float(np.max(np.max(np.abs(residual), axis=1) / scale))
+    return float(np.max(np.max(np.abs(residual), axis=-1) / scale))
 
 
 def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
@@ -290,6 +296,9 @@ def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
     residual i S a - lambda a, and for each projector part b = a P_tag the
     residual -(S b) e1 e2 - s lambda b e0 of its Hestenes equation, with
     s = -1 for the sign-flipped parts.
+
+    The momenta go SWEEP_MOMENTA at a time, in site order, through
+    _eigen_stack, and every product is stacked, one 16 x 16 slice per momentum.
     """
     parts = {tag: right_mul_matrix(projector(tag)) for tag in DECOMPOSITION_TAGS}
     signs = {tag: _hestenes_sign(EquationParams(0.0, _PART_EQUATIONS[tag]))
@@ -299,30 +308,37 @@ def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
     momenta = solutions = 0
     eigen = rel_dk = 0.0
     worst = {Equation.HESTENES: 0.0, Equation.HESTENES_FLIPPED: 0.0}
-    for p in site_iter(dims):
-        lam, amps = eigen_solve(p, dims)
-        lam = lam[:, None]
-        scale = np.max(np.abs(amps), axis=1)
-        s_t = build_symbol(p, dims).T  # rows times S^T are the rows of S a
-        dk = 1j * (amps @ s_t) - lam * amps
-        eigen = max(eigen, float(np.max(np.linalg.norm(dk, axis=1))))
-        rel_dk = max(rel_dk, _row_rel(dk, scale))
-        for tag, matrix in parts.items():
-            part = amps @ matrix
-            residual = -((part @ s_t) @ e12) - signs[tag] * lam * (part @ e0)
-            equation = _PART_EQUATIONS[tag]
-            worst[equation] = max(worst[equation], _row_rel(residual, scale))
-        momenta += 1
-        solutions += len(amps)
+    for start in range(0, dims.volume, SWEEP_MOMENTA):
+        sites = np.arange(start, min(start + SWEEP_MOMENTA, dims.volume))
+        stack = np.stack(np.unravel_index(sites, dims.shape), axis=1)
+        for lam, amps, symbols in _eigen_stack(stack, dims):
+            if not len(amps):
+                continue
+            lam = lam[..., None]
+            scale = np.max(np.abs(amps), axis=2)
+            s_t = np.swapaxes(symbols, 1, 2)  # rows times S^T are the rows of S a
+            dk = 1j * (amps @ s_t) - lam * amps
+            eigen = max(eigen, float(np.max(np.linalg.norm(dk, axis=2))))
+            rel_dk = max(rel_dk, _row_rel(dk, scale))
+            for tag, matrix in parts.items():
+                part = amps @ matrix
+                residual = -((part @ s_t) @ e12) - signs[tag] * lam * (part @ e0)
+                equation = _PART_EQUATIONS[tag]
+                worst[equation] = max(worst[equation], _row_rel(residual, scale))
+            momenta += len(amps)
+            solutions += lam.size
     return _MomentumSweep(momenta=momenta, solutions=solutions, eigen_residual=eigen,
                           rel_dk=rel_dk, rel_hestenes=worst[Equation.HESTENES],
                           rel_flipped=worst[Equation.HESTENES_FLIPPED])
 
 
-def check_prop4(dims: LatticeDims) -> Verification:
-    """Solution transfer for every eigenpair at every momentum."""
+def check_prop4(dims: LatticeDims, sweep: _MomentumSweep | None = None) -> Verification:
+    """Solution transfer for every eigenpair at every momentum.
+
+    sweep is the _momentum_sweep of dims, computed here when not given.
+    """
     ver = Verification()
-    sweep = _momentum_sweep(dims)
+    sweep = sweep or _momentum_sweep(dims)
     ver.add("prop4_max_rel_dk_residual", sweep.rel_dk, 1e-12)
     ver.add("prop4_max_rel_hestenes", sweep.rel_hestenes, 1e-12)
     ver.add("prop4_max_rel_flipped", sweep.rel_flipped, 1e-12)
@@ -357,14 +373,16 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
 
     # The first momentum in site order with a real positive eigenvalue gives
     # a plane-wave solution of real mass, a nontrivial real-mass exercise.
-    found = next(((p, lam, amp) for p in site_iter(dims)
-                  for lam, amp in zip(*eigen_solve(p, dims))
-                  if abs(lam.imag) <= 1e-12 and lam.real > 1e-9),
-                 None)
-    if found is None:
+    # Of the pair -+root only the larger one can be positive.
+    def real_mass(lam):
+        return (np.abs(lam.imag) <= 1e-12) & (lam.real > 1e-9)
+
+    found = np.flatnonzero(real_mass(_eigenvalue_pair(_roots(_grid_z(dims))[1])[1]))
+    if not len(found):
         ver.note("prop5_realmass", "skipped (no real nonzero eigenvalue)")
         return ver
-    p, mass, amp = found
+    p = tuple(int(c) for c in np.unravel_index(found[0], dims.shape))
+    mass, amp = next((lam, amp) for lam, amp in zip(*eigen_solve(p, dims)) if real_mass(lam))
     solution = plane_wave(dims, p, amp)
     quad_real = hestenes_quadruple(solution)
     params_real = EquationParams(mass.real, Equation.HESTENES)
@@ -468,10 +486,14 @@ def _symbol_route(omega: FormField) -> np.ndarray:
     return np.fft.ifftn(out, axes=(0, 1, 2, 3))
 
 
-def check_spectral(dims: LatticeDims, seed: int = 0) -> Verification:
-    """Eigenpair residuals at every momentum, and the stencil against the symbol."""
+def check_spectral(dims: LatticeDims, seed: int = 0,
+                   sweep: _MomentumSweep | None = None) -> Verification:
+    """Eigenpair residuals at every momentum, and the stencil against the symbol.
+
+    sweep is the _momentum_sweep of dims, computed here when not given.
+    """
     ver = Verification()
-    sweep = _momentum_sweep(dims)
+    sweep = sweep or _momentum_sweep(dims)
     omega = random_field(dims, seed)
     dev = float(np.max(np.abs(d_plus_delta(omega).coeffs - _symbol_route(omega))))
     ver.add("spectral_eigen_residual_max", sweep.eigen_residual, 1e-12)
@@ -531,19 +553,24 @@ CHECK_NAMES = ("clifford", "1", "2", "3", "4", "5", "nilpotency",
 
 def run_checks(name: str, dims: LatticeDims, trials: int = 50,
                seed: int = 0) -> Verification:
-    """Run one named check family, or "all" of them, at the given size."""
+    """Run one named check family, or "all" of them, at the given size.
+
+    Families 4 and spectral read one _momentum_sweep, computed at most once
+    per call.
+    """
     sources = min(trials, 50)
+    sweep = cache(lambda: _momentum_sweep(dims))
     table = {
         "clifford": lambda: check_clifford(),
         "1": lambda: check_prop1(dims, trials, seed),
         "2": lambda: check_prop2(),
         "3": lambda: check_prop3(dims, trials, seed),
-        "4": lambda: check_prop4(dims),
+        "4": lambda: check_prop4(dims, sweep()),
         "5": lambda: check_prop5(dims, seed),
         "nilpotency": lambda: check_nilpotency(dims, trials, seed),
         "componentwise": lambda: check_componentwise(dims, trials, seed),
         "matrix": lambda: check_matrix_oracle(seed=seed),
-        "spectral": lambda: check_spectral(dims, seed),
+        "spectral": lambda: check_spectral(dims, seed, sweep()),
         "propagator": lambda: check_propagator(dims, sources, seed),
     }
     if name == "all":

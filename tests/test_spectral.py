@@ -18,7 +18,8 @@ from dklattice.fields import (EquationParams, FormField, max_abs, plane_wave,
                               random_field)
 from dklattice.lattice import LatticeDims, site_iter
 from dklattice.spectral import (LIGHT_CONE_TOL, SingularBlockError,
-                                _grid_z, _roots, _symbol_block, _z as _z_grid,
+                                _eigen_stack, _eigenvalue_pair, _grid_z, _roots,
+                                _symbol_block, _z as _z_grid,
                                 build_symbol, eigen_solve, format_complex,
                                 propagator_solve, spectrum_rows,
                                 write_spectrum_csv)
@@ -138,6 +139,40 @@ def test_eigen_solve_full_rank_at_every_momentum(shape, cone_count):
         assert np.sum(near_lo) == 8
         assert np.all(np.abs(oracle[~near_lo] - hi) <= 1e-12)
     assert seen_cone == cone_count
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (6, 6, 6, 6), (2, 3, 1, 4)])
+def test_roots_of_one_momentum_equal_the_grid_bit_for_bit(shape):
+    # s(p), the root and the printed eigenvalues of one momentum are the bits
+    # the propagator's singular check reads off the grid
+    dims = LatticeDims(*shape)
+    grid_s, grid_root = (np.broadcast_to(v, shape) for v in _roots(_grid_z(dims)))
+    grid_lo, grid_hi = _eigenvalue_pair(grid_root)
+    for p in site_iter(dims):
+        s, root = _roots(_z_grid(np.array(p)[:, None], dims))
+        assert s.tobytes() == grid_s[p].tobytes() and root.tobytes() == grid_root[p].tobytes()
+        rows = list(spectrum_rows(dims, [p]))
+        assert (rows[0][4:], rows[8][4:]) == ((grid_lo[p].real, grid_lo[p].imag),
+                                              (grid_hi[p].real, grid_hi[p].imag))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (4, 4, 4, 4), (2, 3, 1, 4)])
+def test_eigen_stack_gives_each_momentum_its_own_bits(shape):
+    # a stack of momenta, grouped by kind, holds exactly what eigen_solve and
+    # build_symbol return for each momentum alone
+    dims = LatticeDims(*shape)
+    momenta = list(site_iter(dims))
+    groups = _eigen_stack(np.array(momenta), dims)
+    assert [g[1].shape[1] for g in groups] == [16, 8, 16]
+    assert sum(len(g[0]) for g in groups) == len(momenta)
+    seen = [0, 0, 0]
+    for p in momenta:
+        values, amps = eigen_solve(p, dims)
+        kind = 0 if values[-1] != 0 else (1 if len(values) == 8 else 2)
+        got = [array[seen[kind]] for array in groups[kind]]
+        seen[kind] += 1
+        assert got[0].tobytes() == values.tobytes() and got[1].tobytes() == amps.tobytes()
+        assert got[2].tobytes() == build_symbol(p, dims).tobytes()
 
 
 def test_light_cone_classification_has_a_wide_gap():

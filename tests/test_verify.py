@@ -1,13 +1,17 @@
 """The verification harness itself: report format and check behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dklattice import blades, calculus, transfer, verify
+from dklattice.algebra import ConstantForm, projector, right_mul_matrix
 from dklattice.calculus import dk_apply
 from dklattice.fields import Equation, random_field
-from dklattice.lattice import LatticeDims
-from dklattice.spectral import SingularBlockError, propagator_solve
+from dklattice.lattice import LatticeDims, site_iter
+from dklattice.spectral import (SingularBlockError, build_symbol, eigen_solve,
+                                propagator_solve)
 from dklattice.verify import (CHECK_NAMES, PROPAGATOR_MASS_GAP, Verification,
                               check_clifford,
                               check_componentwise, check_constants,
@@ -114,6 +118,78 @@ def test_check_prop4_catches_swapped_part_equations(monkeypatch):
     assert failed == {"prop4_max_rel_hestenes", "prop4_max_rel_flipped"}
 
 
+def _sweep_per_momentum(dims):
+    """The momentum sweep as one 16 x 16 pass per momentum, from eigen_solve
+    and build_symbol: (momenta, solutions, eigen, rel_dk, rel_hestenes,
+    rel_flipped)."""
+    parts = {tag: right_mul_matrix(projector(tag)) for tag in transfer.DECOMPOSITION_TAGS}
+    e0 = right_mul_matrix(ConstantForm.e(0))
+    e12 = right_mul_matrix(ConstantForm.e(1) * ConstantForm.e(2))
+    momenta = solutions = 0
+    eigen = rel_dk = 0.0
+    worst = {Equation.HESTENES: 0.0, Equation.HESTENES_FLIPPED: 0.0}
+    for p in site_iter(dims):
+        lam, amps = eigen_solve(p, dims)
+        lam = lam[:, None]
+        scale = np.max(np.abs(amps), axis=1)
+        s_t = build_symbol(p, dims).T
+        dk = 1j * (amps @ s_t) - lam * amps
+        eigen = max(eigen, float(np.max(np.linalg.norm(dk, axis=1))))
+        rel_dk = max(rel_dk, float(np.max(np.max(np.abs(dk), axis=1) / scale)))
+        for tag, matrix in parts.items():
+            equation = transfer._PART_EQUATIONS[tag]
+            sign = 1.0 if equation is Equation.HESTENES else -1.0
+            part = amps @ matrix
+            residual = -((part @ s_t) @ e12) - sign * lam * (part @ e0)
+            worst[equation] = max(worst[equation],
+                                  float(np.max(np.max(np.abs(residual), axis=1) / scale)))
+        momenta += 1
+        solutions += len(amps)
+    return (momenta, solutions, eigen, rel_dk, worst[Equation.HESTENES],
+            worst[Equation.HESTENES_FLIPPED])
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (4, 4, 4, 4), (2, 3, 1, 4),
+                                   (1, 2, 3, 4), (6, 6, 6, 6)])
+def test_momentum_sweep_matches_the_per_momentum_loop(shape):
+    dims = LatticeDims(*shape)
+    sweep = verify._momentum_sweep(dims)
+    momenta, solutions, *maxima = _sweep_per_momentum(dims)
+    assert (sweep.momenta, sweep.solutions) == (momenta, solutions)
+    got = (sweep.eigen_residual, sweep.rel_dk, sweep.rel_hestenes, sweep.rel_flipped)
+    assert all(abs(a - b) <= 1e-16 for a, b in zip(got, maxima)), (got, maxima)
+
+
+def test_run_checks_all_sweeps_the_momenta_once(monkeypatch):
+    calls = []
+    real_sweep = verify._momentum_sweep
+
+    def counted(dims):
+        calls.append(dims)
+        return real_sweep(dims)
+
+    monkeypatch.setattr(verify, "_momentum_sweep", counted)
+    info = dict(run_checks("all", DIMS, trials=1).info)
+    assert calls == [DIMS]
+    assert info["prop4_solutions_checked"] == "1248" and info["spectral_momenta"] == "81"
+    # alone, each family still sweeps for itself
+    check_prop4(DIMS)
+    check_spectral(DIMS)
+    assert len(calls) == 3
+
+
+def test_momentum_sweep_peak_memory_at_6_4():
+    dims = LatticeDims(6, 6, 6, 6)
+    verify._momentum_sweep(LatticeDims(2, 2, 2, 2))
+    tracemalloc.start()
+    try:
+        verify._momentum_sweep(dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
+
+
 def test_check_prop5():
     # an odd lattice still has real-mass solutions: p = (0,0,1,2), mass sqrt(3)
     ver = check_prop5(DIMS)
@@ -121,6 +197,15 @@ def test_check_prop5():
     assert any(c.name == "prop5_realmass_max_rel_residual" for c in ver.checks)
     assert ("prop5_realmass_momentum", "0,0,1,2") in ver.info
     assert ("prop5_realmass_value", "1.73205081") in ver.info
+
+
+def test_check_prop5_solves_one_block(monkeypatch):
+    calls = []
+    real_solve = verify.eigen_solve
+    monkeypatch.setattr(verify, "eigen_solve",
+                        lambda p, dims: calls.append(p) or real_solve(p, dims))
+    check_prop5(DIMS)
+    assert calls == [(0, 0, 1, 2)]
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 1, 1), (1, 1, 1, 1)])
