@@ -3,17 +3,15 @@
 The product of two fields is strictly local: the 16-vectors at each site
 multiply through the blade table, with no coupling between sites.  Every
 product is a signed gather over blades.TABLE: blade a times blade b puts
-sign[a, b] times the coefficient product onto blade result[a, b].  Constant
-forms (site-independent 16-vectors) are kept in exact rational arithmetic
-so the projector identities can be checked with zero rounding; each is
-converted to floating point once, when first used on a lattice.
+sign[a, b] times the coefficient product onto blade result[a, b].  A constant
+form (one site-independent 16-vector) multiplies as a row times
+right_mul_matrix, with zero rounding, as its coefficients are small dyadics.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,51 +20,42 @@ from .blades import TABLE
 from .fields import FormField, _adopt, constant_field
 from .lattice import LatticeDims
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
+# Parts of constant forms are k / 2^DYADIC_BITS with integer |k| < 4^DYADIC_BITS:
+# a blade coefficient of their product sums 32 terms of 48 bits, exact in float64.
+DYADIC_BITS = 12
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact coefficient must be int or Fraction, got {value!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantForm:
-    """Site-independent form with exact rational blade coefficients.
+    """Site-independent form: one read-only complex128 16-vector.
 
-    re[B] + i * im[B] is the coefficient of blade mask B.  All arithmetic
-    (sums, scalings, Clifford products, conjugation) stays in Fractions.
+    vector[B] is the coefficient of blade mask B.  Negative zeros are cleared
+    and a part outside the DYADIC_BITS bound raises ValueError, so every sum
+    and Clifford product of forms is exact in float64 or refused.
     """
 
-    re: tuple
-    im: tuple
+    vector: np.ndarray
 
     def __post_init__(self):
-        for field in ("re", "im"):
-            values = tuple(_as_fraction(v) for v in getattr(self, field))
-            if len(values) != blades.NUM_BLADES:
-                raise ValueError(f"{field} must have 16 entries, got {len(values)}")
-            object.__setattr__(self, field, values)
+        vector = np.asarray(self.vector, dtype=np.complex128) + 0.0
+        if vector.shape != (blades.NUM_BLADES,):
+            raise ValueError(f"a constant form has 16 coefficients, got shape {vector.shape}")
+        parts = vector.view(np.float64)  # nan and inf fail the bound, before any scaling
+        if not (np.abs(parts).max() < 2.0 ** DYADIC_BITS
+                and not np.modf(parts * 2.0 ** DYADIC_BITS)[0].any()):
+            raise ValueError(f"coefficients must be k / 2^{DYADIC_BITS} with "
+                             f"|k| < 4^{DYADIC_BITS}, got {vector}")
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
 
     @classmethod
-    def zero(cls) -> "ConstantForm":
-        return cls((_ZERO,) * 16, (_ZERO,) * 16)
-
-    @classmethod
-    def blade(cls, mask: int, re=_ONE, im=_ZERO) -> "ConstantForm":
-        """A single blade with exact coefficient re + i*im."""
+    def blade(cls, mask: int, coefficient: complex = 1.0) -> "ConstantForm":
+        """A single blade with the given coefficient."""
         if mask not in blades.ALL_MASKS:
             raise ValueError(f"blade mask must be 0..15, got {mask}")
-        res = [_ZERO] * 16
-        ims = [_ZERO] * 16
-        res[mask] = _as_fraction(re)
-        ims[mask] = _as_fraction(im)
-        return cls(tuple(res), tuple(ims))
+        vector = np.zeros(blades.NUM_BLADES, dtype=np.complex128)
+        vector[mask] = coefficient
+        return cls(vector)
 
     @classmethod
     def unit(cls) -> "ConstantForm":
@@ -79,57 +68,30 @@ class ConstantForm:
         return cls.blade(1 << mu)
 
     def __add__(self, other: "ConstantForm") -> "ConstantForm":
-        return ConstantForm(tuple(a + b for a, b in zip(self.re, other.re)),
-                            tuple(a + b for a, b in zip(self.im, other.im)))
+        return ConstantForm(self.vector + other.vector)
 
     def __sub__(self, other: "ConstantForm") -> "ConstantForm":
-        return ConstantForm(tuple(a - b for a, b in zip(self.re, other.re)),
-                            tuple(a - b for a, b in zip(self.im, other.im)))
+        return ConstantForm(self.vector - other.vector)
 
     def __neg__(self) -> "ConstantForm":
-        return ConstantForm(tuple(-a for a in self.re), tuple(-a for a in self.im))
+        return ConstantForm(-self.vector)
 
-    def scaled(self, re, im=_ZERO) -> "ConstantForm":
-        """Multiply by the exact scalar re + i*im."""
-        sr, si = _as_fraction(re), _as_fraction(im)
-        return ConstantForm(tuple(sr * a - si * b for a, b in zip(self.re, self.im)),
-                            tuple(sr * b + si * a for a, b in zip(self.re, self.im)))
+    def scaled(self, factor: complex) -> "ConstantForm":
+        """Multiply by the complex scalar factor."""
+        return ConstantForm(self.vector * factor)
 
     def __mul__(self, other: "ConstantForm") -> "ConstantForm":
-        """Exact Clifford product through the blade table."""
+        """Clifford product through the blade table, as fields multiply."""
         if not isinstance(other, ConstantForm):
             return NotImplemented
-        out_re = [_ZERO] * 16
-        out_im = [_ZERO] * 16
-        for a in blades.ALL_MASKS:
-            ar, ai = self.re[a], self.im[a]
-            if ar == 0 and ai == 0:
-                continue
-            for b in blades.ALL_MASKS:
-                br, bi = other.re[b], other.im[b]
-                if br == 0 and bi == 0:
-                    continue
-                sign, mask = TABLE.mul_masks(a, b)
-                out_re[mask] += sign * (ar * br - ai * bi)
-                out_im[mask] += sign * (ar * bi + ai * br)
-        return ConstantForm(tuple(out_re), tuple(out_im))
-
-    def conjugate(self) -> "ConstantForm":
-        return ConstantForm(self.re, tuple(-b for b in self.im))
+        return ConstantForm(self.vector @ right_mul_matrix(other))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.re) and all(v == 0 for v in self.im)
-
-    @functools.cached_property
-    def _vector(self) -> np.ndarray:
-        vec = np.array([float(a) + 1j * float(b) for a, b in zip(self.re, self.im)],
-                       dtype=np.complex128)
-        vec.setflags(write=False)
-        return vec
+        return not self.vector.any()
 
     def as_vector(self) -> np.ndarray:
-        """Read-only floating-point 16-vector of blade coefficients, built once."""
-        return self._vector
+        """The read-only complex128 16-vector of blade coefficients."""
+        return self.vector
 
     def as_field(self, dims: LatticeDims) -> FormField:
         """Materialize onto a lattice as a constant FormField."""
@@ -148,13 +110,12 @@ def projector(tag: str) -> ConstantForm:
     for example "+-" is the "+0" factor times the "-12" factor.  Each tag is
     built once; the frozen result is shared between callers.
     """
+    s = 1 if tag[:1] == "+" else -1
     if tag in ("+0", "-0"):
-        s = _ONE if tag[0] == "+" else -_ONE
-        return (ConstantForm.unit() + ConstantForm.e(0).scaled(s)).scaled(_HALF)
+        return (ConstantForm.unit() + ConstantForm.e(0).scaled(s)).scaled(0.5)
     if tag in ("+12", "-12"):
-        s = _ONE if tag[0] == "+" else -_ONE
         e1e2 = ConstantForm.e(1) * ConstantForm.e(2)
-        return (ConstantForm.unit() + e1e2.scaled(_ZERO, s)).scaled(_HALF)
+        return (ConstantForm.unit() + e1e2.scaled(1j * s)).scaled(0.5)
     if tag in ("++", "+-", "-+", "--"):
         return projector(tag[0] + "0") * projector(tag[1] + "12")
     raise ValueError(f"unknown projector tag {tag!r}, expected one of {PROJECTOR_TAGS}")

@@ -99,89 +99,70 @@ def rel_error(deviation: float, scale: float) -> float:
     return 0.0 if deviation == 0.0 else float("inf")
 
 
-def blade_product_oracle(a: int, b: int) -> tuple[int, int]:
-    """Blade product by transposition counting, independent of the table.
+def blade_product_oracle(a, b) -> tuple:
+    """Blade products by transposition counting, independent of the table.
 
+    a and b are integer masks, or arrays of them that broadcast together.
     The sign is (-1) to the number of pairs (i in a, j in b) with i > j,
     times the metric factor of every generator the two masks share; the
     result mask is the symmetric difference.
     """
-    swaps = 0
-    rest = a >> 1
-    while rest:
-        swaps += (rest & b).bit_count()
-        rest >>= 1
-    sign = -1 if swaps & 1 else 1
-    for mu in blades.indices(a & b):
-        sign *= blades.METRIC[mu]
-    return sign, a ^ b
+    a, b = np.asarray(a), np.asarray(b)
+    swaps = sum(np.bitwise_count((a >> k) & b) for k in range(1, len(blades.AXES)))
+    negative = sum(1 << mu for mu in blades.AXES if blades.METRIC[mu] < 0)
+    # bitwise_count gives uint8, where 1 - 2 * 1 would wrap to 255
+    flips = (swaps + np.bitwise_count(a & b & negative)).astype(np.int64)
+    return 1 - 2 * (flips & 1), a ^ b
 
 
 def check_clifford() -> Verification:
-    """Exhaustive blade-product checks: rules, oracle, associativity."""
+    """Exhaustive blade-product checks: rules, oracle, associativity.
+
+    Each key counts the violating entries of one array expression over the
+    blade pairs or triples of np.indices, read from blades.TABLE.
+    """
     ver = Verification()
-    table = blades.TABLE
+    sign, result = blades.TABLE.sign.astype(np.int64), blades.TABLE.result
+    masks = np.arange(blades.NUM_BLADES)
+    a, b = np.indices(sign.shape)
 
-    mismatches = 0
-    for a in blades.ALL_MASKS:
-        for b in blades.ALL_MASKS:
-            if blade_product_oracle(a, b) != table.mul_masks(a, b):
-                mismatches += 1
-    ver.add("clifford_oracle_mismatches", mismatches, 0)
+    oracle_sign, oracle_result = blade_product_oracle(a, b)
+    ver.add("clifford_oracle_mismatches",
+            np.sum((sign != oracle_sign) | (result != oracle_result)), 0)
 
-    rule1 = sum(table.mul_masks(blades.X, m) != (1, m) for m in blades.ALL_MASKS)
-    rule1 += sum(table.mul_masks(m, blades.X) != (1, m) for m in blades.ALL_MASKS)
+    rule1 = np.sum((sign[blades.X] != 1) | (result[blades.X] != masks))
+    rule1 += np.sum((sign[:, blades.X] != 1) | (result[:, blades.X] != masks))
     ver.add("clifford_rule1_violations", rule1, 0)
 
-    rule2 = 0
-    for mu in blades.AXES:
-        e_mu = 1 << mu
-        if table.mul_masks(e_mu, e_mu) != (blades.METRIC[mu], blades.X):
-            rule2 += 1
-        for nu in blades.AXES:
-            if mu == nu:
-                continue
-            s1, m1 = table.mul_masks(e_mu, 1 << nu)
-            s2, m2 = table.mul_masks(1 << nu, e_mu)
-            if m1 != m2 or s1 != -s2:
-                rule2 += 1
+    # Products e_mu e_nu of two generators, [mu, nu].
+    gen = 1 << np.array(blades.AXES)
+    gen_sign, gen_result = sign[np.ix_(gen, gen)], result[np.ix_(gen, gen)]
+    metric = np.array(blades.METRIC)
+    off = ~np.eye(len(gen), dtype=bool)
+    rule2 = np.sum((np.diagonal(gen_sign) != metric) | (np.diagonal(gen_result) != blades.X))
+    rule2 += np.sum(((gen_result != gen_result.T) | (gen_sign != -gen_sign.T)) & off)
     ver.add("clifford_rule2_violations", rule2, 0)
 
-    rule3 = 0
-    for mask in blades.ALL_MASKS:
-        sign, product = 1, blades.X
-        for mu in blades.indices(mask):
-            s, product = table.mul_masks(product, 1 << mu)
-            sign *= s
-        if (sign, product) != (1, mask):
-            rule3 += 1
-    ver.add("clifford_rule3_violations", rule3, 0)
+    # x e_mu1 e_mu2 ... = e_mu1mu2... for ascending mu, one generator at a time:
+    # blade m times e_mu is +e_(m, mu) wherever every generator of m is below mu.
+    m, mu = np.indices((blades.NUM_BLADES, len(gen)))
+    rule3 = (sign[m, gen[mu]] != 1) | (result[m, gen[mu]] != m | gen[mu])
+    ver.add("clifford_rule3_violations", np.sum(rule3 & (m < gen[mu])), 0)
 
-    anticommutator = 0
-    for mu in blades.AXES:
-        for nu in blades.AXES:
-            s1, m1 = table.mul_masks(1 << mu, 1 << nu)
-            s2, m2 = table.mul_masks(1 << nu, 1 << mu)
-            expected = 2 * blades.METRIC[mu] if mu == nu else 0
-            total = {}
-            total[m1] = total.get(m1, 0) + s1
-            total[m2] = total.get(m2, 0) + s2
-            total[blades.X] = total.get(blades.X, 0) - expected
-            if any(v != 0 for v in total.values()):
-                anticommutator += 1
-    ver.add("clifford_anticommutator_violations", anticommutator, 0)
+    # e_mu e_nu + e_nu e_mu - 2 g_mumu delta_munu x, with each product as a
+    # signed unit 16-vector.
+    unit = np.eye(blades.NUM_BLADES, dtype=np.int64)
+    total = gen_sign[..., None] * unit[gen_result] + gen_sign.T[..., None] * unit[gen_result.T]
+    total[..., blades.X] -= 2 * np.diag(metric)
+    ver.add("clifford_anticommutator_violations", np.sum(total.any(axis=2)), 0)
 
-    associativity = 0
-    for a in blades.ALL_MASKS:
-        for b in blades.ALL_MASKS:
-            for c in blades.ALL_MASKS:
-                s_ab, m_ab = table.mul_masks(a, b)
-                s_left, m_left = table.mul_masks(m_ab, c)
-                s_bc, m_bc = table.mul_masks(b, c)
-                s_right, m_right = table.mul_masks(a, m_bc)
-                if (s_ab * s_left, m_left) != (s_bc * s_right, m_right):
-                    associativity += 1
-    ver.add("clifford_associativity_violations", associativity, 0)
+    # (a b) c = a (b c) over all triples of blades.
+    a, b, c = np.indices((blades.NUM_BLADES,) * 3)
+    ab, bc = result[a, b], result[b, c]
+    left = sign[a, b] * sign[ab, c], result[ab, c]
+    right = sign[b, c] * sign[a, bc], result[a, bc]
+    ver.add("clifford_associativity_violations",
+            np.sum((left[0] != right[0]) | (left[1] != right[1])), 0)
     return ver
 
 
@@ -220,28 +201,21 @@ def check_prop2() -> Verification:
     e1e2 = ConstantForm.e(1) * ConstantForm.e(2)
 
     def dev(lhs: ConstantForm, rhs: ConstantForm) -> float:
-        return float(np.max(np.abs((lhs - rhs).as_vector())))
+        return float(np.max(np.abs(lhs.as_vector() - rhs.as_vector())))
 
     idem = max(dev(projector(tag) * projector(tag), projector(tag)) for tag in PROJECTOR_TAGS)
     ver.add("prop2_idempotence_dev", idem, 1e-15)
 
-    commute = 0.0
-    for s0 in "+-":
-        for s12 in "+-":
-            p0, p12 = projector(s0 + "0"), projector(s12 + "12")
-            commute = max(commute, dev(p0 * p12, p12 * p0))
-    for tag, c in (("+0", e0), ("-0", e0), ("+12", e1e2), ("-12", e1e2)):
-        p = projector(tag)
-        commute = max(commute, dev(c * p, p * c))
-    ver.add("prop2_commutation_dev", commute, 1e-15)
+    # The "0" and "12" factors commute with each other, and each with its e0 or e1 e2.
+    pairs = [(projector(s0 + "0"), projector(s12 + "12")) for s0 in "+-" for s12 in "+-"]
+    pairs += [(projector(tag), c) for tag, c in (("+0", e0), ("-0", e0), ("+12", e1e2),
+                                                 ("-12", e1e2))]
+    ver.add("prop2_commutation_dev", max(dev(p * q, q * p) for p, q in pairs), 1e-15)
 
-    absorb = 0.0
-    for sign in (1, -1):
-        tag = "+" if sign == 1 else "-"
-        p0 = projector(tag + "0")
-        absorb = max(absorb, dev(p0, (p0 * e0).scaled(sign)))
-        p12 = projector(tag + "12")
-        absorb = max(absorb, dev(p12, (p12 * e1e2).scaled(0, sign)))
+    # P e0 (+-1) = P for P = (x +- e0)/2, and P e1 e2 (+-i) = P for P = (x +- i e1 e2)/2.
+    absorbing = (("+0", e0, 1), ("-0", e0, -1), ("+12", e1e2, 1j), ("-12", e1e2, -1j))
+    absorb = max(dev(projector(tag), (projector(tag) * c).scaled(factor))
+                 for tag, c, factor in absorbing)
     ver.add("prop2_absorption_dev", absorb, 1e-15)
     return ver
 
@@ -443,10 +417,9 @@ def dk_matrix_oracle(dims: LatticeDims) -> np.ndarray:
     n = blades.NUM_BLADES
     blocks = np.zeros((dims.volume, n, dims.volume, n), dtype=np.complex128)
     for mu in blades.AXES:
+        sign, mask = blade_product_oracle(1 << mu, np.arange(n))
         left = np.zeros((n, n), dtype=np.complex128)
-        for b in blades.ALL_MASKS:
-            sign, mask = blade_product_oracle(1 << mu, b)
-            left[mask, b] = 1j * sign
+        left[mask, np.arange(n)] = 1j * sign
         for k, site in enumerate(site_iter(dims)):
             blocks[k, :, np.ravel_multi_index(shift(site, mu, dims), dims.shape)] += left
             blocks[k, :, k] -= left

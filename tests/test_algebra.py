@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dklattice import blades
-from dklattice.algebra import (ConstantForm, PROJECTOR_TAGS, clifford_mul,
+from dklattice.algebra import (DYADIC_BITS, ConstantForm, PROJECTOR_TAGS, clifford_mul,
                                is_constant, left_mul, projector, right_mul)
 from dklattice.blades import (ALL_MASKS, TABLE, E0, E01, E012, E0123, E02,
                               E03, E1, E12, E123, E13, E2, E23, E3, X,
@@ -130,10 +130,9 @@ def test_worked_one_form_product():
     product = clifford_mul(constant_field(DIMS, u), constant_field(DIMS, v))
     assert np.max(np.abs(product.coeffs - expected)) < 1e-12
 
-    uf = sum((ConstantForm.e(mu).scaled(c) for mu, c in enumerate((2, 3, 5, 7))),
-             ConstantForm.zero())
-    vf = sum((ConstantForm.e(mu).scaled(c) for mu, c in enumerate((11, 13, 17, 19))),
-             ConstantForm.zero())
+    zero = ConstantForm(np.zeros(16))
+    uf = sum((ConstantForm.e(mu).scaled(c) for mu, c in enumerate((2, 3, 5, 7))), zero)
+    vf = sum((ConstantForm.e(mu).scaled(c) for mu, c in enumerate((11, 13, 17, 19))), zero)
     assert np.array_equal((uf * vf).as_vector(), expected)
 
 
@@ -172,8 +171,7 @@ def test_clifford_mul_rejects_dim_mismatch():
 
 def test_right_and_left_mul_match_field_product():
     a = random_field(DIMS, 8)
-    c = (ConstantForm.e(0) + ConstantForm.e(1) * ConstantForm.e(2)).scaled(
-        Fraction(1, 2), Fraction(1, 4))
+    c = (ConstantForm.e(0) + ConstantForm.e(1) * ConstantForm.e(2)).scaled(0.5 + 0.25j)
     cf = c.as_field(DIMS)
     assert max_abs(right_mul(a, c) - clifford_mul(a, cf)) <= 1e-13 * max_abs(a)
     assert max_abs(left_mul(c, a) - clifford_mul(cf, a)) <= 1e-13 * max_abs(a)
@@ -185,8 +183,8 @@ def test_constant_form_arithmetic_exact():
     assert (e1 * e1 + ConstantForm.unit()).is_zero()
     assert ((e0 + e1) - e0 - e1).is_zero()
     assert (-e0 + e0).is_zero()
-    third = ConstantForm.unit().scaled(Fraction(1, 3))
-    assert (third + third + third - ConstantForm.unit()).is_zero()
+    with pytest.raises(ValueError):
+        ConstantForm.unit().scaled(1 / 3)
 
 
 def test_projector_idempotent_exact():
@@ -223,7 +221,7 @@ def test_projector_frozen_vectors():
 
 
 def test_projector_four_part_sum_is_unit():
-    total = ConstantForm.zero()
+    total = ConstantForm(np.zeros(16))
     for tag in ("++", "+-", "-+", "--"):
         total = total + projector(tag)
     assert (total - ConstantForm.unit()).is_zero()
@@ -231,7 +229,7 @@ def test_projector_four_part_sum_is_unit():
 
 def test_projector_absorption_exact():
     e0 = ConstantForm.e(0)
-    ie12 = (ConstantForm.e(1) * ConstantForm.e(2)).scaled(0, 1)
+    ie12 = (ConstantForm.e(1) * ConstantForm.e(2)).scaled(1j)
     for sign, val in (("+", 1), ("-", -1)):
         p = projector(sign + "0")
         assert ((p * e0) - p.scaled(val)).is_zero()
@@ -263,6 +261,72 @@ def test_is_constant():
 
 
 def test_constant_form_conjugate():
-    c = ConstantForm.blade(E12, Fraction(1, 2), Fraction(-3, 4))
-    cc = c.conjugate()
+    # the blade table is real, so conjugating coefficients distributes over products
+    c = ConstantForm.blade(E12, 0.5 - 0.75j)
+    cc = ConstantForm(c.as_vector().conj())
     assert cc.as_vector()[E12] == complex(0.5, 0.75)
+    for tag in PROJECTOR_TAGS:
+        p = projector(tag)
+        pc = ConstantForm(p.as_vector().conj())
+        assert np.array_equal((pc * cc).as_vector(), (p * c).as_vector().conj()), tag
+
+
+# The 14 constant forms the package builds: the four generators, e1 e2,
+# e0 e1 e2 and the eight projectors.
+def _package_forms() -> list:
+    e = [ConstantForm.e(mu) for mu in range(4)]
+    return e + [e[1] * e[2], e[0] * e[1] * e[2]] + [projector(tag) for tag in PROJECTOR_TAGS]
+
+
+def _exact_product(a: ConstantForm, b: ConstantForm) -> list:
+    """a * b in exact rationals, one (re, im) pair per blade, through the oracle."""
+    def exact(v):
+        return [(Fraction(z.real), Fraction(z.imag)) for z in v.as_vector().tolist()]
+
+    out = [[Fraction(0), Fraction(0)] for _ in ALL_MASKS]
+    for i, (ar, ai) in enumerate(exact(a)):
+        for j, (br, bi) in enumerate(exact(b)):
+            sign, mask = (int(v) for v in blade_product_oracle(i, j))
+            out[mask][0] += sign * (ar * br - ai * bi)
+            out[mask][1] += sign * (ar * bi + ai * br)
+    return out
+
+
+def test_constant_form_products_equal_exact_rationals():
+    forms = _package_forms()
+    assert len(forms) == 14
+    for a in forms:
+        for b in forms:
+            product = (a * b).as_vector()
+            parts = product.view(np.float64)
+            assert not np.any(np.signbit(parts) & (parts == 0.0))
+            assert [(Fraction(z.real), Fraction(z.imag)) for z in product.tolist()] \
+                == [tuple(pair) for pair in _exact_product(a, b)]
+
+
+@pytest.mark.parametrize("value", [1 / 3, 1j / 3, float("nan"), float("inf"), -float("inf"),
+                                   2.0 ** -(DYADIC_BITS + 1), 2.0 ** DYADIC_BITS,
+                                   -(2.0 ** 53), 1e308j])
+def test_constant_form_rejects_non_dyadic(value):
+    with pytest.raises(ValueError):
+        ConstantForm.blade(E3, value)
+
+
+def test_constant_form_bounds_and_shape():
+    largest = 2.0 ** DYADIC_BITS - 2.0 ** -DYADIC_BITS
+    assert ConstantForm.blade(E3, largest + 1j * 2.0 ** -DYADIC_BITS).as_vector()[E3] \
+        == complex(largest, 2.0 ** -DYADIC_BITS)
+    with pytest.raises(ValueError):
+        ConstantForm(np.zeros(15))
+    with pytest.raises(ValueError):
+        ConstantForm(np.zeros((4, 4)))
+
+
+def test_constant_form_clears_negative_zeros_and_is_read_only():
+    vector = np.zeros(16, dtype=np.complex128)
+    vector[E0] = complex(-0.0, -0.0)
+    form = ConstantForm(vector)
+    assert not np.any(np.signbit(form.as_vector().view(np.float64)))
+    assert not np.any(np.signbit((-ConstantForm.unit().scaled(0)).as_vector().view(np.float64)))
+    with pytest.raises(ValueError):
+        form.as_vector()[E0] = 1.0

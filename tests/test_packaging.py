@@ -1,7 +1,9 @@
 """Every third-party module imported under src/ is a declared dependency."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,13 @@ def test_third_party_imports_are_declared():
     imported = _third_party_imports()
     assert {"numpy", "orjson"} <= imported
     assert imported <= declared
+
+
+def test_cli_import_loads_no_exact_arithmetic_modules():
+    # constant forms are dyadic float vectors, so no rational arithmetic is imported
+    code = ("import sys, dklattice.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -17,7 +17,7 @@ from dklattice.calculus import d_plus_delta, dk_apply, dk_residual
 from dklattice.fields import (EquationParams, FormField, max_abs, plane_wave,
                               random_field)
 from dklattice.lattice import LatticeDims, site_iter
-from dklattice.spectral import (LIGHT_CONE_TOL, SingularBlockError,
+from dklattice.spectral import (IMAGINARY_ULPS, LIGHT_CONE_TOL, SingularBlockError,
                                 _eigen_stack, _eigenvalue_pair, _grid_z, _roots,
                                 _symbol_block, _z as _z_grid,
                                 build_symbol, eigen_solve, format_complex,
@@ -196,6 +196,32 @@ def test_light_cone_classification_has_a_wide_gap():
     assert len(blocks) > 0
     assert np.max(np.abs(blocks @ blocks)) <= 1e-14
     assert np.all(np.linalg.matrix_rank(blocks) == 8)
+
+
+@pytest.mark.parametrize("n, noisy_count", [(6, 45), (16, 321)])
+def test_imaginary_roots_read_plus_zero_and_order_minus_first(n, noisy_count):
+    # where i sqrt(s(p)) is imaginary in exact arithmetic, its computed real
+    # part is rounding noise of either sign; _roots reads it as +0, so each
+    # such pair is ordered -|Im| first, also after a one-ulp change of z
+    dims = LatticeDims(n, n, n, n)
+    z = _grid_z(dims)
+    s, root = _roots(z)
+    raw = 1j * np.sqrt(s)
+    noise = IMAGINARY_ULPS * np.finfo(float).eps * np.abs(raw)
+    noisy = (root != 0) & (raw.real != 0) & (np.abs(raw.real) <= noise)
+    assert noisy.sum() == noisy_count
+    kept = (root != 0) & ~noisy
+    assert np.array_equal(root[kept], raw[kept])
+    genuine = kept & (raw.real != 0)
+    assert np.all(np.abs(raw.real[genuine]) >= 1e-3 * np.abs(raw[genuine]))
+    for zs in (z, tuple(np.nextafter(c.real, np.inf) + 1j * c.imag for c in z)):
+        root = _roots(zs)[1]
+        lo, hi = _eigenvalue_pair(root)
+        for value, sign in ((root, 1), (lo, -1), (hi, 1)):
+            part = value[noisy]
+            assert np.all(part.real == 0) and not np.any(np.signbit(part.real))
+            if value is not root:
+                assert np.array_equal(part.imag, sign * np.abs(root[noisy].imag))
 
 
 def test_symbol_matches_operator_on_plane_waves():

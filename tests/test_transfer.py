@@ -49,7 +49,7 @@ def test_operator_commutes_with_constant_right_factor():
     # the difference operators act on the position index, the constant
     # factor on the blade index, so the order cannot matter
     f = random_field(DIMS, 3)
-    c = projector("++") + ConstantForm.e(3).scaled(2, -1)
+    c = projector("++") + ConstantForm.e(3).scaled(2 - 1j)
     lhs = d_plus_delta(right_mul(f, c))
     rhs = right_mul(d_plus_delta(f), c)
     assert max_abs(lhs - rhs) <= 1e-13 * max_abs(f)

@@ -64,6 +64,89 @@ def test_check_clifford_is_clean():
     assert "clifford_associativity_violations" in names
 
 
+def _loop_oracle(a: int, b: int) -> tuple:
+    """The scalar, loop spelling of blade_product_oracle."""
+    swaps, rest = 0, a >> 1
+    while rest:
+        swaps += (rest & b).bit_count()
+        rest >>= 1
+    sign = -1 if swaps & 1 else 1
+    for mu in blades.indices(a & b):
+        sign *= blades.METRIC[mu]
+    return sign, a ^ b
+
+
+def _loop_clifford_counts(table) -> dict:
+    """check_clifford's counts, pair by pair and triple by triple."""
+    mul, masks, gens = table.mul_masks, blades.ALL_MASKS, [1 << mu for mu in blades.AXES]
+    counts = {"oracle_mismatches": sum(_loop_oracle(a, b) != mul(a, b)
+                                       for a in masks for b in masks),
+              "rule1_violations": sum((mul(blades.X, m) != (1, m)) + (mul(m, blades.X) != (1, m))
+                                      for m in masks)}
+    rule2 = anticommutator = 0
+    for mu, e_mu in enumerate(gens):
+        for nu, e_nu in enumerate(gens):
+            (s1, m1), (s2, m2) = mul(e_mu, e_nu), mul(e_nu, e_mu)
+            if mu == nu:
+                rule2 += (s1, m1) != (blades.METRIC[mu], blades.X)
+            else:
+                rule2 += m1 != m2 or s1 != -s2
+            total = {blades.X: -2 * blades.METRIC[mu] if mu == nu else 0}
+            for s, m in ((s1, m1), (s2, m2)):
+                total[m] = total.get(m, 0) + s
+            anticommutator += any(total.values())
+    counts["rule2_violations"] = rule2
+    counts["rule3_violations"] = sum(mul(m, e_mu) != (1, m | e_mu)
+                                     for m in masks for e_mu in gens if m < e_mu)
+    counts["anticommutator_violations"] = anticommutator
+    associativity = 0
+    for a in masks:
+        for b in masks:
+            for c in masks:
+                (s_ab, m_ab), (s_bc, m_bc) = mul(a, b), mul(b, c)
+                (s_l, m_l), (s_r, m_r) = mul(m_ab, c), mul(a, m_bc)
+                associativity += (s_ab * s_l, m_l) != (s_bc * s_r, m_r)
+    counts["associativity_violations"] = associativity
+    return counts
+
+
+def test_array_oracle_equals_the_loop_oracle():
+    a, b = np.indices((16, 16))
+    sign, mask = verify.blade_product_oracle(a, b)
+    for i, j in np.ndindex(16, 16):
+        assert (sign[i, j], mask[i, j]) == _loop_oracle(i, j)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 2), (2, 4), (3, 12), (6, 6), (9, 7),
+                                   (15, 15)])
+def test_check_clifford_counts_equal_the_loops_on_broken_tables(entry, monkeypatch):
+    table = blades.TABLE
+    flipped = table.sign.copy()
+    flipped[entry] = -flipped[entry]
+    moved = table.result.copy()
+    moved[entry] = moved[entry] ^ 2
+    for broken in (blades.CliffordTable(sign=flipped, result=table.result),
+                   blades.CliffordTable(sign=table.sign, result=moved)):
+        monkeypatch.setattr(blades, "TABLE", broken)
+        counts = {c.name.removeprefix("clifford_"): c.value for c in check_clifford().checks}
+        assert counts == _loop_clifford_counts(broken)
+
+
+@pytest.mark.parametrize("entry", ["sign", "result"])
+def test_check_clifford_catches_every_single_table_entry(entry, monkeypatch):
+    # each of the 256 sign entries flipped, or result entries moved to
+    # another blade, one at a time
+    table = blades.TABLE
+    for a, b in np.ndindex(table.sign.shape):
+        sign, result = table.sign.copy(), table.result.copy()
+        if entry == "sign":
+            sign[a, b] = -sign[a, b]
+        else:
+            result[a, b] = (result[a, b] + 1) % blades.NUM_BLADES
+        monkeypatch.setattr(blades, "TABLE", blades.CliffordTable(sign=sign, result=result))
+        assert not check_clifford().passed, (entry, a, b)
+
+
 def test_check_prop1():
     assert check_prop1(DIMS, trials=5).passed
 
