@@ -30,8 +30,8 @@ class ConstantForm:
     """Site-independent form: one read-only complex128 16-vector.
 
     vector[B] is the coefficient of blade mask B.  Negative zeros are cleared
-    and a part outside the DYADIC_BITS bound raises ValueError, so every sum
-    and Clifford product of forms is exact in float64 or refused.
+    and a part outside the DYADIC_BITS bound raises ValueError, so every sum,
+    scaling and Clifford product of forms is exact in float64 or refused.
     """
 
     vector: np.ndarray
@@ -77,8 +77,8 @@ class ConstantForm:
         return ConstantForm(-self.vector)
 
     def scaled(self, factor: complex) -> "ConstantForm":
-        """Multiply by the complex scalar factor."""
-        return ConstantForm(self.vector * factor)
+        """Product with the scalar form factor x, so factor too must be dyadic."""
+        return self * ConstantForm.blade(blades.X, factor)
 
     def __mul__(self, other: "ConstantForm") -> "ConstantForm":
         """Clifford product through the blade table, as fields multiply."""

@@ -208,14 +208,14 @@ def check_prop2() -> Verification:
 
     # The "0" and "12" factors commute with each other, and each with its e0 or e1 e2.
     pairs = [(projector(s0 + "0"), projector(s12 + "12")) for s0 in "+-" for s12 in "+-"]
-    pairs += [(projector(tag), c) for tag, c in (("+0", e0), ("-0", e0), ("+12", e1e2),
-                                                 ("-12", e1e2))]
+    pairs += [(projector("+0"), e0), (projector("-0"), e0),
+              (projector("+12"), e1e2), (projector("-12"), e1e2)]
     ver.add("prop2_commutation_dev", max(dev(p * q, q * p) for p, q in pairs), 1e-15)
 
     # P e0 (+-1) = P for P = (x +- e0)/2, and P e1 e2 (+-i) = P for P = (x +- i e1 e2)/2.
-    absorbing = (("+0", e0, 1), ("-0", e0, -1), ("+12", e1e2, 1j), ("-12", e1e2, -1j))
-    absorb = max(dev(projector(tag), (projector(tag) * c).scaled(factor))
-                 for tag, c, factor in absorbing)
+    absorbing = ((projector("+0"), e0, 1), (projector("-0"), e0, -1),
+                 (projector("+12"), e1e2, 1j), (projector("-12"), e1e2, -1j))
+    absorb = max(dev(p, (p * c).scaled(factor)) for p, c, factor in absorbing)
     ver.add("prop2_absorption_dev", absorb, 1e-15)
     return ver
 

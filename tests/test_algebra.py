@@ -185,6 +185,8 @@ def test_constant_form_arithmetic_exact():
     assert (-e0 + e0).is_zero()
     with pytest.raises(ValueError):
         ConstantForm.unit().scaled(1 / 3)
+    with pytest.raises(ValueError):  # 3 * (1/3 rounded) rounds back to 1
+        ConstantForm.unit().scaled(3).scaled(1 / 3)
 
 
 def test_projector_idempotent_exact():
