@@ -1,12 +1,14 @@
-"""Time the canonical JSON field codec (dumps/loads and save/load_field).
+"""Time the canonical JSON field codec (dumps/loads, save/load_field, format).
 
 Usage:
     python3 bench/codec.py OUT.json [--repeats N]
 
 Imports dklattice from the src/ directory next to this script, so it
 measures the tree it sits in.  For each lattice (8^4 and 16^4) it times
-dumps_field and loads_field on a seeded random field, and save_field and
-load_field through a file in a temporary directory, and records per row:
+dumps_field and loads_field on a seeded random field, save_field and
+load_field through a file in a temporary directory, and the number
+formatter fields._format alone over the field's numbers in this process
+(no file, no fork), and records per row:
 
 - median and min wall time over the repeats (time.perf_counter);
 - throughput in MB/s of JSON text, from the median;
@@ -39,8 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from dklattice.fields import (dumps_field, load_field, loads_field,  # noqa: E402
-                              random_field, save_field)
+from dklattice.fields import (_format, dumps_field, load_field,  # noqa: E402
+                              loads_field, random_field, save_field)
 from dklattice.lattice import LatticeDims  # noqa: E402
 
 SIZES = {"8^4": (8, 8, 8, 8), "16^4": (16, 16, 16, 16)}
@@ -101,6 +103,12 @@ def _row(times: list[float], text_bytes: int, peak_x: float) -> dict:
     }
 
 
+def _format_all(pairs: np.ndarray) -> bytes:
+    """The text _format gives for pairs, joined; its pieces are str in trees
+    from before the formatter wrote bytes."""
+    return b"".join(p.encode("ascii") if isinstance(p, str) else p for p in _format(pairs))
+
+
 def measure(shape: tuple, repeats: int) -> dict:
     field = random_field(LatticeDims(*shape), SEED)
     field_bytes = field.coeffs.nbytes
@@ -124,6 +132,11 @@ def measure(shape: tuple, repeats: int) -> dict:
             raise SystemExit(f"file round trip changed the field at {shape}")
         del loaded
         read_peak = _peak_x(load_field, path, field_bytes)
+    pairs = field.coeffs.reshape(-1).view(np.float64)
+    format_times, numbers_text = _timed(_format_all, pairs, repeats)
+    if numbers_text.decode("ascii") != text.partition('"coeffs": [')[2][:-2]:
+        raise SystemExit(f"_format and dumps_field differ at {shape}")
+    format_peak = _peak_x(_format_all, pairs, field_bytes)
     file_len = len(text) + 1
     return {
         "dims": list(shape),
@@ -137,6 +150,7 @@ def measure(shape: tuple, repeats: int) -> dict:
         "loads": _row(load_times, len(text), load_peak),
         "save_field": _row(save_times, file_len, save_peak),
         "load_field": _row(read_times, file_len, read_peak),
+        "format": _row(format_times, len(numbers_text), format_peak),
     }
 
 
@@ -152,7 +166,7 @@ def main(argv=None) -> int:
     for label, shape in SIZES.items():
         row = measure(shape, args.repeats)
         results[label] = row
-        for direction in ("dumps", "loads", "save_field", "load_field"):
+        for direction in ("dumps", "loads", "save_field", "load_field", "format"):
             r = row[direction]
             print(f"{label} {direction}: median {r['median_s']:.3f} s, "
                   f"min {r['min_s']:.3f} s, {r['mb_per_s']:.1f} MB/s, "

@@ -102,7 +102,8 @@ def d_plus_delta(omega: FormField) -> FormField:
 
 
 _E_CONST = tuple(ConstantForm.e(mu) for mu in blades.AXES)
-_E12_CONST = _E_CONST[1] * _E_CONST[2]
+# e1 e2, read off the blade table: a product here would wake BLAS at import
+_E12_CONST = ConstantForm.blade(blades.E12, blades.TABLE.sign[blades.E1, blades.E2])
 
 
 def d_plus_delta_via_clifford(omega: FormField) -> FormField:

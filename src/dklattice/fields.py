@@ -13,16 +13,19 @@ The JSON codec parses a field in one process: bytes in exactly the layout
 dumps_field writes are cut into pieces that orjson parses into one float64
 array, and any other text, or any that fails a check there, is decoded and
 goes whole through json, so errors do not depend on the fast path.  A file
-is read as bytes and never decoded whole on the fast path.  Saving a large
-field splits it across two processes: a forked child formats the second
-half of the numbers while this process formats the first and streams it
-to disk.
+is read as bytes and never decoded whole on the fast path.  A save spells
+each number as %.17g does, byte for byte, from digits found with integer
+arithmetic on whole chunks where 1e-11 < |x| < 2^51 and with % itself
+elsewhere, in ASCII bytes all the way to the file.  Saving a large field
+splits it across two processes: a forked child formats the second half of
+the numbers while this process formats the first and streams it to disk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import itertools
 import json
 import os
@@ -209,7 +212,7 @@ class FieldFormatError(ValueError):
 # A field with at least this many numbers (re and im counted apart), about
 # 5.6 MB of text, is formatted by two processes.
 SPLIT_MIN_NUMBERS = 1 << 18
-_CHUNK = 1 << 16  # numbers per C-level % call and per random draw
+_CHUNK = 1 << 14  # numbers per formatted piece (2^16 grew a save's peak) and per draw
 # Numbers per orjson piece.  A piece briefly takes about 62 bytes a number
 # (its text, the Python floats and their list, and an array of doubles), so
 # this keeps it near 0.25 MB.
@@ -286,17 +289,97 @@ class _Child:
             self.reap()
 
 
-def _format(pairs: np.ndarray) -> Iterator[str]:
-    """The ", "-separated %.17g text of pairs, in pieces of 2^16 numbers."""
+@functools.cache
+def _format_tables() -> tuple:
+    """The least doubles >= 10^-11..10^16, 5^0..5^27, the groups 0000..9999 as
+    words with a digit in each even byte, their trailing zeros, and per (x +
+    11, nd, sign) the XOR onto a 48-byte row of such digits that spells
+    exponent x with nd digits: sign in byte 0, "0.000" in 1-5, digit i in
+    6 + 2i, a point in 7 + 2i, "e-XX" in 40-43, ", " in 44-45, NUL elsewhere."""
+    bounds = np.array([float(f"1e{j}") for j in range(-11, 17)])
+    ratios = map(float.as_integer_ratio, bounds.tolist())
+    low = [n * 10 ** 11 < d * 10 ** (j + 11) for j, (n, d) in zip(range(-11, 17), ratios)]
+    bounds[low] = np.nextafter(bounds[low], 1.0)
+    n = np.arange(10_000)
+    groups = np.zeros((10_000, 8), np.uint8)
+    groups[:, ::2] = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + 48
+    layouts = np.zeros((27, 18, 2, 48), np.uint8)
+    layouts[..., 0:6:2] = ord("0")  # the zeros before the leading digit in its group
+    layouts[:, :, 1, 0] ^= ord("-")
+    layouts[..., 44:46] = np.frombuffer(b", ", np.uint8)
+    nd = np.arange(18)
+    for x in range(-11, 16):
+        rows = layouts[x + 11]
+        keep = np.maximum(nd, x + 1) if x >= 0 else nd
+        rows[..., 6:39:2] = ord("0") * (np.arange(17) >= keep[:, None])[:, None]  # dropped zeros
+        if x >= 0:
+            rows[..., 7 + 2 * x] = ord(".") * (nd > x + 1)[:, None]
+        elif x >= -4:
+            rows[..., 1:2 - x] ^= np.frombuffer(b"0." + b"0" * (-1 - x), np.uint8)
+        else:
+            rows[..., 7] = ord(".") * (nd > 1)[:, None]
+            rows[..., 40:44] = np.frombuffer(b"e-%02d" % -x, np.uint8)
+    return (bounds, 5 ** np.arange(28, dtype=np.uint64), groups.view(np.uint64).ravel(),
+            sum(n % 10 ** j == 0 for j in range(1, 5)), layouts.view(np.uint64).reshape(-1, 6))
+
+
+def _decimal(a: np.ndarray) -> tuple:
+    """The 17 correctly rounded digits d and decimal exponent x of each a in
+    1e-11 < a < 2^51: m 5^k, a = m 2^e, k = 16 - x = 1..27, made exactly from
+    32-bit limbs as hi 2^64 + lo, shifted right by -(e + k) = 1..62, rounded
+    half to even.  No double there is 4.5 units of the 17th digit or less
+    below a power of ten, so d < 10^17."""
+    bounds, pow5 = _format_tables()[:2]
+    bits = a.view(np.uint64)
+    m = bits & (2 ** 52 - 1) | 2 ** 52
+    x = np.clip(np.floor(np.log10(a)), -11, 15).astype(np.int64)
+    x += a >= bounds[x + 12]  # where log10 was one out
+    x -= a < bounds[x + 11]
+    s = (x - 16 - ((bits >> 52).astype(np.int64) - 1075)).astype(np.uint64)  # -(e + k)
+    p = pow5[16 - x]
+    ml, mh, pl, ph = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
+    low = ml * pl
+    mid = mh * pl + ml * ph  # < 2^53 + 2^63, as 5^k < 2^63
+    lo = low + (mid << 32)
+    hi = mh * ph + (mid >> 32) + (lo < low)
+    whole = (hi << (64 - s)) | (lo >> s)
+    rest, half = lo & ((1 << s) - 1), 1 << (s - 1)
+    return whole + ((rest > half) | ((rest == half) & (whole & 1).astype(bool))), x
+
+
+def _format(pairs: np.ndarray) -> Iterator[bytes]:
+    """The ", "-separated %.17g text of pairs as ASCII, in pieces of _CHUNK numbers:
+    a 48-byte row a number, from _decimal's digits where it applies, 0 or -0 for
+    a zero and % for the rest, with the NULs deleted."""
+    groups, trailing, layouts = _format_tables()[2:]
     for start in range(0, pairs.size, _CHUNK):
-        if start:
-            yield ", "
-        values = tuple(pairs[start:start + _CHUNK].tolist())
-        yield ", ".join(["%.17g"] * len(values)) % values
+        values = pairs[start:start + _CHUNK]
+        size = np.abs(values)
+        fast = (size > 1e-11) & (size < 2.0 ** 51)
+        zero = values == 0
+        digits, x = _decimal(np.where(fast, size, 1.0))
+        rest = np.where(zero, 0, digits.astype(np.int64))
+        words = np.zeros((values.size, 6), np.uint64)
+        zeros = np.zeros(values.size, np.int64)  # trailing zeros of the digits
+        below = np.ones(values.size, bool)  # whether every lower group is 0000
+        for column in (4, 3, 2, 1, 0):
+            rest, group = rest // 10 ** 4, rest % 10 ** 4
+            words[:, column] = groups[group]
+            zeros += below * trailing[group]
+            below &= group == 0
+        words ^= layouts[((x + 11) * 18 + 17 - np.minimum(zeros, 17)) * 2 + np.signbit(values)]
+        rows = words.view(np.uint8)
+        slow = np.flatnonzero(~fast & ~zero)
+        if slow.size:
+            text = [b"%.17g" % v for v in values[slow].tolist()]
+            rows[slow, :44] = np.array(text, "S44").view(np.uint8).reshape(-1, 44)
+        if start + values.size == pairs.size:
+            rows[-1, 44:] = 0  # no separator after the last number
+        yield rows.tobytes().translate(None, b"\0")
 
 
-def _field_text(omega: FormField) -> Iterator[str]:
-    """The text dumps_field returns, in pieces.
+def _field_text(omega: FormField) -> Iterator[bytes]:
+    """The ASCII text dumps_field returns, in pieces.
 
     For a large field a forked child formats the second half of the numbers
     while this process formats the first and hands it on piece by piece.
@@ -306,19 +389,21 @@ def _field_text(omega: FormField) -> Iterator[str]:
     if not np.all(np.isfinite(pairs)):
         raise ValueError("cannot serialize non-finite coefficients")
     dims_text = ", ".join(str(n) for n in omega.dims.shape)
-    yield f'{{"dims": [{dims_text}], "coeffs": ['
+    yield f'{{"dims": [{dims_text}], "coeffs": ['.encode("ascii")
     if not _two_processes(pairs.size):
         yield from _format(pairs)
     else:
         mid = pairs.size // 2
-        with _Child(lambda: [p.encode("ascii") for p in _format(pairs[mid:])]) as child:
+        # the child formats its whole half before writing: the pipe holds
+        # 64 KiB, and this process reads it only after its own half
+        with _Child(lambda: list(_format(pairs[mid:]))) as child:
             yield from _format(pairs[:mid])
-            yield ", "
+            yield b", "
             while piece := os.read(child.fd, _PIPE_READ):
-                yield piece.decode("ascii")
+                yield piece
             if not child.reap():
                 raise OSError(errno.EIO, "field formatter process failed")
-    yield "]}"
+    yield b"]}"
 
 
 def dumps_field(omega: FormField) -> str:
@@ -332,7 +417,7 @@ def dumps_field(omega: FormField) -> str:
     the text is the same byte for byte.
     """
     with contextlib.closing(_field_text(omega)) as pieces:
-        return "".join(pieces)
+        return b"".join(pieces).decode("ascii")
 
 
 def _exact_int(token: str):
@@ -492,7 +577,7 @@ def save_field(omega: FormField, path) -> None:
     """Write the serialized field and a newline atomically (temp file plus
     rename), streaming the text piece by piece so it is never built whole."""
     with contextlib.closing(_field_text(omega)) as pieces:
-        atomic_write_text(path, itertools.chain(pieces, ["\n"]))
+        atomic_write_text(path, itertools.chain(pieces, [b"\n"]))
 
 
 def load_field(path) -> FormField:
@@ -506,9 +591,9 @@ def load_field(path) -> FormField:
     return loads_field(data)
 
 
-def atomic_write_text(path, text: str | Iterable[str]) -> None:
-    """Write text, or an iterable of text pieces in order, to path via a
-    same-directory temp file and os.replace.
+def atomic_write_text(path, text: str | Iterable[str | bytes]) -> None:
+    """Write ASCII text, or an iterable of its pieces as str or bytes in order,
+    to path via a same-directory temp file and os.replace.
 
     The file gets the mode open() would give it (0o666 less the umask), not
     the temp file's 0o600, and an OSError names path, not the temp file.
@@ -520,9 +605,9 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
-                fh.writelines(pieces)
+                fh.writelines(p.encode("ascii") if isinstance(p, str) else p for p in pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -28,8 +28,8 @@ from .lattice import LatticeDims
 # the ratio near 1e-16 there, and >= 1e-3 off it for all extents up to 6.
 LIGHT_CONE_TOL = 1e-12
 
-# A root i sqrt(s(p)) with |Re| <= IMAGINARY_ULPS eps |root| is imaginary.  Measured
-# up to 16^4, that noise is <= 6.5 eps |root|, a genuine Re >= 6e-4 |root|.
+# A part of a root i sqrt(s(p)) with |part| <= IMAGINARY_ULPS eps |root| is noise: on every
+# n^4 up to 16^4 noise is <= 20.4 eps |root| and a genuine part >= 1.7e-4 |root|.
 IMAGINARY_ULPS = 64
 
 
@@ -54,11 +54,13 @@ def _z(p, dims: LatticeDims) -> tuple:
 
 
 def _roots(z):
-    """s(p) and the eigenvalue root i sqrt(s(p)): 0 on the light cone, +0 real if imaginary."""
+    """s(p) and the eigenvalue root i sqrt(s(p)): 0 on the light cone, noise parts +0."""
     s = sum(g * (z_mu * z_mu) for g, z_mu in zip(blades.METRIC, z))
     cone = np.abs(s) <= LIGHT_CONE_TOL * sum(abs(z_mu) ** 2 for z_mu in z)
     root = np.where(cone, 0j, 1j * np.sqrt(s))
-    root.real[np.abs(root.real) <= IMAGINARY_ULPS * np.finfo(float).eps * np.abs(root)] = 0.0
+    noise = IMAGINARY_ULPS * np.finfo(float).eps * np.abs(root)
+    for part in (root.real, root.imag):
+        part[np.abs(part) <= noise] = 0.0
     return s, root
 
 

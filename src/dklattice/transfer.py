@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blades
 from .algebra import ConstantForm, projector, right_mul
 from .calculus import dk_residual, hestenes_residual
 from .fields import (Equation, EquationParams, FormField, conjugate,
                      even_part, max_abs, odd_part)
 
 _E0 = ConstantForm.e(0)
-_E12 = ConstantForm.e(1) * ConstantForm.e(2)
-_E012 = _E0 * _E12
+_E12 = ConstantForm.blade(blades.E12, blades.TABLE.sign[blades.E1, blades.E2])
+_E012 = ConstantForm.blade(blades.E012, blades.TABLE.sign[blades.E0, blades.E12])
 
 # Decomposition order of the compound projector tags.
 DECOMPOSITION_TAGS = ("++", "-+", "+-", "--")

@@ -2,12 +2,14 @@ import cmath
 import functools
 import hashlib
 import json
+import operator
 import os
 import stat
 import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -200,7 +202,18 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
 FINITE_BITS = (st.integers(0, 2**64 - 1)
                .map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
                .filter(np.isfinite))
-SITE_NUMBERS = st.lists(st.one_of(st.sampled_from(EDGE_VALUES), FINITE_BITS),
+# The formatter's integer-digit range is 1e-11 < |x| < 2^51; FINITE_BITS
+# almost never lands in it.
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-11, 17)]
+FAST_EDGES = ([np.nextafter(p, direction) for p in POWERS_OF_TEN for direction in (0, np.inf)]
+              + POWERS_OF_TEN + [1e-11, np.nextafter(1e-11, 1), 2.0**51, np.nextafter(2.0**51, 0)])
+FAST_RANGE = st.builds(
+    operator.mul, st.sampled_from([1.0, -1.0]), st.one_of(
+        st.builds(lambda decade, m: m * 10.0**decade, st.integers(-11, 15), st.floats(1, 10)),
+        # multiples of 1/4 in [2^50, 2^51): x.25 and x.75 tie at 17 digits
+        st.integers(0, 2**52 - 1).map(lambda i: 2.0**50 + i / 4),
+        st.sampled_from(FAST_EDGES)))
+SITE_NUMBERS = st.lists(st.one_of(st.sampled_from(EDGE_VALUES), FINITE_BITS, FAST_RANGE),
                         min_size=32, max_size=32)
 
 
@@ -217,8 +230,30 @@ def test_dumps_matches_reference_codec(numbers):
     assert dumps_field(back) == text
 
 
+@given(st.lists(FAST_RANGE.map(abs).filter(lambda x: 1e-11 < x < 2.0**51), min_size=1))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_fast_digits_match_percent_e(numbers):
+    # %.16e spells the same 17 correctly rounded digits and decimal exponent
+    digits, exponents = fields._decimal(np.array(numbers))
+    for x, d, e in zip(numbers, digits.tolist(), exponents.tolist()):
+        mantissa, exponent = format(x, ".16e").split("e")
+        assert (d, e) == (int(mantissa.replace(".", "")), int(exponent))
+
+
+def test_fast_digits_never_round_up_to_a_power_of_ten():
+    # the largest double below 10^k is the nearest one to 17 digits that
+    # round up to 10^17, which _decimal does not carry
+    below = [p if Fraction(p) < Fraction(10) ** k else np.nextafter(p, 0)
+             for k, p in zip(range(-11, 17), POWERS_OF_TEN)]
+    numbers = np.array([x for x in below if 1e-11 < x < 2.0**51])
+    assert len(numbers) == 26
+    assert fields._decimal(numbers)[0].max() <= 10**17 - 5
+    field = FormField(ONE_SITE, np.resize(numbers, 32).view(np.complex128).reshape(1, 1, 1, 1, 16))
+    assert dumps_field(field) == reference_dumps(field)
+
+
 def test_dumps_matches_reference_codec_across_chunks():
-    # 7^4 sites give 76,832 numbers: one full 2^16 chunk and a partial one
+    # 7^4 sites give 76,832 numbers: four full 2^14 chunks and a partial one
     field = random_field(LatticeDims(7, 7, 7, 7), 11)
     assert 2 * field.coeffs.size == 76_832
     text = dumps_field(field)
@@ -447,6 +482,26 @@ def test_split_dumps_and_save_match_reference(tmp_path, forks):
     save_field(field, tmp_path / "f.json")
     assert (tmp_path / "f.json").read_text(encoding="ascii") == expected + "\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_split_fast_range_child_half_matches_reference(tmp_path, forks):
+    pairs = random_field(SPLIT, 28).coeffs.reshape(-1).view(np.float64).copy()
+    half = pairs[pairs.size // 2:]  # the numbers the child formats
+    rng = np.random.default_rng(28)
+    decades = 10.0 ** rng.uniform(-11, 51 * np.log10(2), half.size)
+    ties = 2.0**50 + rng.integers(0, 2**52, half.size) / 4
+    half[:] = np.where(rng.random(half.size) < 0.5, decades, ties) * rng.choice([-1, 1], half.size)
+    specials = FAST_EDGES + [0.0, -0.0]
+    half[:2 * len(specials)] = specials + [-x for x in specials]
+    half[5::101] = 0.0
+    half[7::103] = -0.0
+    field = FormField(SPLIT, pairs.view(np.complex128).reshape(SPLIT.shape + (16,)))
+    expected = reference_dumps(field)
+    assert dumps_field(field) == expected
+    save_field(field, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_bytes() == expected.encode("ascii") + b"\n"
     assert len(forks) == 2
     assert_reaped(forks)
 

@@ -210,7 +210,8 @@ def test_imaginary_roots_read_plus_zero_and_order_minus_first(n, noisy_count):
     noise = IMAGINARY_ULPS * np.finfo(float).eps * np.abs(raw)
     noisy = (root != 0) & (raw.real != 0) & (np.abs(raw.real) <= noise)
     assert noisy.sum() == noisy_count
-    kept = (root != 0) & ~noisy
+    # real roots lose their imaginary noise (test_real_roots_read_plus_zero_imaginary_part)
+    kept = (root != 0) & ~noisy & (np.abs(raw.imag) > noise)
     assert np.array_equal(root[kept], raw[kept])
     genuine = kept & (raw.real != 0)
     assert np.all(np.abs(raw.real[genuine]) >= 1e-3 * np.abs(raw[genuine]))
@@ -222,6 +223,30 @@ def test_imaginary_roots_read_plus_zero_and_order_minus_first(n, noisy_count):
             assert np.all(part.real == 0) and not np.any(np.signbit(part.real))
             if value is not root:
                 assert np.array_equal(part.imag, sign * np.abs(root[noisy].imag))
+
+
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_real_roots_read_plus_zero_imaginary_part(n):
+    # where i sqrt(s(p)) is real in exact arithmetic (s(p) < 0), its computed
+    # imaginary part is rounding noise; _roots reads it as +0
+    z = _grid_z(LatticeDims(n, n, n, n))
+    s, root = _roots(z)
+    raw = 1j * np.sqrt(s)
+    noise = IMAGINARY_ULPS * np.finfo(float).eps * np.abs(raw)
+    noisy = (root != 0) & (raw.imag != 0) & (np.abs(raw.imag) <= noise)
+    assert noisy.sum() > 0
+    assert np.all(root.imag[noisy] == 0) and not np.any(np.signbit(root.imag[noisy]))
+    assert np.array_equal(root.real[noisy], raw.real[noisy])
+    genuine = (root != 0) & ~noisy & (raw.imag != 0)
+    assert np.all(np.abs(raw.imag[genuine]) >= 1e-4 * np.abs(raw[genuine]))
+
+
+def test_real_block_eigenvalue_is_exactly_real():
+    # s(p) = -4 at p = (0, 2, 0, 0) on 4^4: the eigenvalues are -2 and 2
+    eigenvalues, amplitudes = eigen_solve((0, 2, 0, 0), DIMS4)
+    assert eigenvalues.tolist() == [-2] * 8 + [2] * 8
+    assert not np.any(np.signbit(eigenvalues.imag))
+    assert format_complex(eigenvalues[15]) == "2,0"
 
 
 def test_symbol_matches_operator_on_plane_waves():

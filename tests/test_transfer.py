@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dklattice import calculus, transfer
 from dklattice.algebra import ConstantForm, projector, right_mul
 from dklattice.blades import ODD_BLADES
 from dklattice.calculus import d_plus_delta, hestenes_residual
@@ -180,3 +181,11 @@ def test_independence_detects_collapse():
     f = even_part(FormField(DIMS, random_field(DIMS, 13).coeffs.real.astype(np.complex128)))
     report = verify_quadruple_independence(hestenes_quadruple(f))
     assert report.rank <= 3
+
+
+def test_import_time_blade_constants_equal_their_products():
+    # built from blades.TABLE at import, bit-equal to the Clifford products
+    e0, e1, e2 = (ConstantForm.e(mu) for mu in (0, 1, 2))
+    for constant, product in ((calculus._E12_CONST, e1 * e2), (transfer._E12, e1 * e2),
+                              (transfer._E012, e0 * (e1 * e2)), (transfer._E0, e0)):
+        assert constant.vector.tobytes() == product.vector.tobytes()
