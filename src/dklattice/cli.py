@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification-style command fails its
-tolerance, 2 on usage errors, unreadable input, or a singular solve.
-Complex scalars are written "re,im" everywhere; momenta and lattice
-dimensions are comma-separated integers.
+tolerance, 2 on usage errors, unreadable input, a singular solve, or an
+allocation that fails.  Complex scalars are written "re,im" everywhere;
+momenta and lattice dimensions are comma-separated integers.
 """
 
 from __future__ import annotations
@@ -377,6 +377,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 2
 
 

@@ -219,10 +219,8 @@ _CHUNK = 1 << 14  # numbers per formatted piece (2^16 grew a save's peak) and pe
 _PIECE = 1 << 12
 _PIPE_READ = 1 << 20
 _JSON_SPACE = b" \t\n\r"
-# The integer token -0, which json and orjson read as a plain int 0, in the
-# decoded text json parses and in the bytes orjson parses
-_NEG_ZERO_INT = re.compile(r"-0(?![0-9.eE])")
-_NEG_ZERO_INT_BYTES = re.compile(_NEG_ZERO_INT.pattern.encode("ascii"))
+# The integer token -0, which orjson reads as a plain int 0
+_NEG_ZERO_INT_BYTES = re.compile(rb"-0(?![0-9.eE])")
 # An integer token of 19 digits or more.  orjson reads one that does not fit
 # 64 bits, so of magnitude at least 2^63, as a float it rounds itself.
 _LONG_INT = re.compile(rb"(?<![0-9.])[0-9]{19,}(?![0-9.eE])")
@@ -431,17 +429,6 @@ def _exact_int(token: str):
         return float(token)
 
 
-def _json_loads(text: str):
-    """json.loads with the default int, about four times faster than
-    _exact_int, which is used only for an integer token too long for int()."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        return json.loads(text, parse_int=_exact_int)
-
-
 def _loads_fast(data: bytes) -> FormField | None:
     """Parse a field in exactly the layout dumps_field writes with orjson;
     None whenever the serial parser has to decide.
@@ -535,7 +522,7 @@ def loads_field(text: str | bytes) -> FormField:
     if field is not None:
         return field
     try:
-        doc = _json_loads(text)
+        doc = json.loads(text, parse_int=_exact_int)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"malformed field file: {exc.msg}", offset=exc.pos) from exc
     except RecursionError:
@@ -562,8 +549,6 @@ def loads_field(text: str | bytes) -> FormField:
     kinds = set(map(type, coeffs_raw))
     if not kinds <= {int, float}:
         raise FieldFormatError('"coeffs" entries must all be numbers')
-    if int in kinds and _NEG_ZERO_INT.search(text):  # json reads -0 as int 0
-        coeffs_raw = json.loads(text, parse_int=_exact_int)["coeffs"]
     try:
         pairs = np.asarray(coeffs_raw, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range

@@ -10,7 +10,8 @@ s(p) = sum_mu g_mumu z_mu^2, and that one scalar decides each block: the
 eigenvalues of i S(p) are -+i sqrt(s(p)), 8 of each, with eigenvectors in
 closed form, and the massive equation with a source is solved by one scalar
 divide per momentum.  On the light cone, s(p) = 0 but S(p) != 0, the block is
-defective: S^2 = 0 with rank 8, so the eigenvalue 0 has only 8 eigenvectors.
+defective: S^2 = 0 with rank 8, so the eigenvalue 0 has only 8 eigenvectors,
+which are 8 columns S e_B of S itself.  No eigensolver is used.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ LIGHT_CONE_TOL = 1e-12
 # A part of a root i sqrt(s(p)) with |part| <= IMAGINARY_ULPS eps |root| is noise: on every
 # n^4 up to 16^4 noise is <= 20.4 eps |root| and a genuine part >= 1.7e-4 |root|.
 IMAGINARY_ULPS = 64
+
+# For each axis nu, the 8 blades without e_nu in blade order.
+_WITHOUT_AXIS = np.array([[b for b in blades.ALL_MASKS if not b >> nu & 1] for nu in blades.AXES])
 
 
 def _symbol_block(z) -> np.ndarray:
@@ -98,27 +102,31 @@ def _eigen_stack(momenta: np.ndarray, dims: LatticeDims) -> list:
     """The eigenpairs of eigen_solve, and the symbols, of an (M, 4) stack of momenta.
 
     Three groups, for the momenta off the light cone (k = 16), on it with
-    S != 0 (k = 8, one batched SVD) and with S = 0 (k = 16), each a tuple
-    (eigenvalues, amplitudes, symbols) of shapes (m, k), (m, k, 16) and
-    (m, 16, 16) in stack order.  A momentum's rows depend on it alone, so
-    they carry the bits eigen_solve gives it.
+    S != 0 (k = 8) and with S = 0 (k = 16), each a tuple (eigenvalues,
+    amplitudes, symbols) of shapes (m, k), (m, k, 16) and (m, 16, 16) in
+    stack order.  The rows of the first two come from one gather of the
+    symbol columns S e_B, 8 blades B per momentum.  A momentum's rows depend
+    on it alone, so they carry the bits eigen_solve gives it.
     """
-    z = _z(np.asarray(momenta).T, dims)
+    z = _z(momenta.T, dims)
     lo, hi = _eigenvalue_pair(_roots(z)[1])
     symbols = _symbol_block(z)
     off = hi != 0
     zero = ~symbols.any(axis=(1, 2))
     cone = ~off & ~zero
     n = blades.NUM_BLADES
-    even = list(blades.EVEN_BLADES)
+    # Blades B: the even ones, or on the light cone those that lack the axis
+    # nu of largest |z_nu|, where p_nu / N_nu is nearest 1/2 (equal rationals
+    # round alike), the lowest on a tie: a -> S a is injective on them.
+    nu = np.argmin(np.abs(2 * momenta - dims.shape) / dims.shape, axis=1)
+    starts = np.where(off[:, None], blades.EVEN_BLADES, _WITHOUT_AXIS[nu])
+    columns = np.swapaxes(np.take_along_axis(symbols, starts[:, None], axis=2), 1, 2)
     pair = np.stack([lo[off], hi[off]], axis=1)
     # lam^2 = -s turns i S (e_B + i S e_B / lam) into lam (e_B + i S e_B / lam)
-    columns = np.eye(n)[:, even] + (1j * symbols[off][:, None, :, even]) / pair[:, :, None, None]
+    rows = np.eye(n)[starts[off]][:, None] + 1j * columns[off][:, None] / pair[:, :, None, None]
     groups = [
-        (np.repeat(pair, 8, axis=1),
-         np.swapaxes(columns, 2, 3).reshape(-1, n, n)),
-        (np.zeros((int(cone.sum()), 8), dtype=np.complex128),
-         np.swapaxes(np.linalg.svd(symbols[cone])[0][:, :, :8], 1, 2)),
+        (np.repeat(pair, 8, axis=1), rows.reshape(-1, n, n)),
+        (np.zeros((int(cone.sum()), 8), dtype=np.complex128), columns[cone]),
         (np.zeros((int(zero.sum()), n), dtype=np.complex128),
          np.broadcast_to(np.eye(n, dtype=np.complex128), (int(zero.sum()), n, n))),
     ]
@@ -143,10 +151,11 @@ def eigen_solve(p, dims: LatticeDims) -> tuple[np.ndarray, np.ndarray]:
     (k, 16): row j of amplitudes is the unit eigenvector of eigenvalues[j]
     (rows, unlike the columns of numpy's eig).  Off the light cone k = 16:
     e_B -+ S e_B / sqrt(s) for the 8 even blades B, in blade order within
-    each eigenvalue.  On it k = 8, all with eigenvalue 0: the leading left
-    singular vectors of S, which span ker S = range S; at S = 0 the 16 unit
-    blades.  Each row yields an exact plane-wave solution of the massive
-    equation with its eigenvalue as the (generally complex) mass.
+    each eigenvalue.  On it k = 8, all with eigenvalue 0: S e_B / |S e_B| for
+    the 8 blades B without e_nu, nu the axis whose p_nu / N_nu is nearest 1/2,
+    which span ker S = range S; at S = 0 the 16 unit blades.  Each row yields
+    an exact plane-wave solution of the massive equation with its eigenvalue
+    as the (generally complex) mass.
 
     This is _eigen_stack on a stack of one momentum, so the momentum sweep
     of verify checks exactly these rows.

@@ -11,9 +11,9 @@ from dklattice import calculus, verify
 from dklattice.algebra import ConstantForm
 from dklattice.calculus import dk_apply, dk_residual
 from dklattice.cli import _join_signed_values, _solve_residual, main
-from dklattice.fields import (EquationParams, load_field, max_abs, random_field,
+from dklattice.fields import (EquationParams, load_field, max_abs, plane_wave, random_field,
                               save_field)
-from dklattice.spectral import propagator_solve
+from dklattice.spectral import build_symbol, propagator_solve
 from dklattice.lattice import LatticeDims
 
 DIMS = LatticeDims(3, 3, 3, 3)
@@ -77,6 +77,30 @@ def test_gen_plane_wave_eigen_on_light_cone(tmp_path, capsys):
                    "--eigen", "7", "-o", str(out)) == 0
     assert "mass=0,0" in capsys.readouterr().out.splitlines()
     assert run_cli("residual", "dk", "-i", str(out), "--mass", "0,0") == 0
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_gen_plane_wave_eigen_on_light_cone_writes_closed_form_row(tmp_path, capsys, k):
+    # p = (0,1,3,0) on 4^4 is on the light cone, and axes 1 and 2 tie nearest
+    # half extent, so row k is S e_B / |S e_B| for the k-th blade B without e1
+    dims = LatticeDims(4, 4, 4, 4)
+    out = tmp_path / "w.json"
+    assert run_cli("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "0,1,3,0",
+                   "--eigen", str(k), "-o", str(out)) == 0
+    assert "mass=0,0" in capsys.readouterr().out.splitlines()
+    column = build_symbol((0, 1, 3, 0), dims)[:, [0, 1, 4, 5, 8, 9, 12, 13][k]]
+    expected = plane_wave(dims, (0, 1, 3, 0), column / np.linalg.norm(column))
+    assert max_abs(load_field(out) - expected) <= 1e-16
+
+
+def test_gen_out_of_memory_exits_2(tmp_path, capsys):
+    # 1000^4 sites of 16 complex128 numbers take 233 TiB, more than the user
+    # address space of a 64-bit host, so the first allocation fails at once
+    out = tmp_path / "x.json"
+    assert run_cli("gen", "random", "--dims", "1000,1000,1000,1000", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,18 +5,20 @@ import csv
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dklattice import calculus
+from dklattice import calculus, spectral
 from dklattice.blades import ALL_MASKS, E0, TABLE
 from dklattice.calculus import d_plus_delta, dk_apply, dk_residual
 from dklattice.fields import (EquationParams, FormField, max_abs, plane_wave,
                               random_field)
 from dklattice.lattice import LatticeDims, site_iter
+from dklattice.verify import check_prop4
 from dklattice.spectral import (IMAGINARY_ULPS, LIGHT_CONE_TOL, SingularBlockError,
                                 _eigen_stack, _eigenvalue_pair, _grid_z, _roots,
                                 _symbol_block, _z as _z_grid,
@@ -176,6 +178,66 @@ def test_eigen_stack_gives_each_momentum_its_own_bits(shape):
         seen[kind] += 1
         assert got[0].tobytes() == values.tobytes() and got[1].tobytes() == amps.tobytes()
         assert got[2].tobytes() == build_symbol(p, dims).tobytes()
+
+
+def _nudge(part, ulps):
+    """part moved ulps steps up wherever it is nonzero; zeros stay exactly 0."""
+    moved = part
+    for _ in range(ulps):
+        moved = np.nextafter(moved, np.inf)
+    return np.where(part != 0, moved, part)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_light_cone_rows_survive_a_last_bit_change_of_z(n, monkeypatch):
+    # the rows S e_B / |S e_B| are continuous in z, so moving every nonzero
+    # z_mu by 1 or 2 ulp moves them by rounding only (an SVD basis of ker S
+    # moved by up to 1.41 here), and no block changes kind or pair order
+    dims = LatticeDims(n, n, n, n)
+    momenta = np.array(list(site_iter(dims)))
+    before = _eigen_stack(momenta, dims)
+    exact_z = spectral._z
+    monkeypatch.setattr(spectral, "_z", lambda p, d: tuple(
+        _nudge(c.real, 1 + mu % 2) + 1j * _nudge(c.imag, 2 - mu % 2)
+        for mu, c in enumerate(exact_z(p, d))))
+    after = _eigen_stack(momenta, dims)
+    assert np.any(after[1][2] != before[1][2])  # the symbols did move
+    assert [len(g[0]) for g in after] == [len(g[0]) for g in before]
+    assert len(before[1][0]) > 0 and np.all(after[1][0] == 0)
+    assert np.max(np.abs(after[1][1] - before[1][1])) <= 1e-15
+    # a swapped pair would move each eigenvalue by 2 |root|
+    assert np.max(np.abs(after[0][0] - before[0][0])) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4, 4), (6, 6, 6, 6), (2, 3, 1, 4)])
+def test_light_cone_rows_are_unit_columns_of_the_symbol(shape):
+    # row k is S e_B / |S e_B| for the k-th blade B without e_nu, nu the axis
+    # whose p_nu / N_nu is nearest 1/2, the lowest on a tie
+    dims = LatticeDims(*shape)
+    seen = 0
+    for p in site_iter(dims):
+        values, amps = eigen_solve(p, dims)
+        if len(values) == 16:
+            continue
+        seen += 1
+        nu = min(range(4), key=lambda mu: Fraction(abs(2 * p[mu] - shape[mu]), shape[mu]))
+        symbol = build_symbol(p, dims)
+        columns = symbol[:, [b for b in ALL_MASKS if not b >> nu & 1]].T
+        expected = columns / np.linalg.norm(columns, axis=1)[:, None]
+        assert np.max(np.abs(amps - expected)) <= 1e-16
+        assert np.max(np.abs(amps @ symbol.T)) <= 1e-15  # S a = 0
+    assert seen > 0
+
+
+def test_eigen_solve_and_prop4_need_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    values, amps = eigen_solve((2, 2, 1, 3), DIMS4)  # on the light cone
+    assert len(values) == 8 and np.all(values == 0)
+    assert np.max(np.abs(amps @ build_symbol((2, 2, 1, 3), DIMS4).T)) <= 1e-15
+    assert check_prop4(DIMS3).passed
 
 
 def test_light_cone_classification_has_a_wide_gap():
