@@ -47,43 +47,67 @@ def site_slabs(coeffs: np.ndarray):
     return [slice(start, min(start + rows, n0)) for start in range(0, n0, rows)]
 
 
-def _stencil(coeffs: np.ndarray, sign: np.ndarray, src: np.ndarray) -> np.ndarray:
+def _stencil(coeffs: np.ndarray, sign: np.ndarray, src: np.ndarray, out=None):
     """Sum over axes mu of sign[mu] * delta_mu(coeffs[..., src[mu]]).
 
-    Accumulates into the output one site slab at a time (site_slabs), with
-    two slab-sized buffers: the gathered blades t and their difference.
-    The difference is one subtraction over the flat slab, shifted by the
-    stride of axis mu, after which the sites on the far edge of the axis
-    are overwritten with their periodic neighbours; along axis 0 that
-    neighbour row lies across the slab edge.  Every element is still
-    out += sign[mu] * (t[k + e_mu] - t[k]), for mu = 0..3 in order, so the
-    result does not depend on the slabs.
+    Works one site slab at a time (site_slabs).  For each axis the blades
+    are gathered into a slab buffer t and turned into their difference in
+    place: one subtraction over the flat slab, shifted by the stride of axis
+    mu, which reads ahead of where it writes (so numpy copies nothing),
+    after which the sites on the far edge of the axis get their periodic
+    neighbours.  Along axis 0 the difference goes straight into the slab's
+    sum, and the neighbour row lies across the slab edge.  Every element is
+    still
+    (((0 + s_0 d_0) + s_1 d_1) + s_2 d_2) + s_3 d_3 with d_mu = t[k + e_mu] - t[k],
+    so the result does not depend on the slabs.
+
+    Without out the slabs fill a new array, which is returned.  With out,
+    each finished slab goes to out(rows, grad, spare) instead and None is
+    returned: grad holds the sum at site rows `rows`, spare is a free buffer
+    of its shape, and both are reused for the next slab.  out may overwrite
+    those rows of the array behind coeffs, since later slabs read only later
+    rows and row 0 is read from a copy.
     """
-    out = np.zeros(coeffs.shape[:-1] + sign.shape[1:], dtype=np.complex128)
     n0 = coeffs.shape[0]
     slabs = site_slabs(coeffs)
-    t_buf = np.empty((slabs[0].stop,) + out.shape[1:], dtype=np.complex128)
-    diff_buf = np.empty_like(t_buf)
+    shape = coeffs.shape[:-1] + sign.shape[1:]
+    t_buf = np.empty((slabs[0].stop,) + shape[1:], dtype=np.complex128)
+    if out is None:
+        result, row0 = np.empty(shape, dtype=np.complex128), coeffs[0]
+    else:
+        result, row0, acc_buf = None, coeffs[0].copy(), np.empty_like(t_buf)
     # complex, as numpy would cast it on every product, but once
     sign = sign.astype(np.complex128)
-    for slab in slabs:
-        n = slab.stop - slab.start
-        t, diff = t_buf[:n], diff_buf[:n]
-        flat_t, flat_diff = t.reshape(-1), diff.reshape(-1)
-        for mu in blades.AXES:
-            np.take(coeffs[slab], src[mu], axis=-1, out=t, mode="clip")
-            step = math.prod(t.shape[mu + 1:])  # flat distance to k + e_mu
-            np.subtract(flat_t[step:], flat_t[:-step], out=flat_diff[:-step])
-            if mu == 0:
-                np.take(coeffs[slab.stop % n0], src[mu], axis=-1, out=diff[-1], mode="clip")
-                np.subtract(diff[-1], t[-1], out=diff[-1])
-            else:
-                edge = (slice(None),) * mu + (slice(-1, None),)
-                first = (slice(None),) * mu + (slice(None, 1),)
-                np.subtract(t[first], t[edge], out=diff[edge])
-            diff *= sign[mu]
-            out[slab] += diff
-    return out
+    with np.errstate():
+        # numpy copies a broadcast operand such as sign[mu] into a buffer of
+        # np.getbufsize() elements, 128 KiB of complex and a slab at 8^4
+        np.setbufsize(1 << 10)
+        for slab in slabs:
+            n = slab.stop - slab.start
+            t = t_buf[:n]
+            acc = result[slab] if out is None else acc_buf[:n]
+            flat_t, flat_acc = t.reshape(-1), acc.reshape(-1)
+            for mu in blades.AXES:
+                np.take(coeffs[slab], src[mu], axis=-1, out=t, mode="clip")
+                step = math.prod(t.shape[mu + 1:])  # flat distance to k + e_mu
+                if mu == 0:
+                    np.subtract(flat_t[step:], flat_t[:-step], out=flat_acc[:-step])
+                    neighbour = coeffs[slab.stop] if slab.stop < n0 else row0
+                    np.take(neighbour, src[mu], axis=-1, out=acc[-1], mode="clip")
+                    acc[-1] -= t[-1]
+                    acc *= sign[mu]
+                    acc += 0  # as 0 + s_0 d_0 would: a -0 becomes +0
+                else:
+                    edge = (slice(None),) * mu + (slice(-1, None),)
+                    first = (slice(None),) * mu + (slice(None, 1),)
+                    wrap = t[first] - t[edge]
+                    np.subtract(flat_t[step:], flat_t[:-step], out=flat_t[:-step])
+                    t[edge] = wrap
+                    t *= sign[mu]
+                    acc += t
+            if out is not None:
+                out(slab, acc, t)
+    return result
 
 
 def d_c(omega: FormField) -> FormField:
@@ -96,9 +120,16 @@ def delta_c(omega: FormField) -> FormField:
     return _adopt(omega.dims, _stencil(omega.coeffs, DELTA_SIGN, blades.GEN_SRC))
 
 
-def d_plus_delta(omega: FormField) -> FormField:
-    """(d_c + delta_c) applied as one signed gather per axis."""
-    return _adopt(omega.dims, _stencil(omega.coeffs, blades.GEN_SIGN, blades.GEN_SRC))
+def d_plus_delta(omega: FormField, out=None) -> FormField | None:
+    """(d_c + delta_c) applied as one signed gather per axis.
+
+    With out, the result is not a new field but goes one site slab at a
+    time to out(rows, grad, spare), which may overwrite those rows of the
+    array behind omega (see _stencil), and None is returned.
+    """
+    if out is None:
+        return _adopt(omega.dims, _stencil(omega.coeffs, blades.GEN_SIGN, blades.GEN_SRC))
+    return _stencil(omega.coeffs, blades.GEN_SIGN, blades.GEN_SRC, out)
 
 
 _E_CONST = tuple(ConstantForm.e(mu) for mu in blades.AXES)
@@ -128,13 +159,17 @@ def dk_apply(omega: FormField) -> FormField:
 
 def dk_residual(omega: FormField, params: EquationParams) -> FormField:
     """i (d_c + delta_c) omega - m omega, written a site slab at a time into
-    one new array, so only (d_c + delta_c) omega is a whole temporary."""
+    one new array, with no whole (d_c + delta_c) omega."""
     if params.equation is not Equation.DIRAC_KAHLER:
         raise ValueError(f"expected Dirac-Kahler equation params, got {params.equation}")
-    grad = d_plus_delta(omega).coeffs
-    out = np.empty_like(grad)
-    for slab in site_slabs(out):
-        np.subtract(grad[slab] * 1j, omega.coeffs[slab] * params.mass, out=out[slab])
+    out = np.empty_like(omega.coeffs)
+
+    def store(rows, grad, spare):
+        grad *= 1j
+        np.multiply(omega.coeffs[rows], params.mass, out=spare)
+        np.subtract(grad, spare, out=out[rows])
+
+    d_plus_delta(omega, out=store)
     return _adopt(omega.dims, out)
 
 

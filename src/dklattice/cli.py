@@ -17,7 +17,7 @@ import numpy as np
 
 from .blades import MASK_BY_NAME, NUM_BLADES, blade_name
 from .calculus import (d_c, d_plus_delta, delta_c, dk_apply, dk_residual,
-                       hestenes_apply, hestenes_residual, site_slabs)
+                       hestenes_apply, hestenes_residual)
 from .fields import (Equation, EquationParams, atomic_write_text,
                      constant_field, dumps_field, load_field, max_abs,
                      plane_wave, random_field, rms, save_field)
@@ -256,14 +256,17 @@ def _cmd_quadruple(args) -> int:
 
 def _solve_residual(solution, mass: complex, source) -> float:
     """max_abs(dk_residual(solution, m) - source), one site slab at a time,
-    so that besides the two fields only (d_c + delta_c) solution is whole."""
-    grad = d_plus_delta(solution).coeffs
+    so that besides the two fields only slab-sized buffers are made."""
     dev = 0.0
-    for slab in site_slabs(grad):
-        residual = grad[slab] * 1j
-        residual -= solution.coeffs[slab] * mass
-        residual -= source.coeffs[slab]
-        dev = max(dev, float(np.max(np.abs(residual))))
+
+    def reduce(rows, grad, spare):
+        nonlocal dev
+        grad *= 1j
+        grad -= np.multiply(solution.coeffs[rows], mass, out=spare)
+        grad -= source.coeffs[rows]
+        dev = max(dev, float(np.max(np.abs(grad, out=spare.real))))
+
+    d_plus_delta(solution, out=reduce)
     return dev
 
 

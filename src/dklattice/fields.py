@@ -13,12 +13,14 @@ The JSON codec parses a field in one process: bytes in exactly the layout
 dumps_field writes are cut into pieces that orjson parses into one float64
 array, and any other text, or any that fails a check there, is decoded and
 goes whole through json, so errors do not depend on the fast path.  A file
-is read as bytes and never decoded whole on the fast path.  A save spells
-each number as %.17g does, byte for byte, from digits found with integer
-arithmetic on whole chunks where 1e-11 < |x| < 2^51 and with % itself
-elsewhere, in ASCII bytes all the way to the file.  Saving a large field
-splits it across two processes: a forked child formats the second half of
-the numbers while this process formats the first and streams it to disk.
+is mapped read-only and never decoded whole on the fast path, which hands
+the map's pages back as it parses them.  A save spells each number as
+%.17g does, byte for byte, from digits found with integer arithmetic on
+whole chunks where 1e-11 < |x| < 2^51 and with % itself elsewhere, in ASCII
+bytes all the way to the file.  Saving a large field splits it across two
+processes: a forked child formats the second half of the numbers into an
+unlinked temporary file while this process formats the first and streams
+it to disk, then copies the child's half in after it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ import errno
 import functools
 import itertools
 import json
+import mmap
 import os
 import re
 import signal
+import struct
 import tempfile
 import threading
 from collections.abc import Iterable, Iterator
@@ -154,7 +158,11 @@ def conjugate(omega: FormField) -> FormField:
 
 
 def max_abs(omega: FormField) -> float:
-    return float(np.max(np.abs(omega.coeffs)))
+    """Largest |coefficient|, over pieces of _CHUNK coefficients, so that no
+    field-sized array of moduli is made."""
+    flat = omega.coeffs.reshape(-1)
+    return max(float(np.max(np.abs(flat[start:start + _CHUNK])))
+               for start in range(0, flat.size, _CHUNK))
 
 
 def rms(omega: FormField) -> float:
@@ -217,7 +225,8 @@ _CHUNK = 1 << 14  # numbers per formatted piece (2^16 grew a save's peak) and pe
 # (its text, the Python floats and their list, and an array of doubles), so
 # this keeps it near 0.25 MB.
 _PIECE = 1 << 12
-_PIPE_READ = 1 << 20
+_RELEASE = 1 << 20  # bytes of a mapped file parsed between releases of its pages
+_SPILL_READ = 1 << 20  # bytes a save copies from the child's file at a time
 _JSON_SPACE = b" \t\n\r"
 # The integer token -0, which orjson reads as a plain int 0
 _NEG_ZERO_INT_BYTES = re.compile(rb"-0(?![0-9.eE])")
@@ -240,41 +249,35 @@ def _two_processes(numbers: int) -> bool:
 
 
 class _Child:
-    """A forked child that runs work() and sends the bytes-like pieces it
-    returns down a pipe, whose read end is ``fd``.
+    """A forked child that runs work() and writes the bytes-like pieces it
+    returns to ``spill``, an unlinked temporary file in ``directory`` that
+    this process opens before the fork.
 
     The child always leaves through os._exit, with status 0 only after it
-    sent every piece, so no atexit hook, buffered output or tracer runs
+    wrote every piece, so no atexit hook, buffered output or tracer runs
     twice.  As a context manager the parent reaps the child on every way
-    out, killing it first unless reap() already ran.
+    out, killing it first unless reap() already ran, and closes the file.
     """
 
-    def __init__(self, work):
-        read_fd, write_fd = os.pipe()
+    def __init__(self, work, directory):
+        self.spill = tempfile.TemporaryFile(dir=directory)
         try:
             self.pid = os.fork()
         except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
+            self.spill.close()
             raise
         if self.pid == 0:
             status = 1
             try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as out:
+                with open(self.spill.fileno(), "wb", closefd=False) as out:
                     out.writelines(work())
                 status = 0
             finally:
                 os._exit(status)
-        os.close(write_fd)
-        self.fd = read_fd
         self.status = None
 
     def reap(self) -> bool:
-        """Close the pipe, wait for the child and tell whether it succeeded."""
-        if self.fd >= 0:
-            os.close(self.fd)  # a child still writing gets EPIPE and exits 1
-            self.fd = -1
+        """Wait for the child and tell whether it succeeded."""
         _, self.status = os.waitpid(self.pid, 0)
         return self.status == 0
 
@@ -282,9 +285,12 @@ class _Child:
         return self
 
     def __exit__(self, *exc_info):
-        if self.status is None:
-            os.kill(self.pid, signal.SIGKILL)
-            self.reap()
+        try:
+            if self.status is None:
+                os.kill(self.pid, signal.SIGKILL)
+                self.reap()
+        finally:
+            self.spill.close()
 
 
 @functools.cache
@@ -376,12 +382,14 @@ def _format(pairs: np.ndarray) -> Iterator[bytes]:
         yield rows.tobytes().translate(None, b"\0")
 
 
-def _field_text(omega: FormField) -> Iterator[bytes]:
+def _field_text(omega: FormField, directory=None) -> Iterator[bytes]:
     """The ASCII text dumps_field returns, in pieces.
 
     For a large field a forked child formats the second half of the numbers
-    while this process formats the first and hands it on piece by piece.
-    The child's text follows as it arrives; if the child failed, OSError.
+    into a temporary file in directory (the default temporary directory
+    when None) while this process formats the first and hands it on piece
+    by piece.  The child's text follows from the file; if the child
+    failed, OSError.
     """
     pairs = omega.coeffs.reshape(-1).view(np.float64)  # (re, im) interleaved
     if not np.all(np.isfinite(pairs)):
@@ -392,15 +400,14 @@ def _field_text(omega: FormField) -> Iterator[bytes]:
         yield from _format(pairs)
     else:
         mid = pairs.size // 2
-        # the child formats its whole half before writing: the pipe holds
-        # 64 KiB, and this process reads it only after its own half
-        with _Child(lambda: list(_format(pairs[mid:]))) as child:
+        with _Child(lambda: _format(pairs[mid:]), directory) as child:
             yield from _format(pairs[:mid])
             yield b", "
-            while piece := os.read(child.fd, _PIPE_READ):
-                yield piece
             if not child.reap():
                 raise OSError(errno.EIO, "field formatter process failed")
+            child.spill.seek(0)
+            while piece := child.spill.read(_SPILL_READ):
+                yield piece
     yield b"]}"
 
 
@@ -429,16 +436,17 @@ def _exact_int(token: str):
         return float(token)
 
 
-def _loads_fast(data: bytes) -> FormField | None:
+def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
     """Parse a field in exactly the layout dumps_field writes with orjson;
     None whenever the serial parser has to decide.
 
     The coeffs list is cut at ", " into pieces of about _PIECE numbers, and
-    orjson parses each piece of bytes straight into one float64 array, so
-    neither the whole text as str nor the whole list as Python floats ever
-    exists.  Any other layout, a malformed or non-numeric entry, a wrong
-    count, a value that is not finite, or an integer token beyond 64 bits
-    returns None.
+    orjson parses each piece of bytes into a list that struct packs straight
+    into one float64 array, so neither the whole text as str nor the whole
+    list as Python floats ever exists.  When data is a map of a file, the
+    pages of each parsed _RELEASE bytes are handed back to the system.  Any
+    other layout, a malformed or non-numeric entry, a wrong count, a value
+    that is not finite, or an integer token beyond 64 bits returns None.
     """
     head = _CANONICAL_HEAD.match(data)
     if head is None:
@@ -457,51 +465,55 @@ def _loads_fast(data: bytes) -> FormField | None:
     close = end - 2  # the "]" that ends coeffs
     if data[close:end] != b"]}":
         return None
-    import array  # here, not at the top, so that verify loads neither
-    import orjson
+    import orjson  # here, not at the top, so that verify does not load it
 
+    release = getattr(data, "madvise", None)
     pairs = np.empty(expected)
-    view = memoryview(data)
-    begin = head.end()
+    begin, released = head.end(), 0
     step = _PIECE * (close - begin) // expected  # bytes of about _PIECE numbers
     filled = 0
     negative_zeros = False  # whether an integer token -0 has been seen
-    while True:
-        cut = data.find(b", ", begin + step, close)
-        piece = b"".join((b"[", view[begin:close if cut < 0 else cut], b"]"))
-        if negative_zeros:
-            # orjson reads the token -0 as int 0 but -0.0 as a negative zero;
-            # in an exponent, -0.0 is a decode error
-            piece = piece.replace(b"-0,", b"-0.0,").replace(b"-0]", b"-0.0]")
-        if b"t" in piece or b"f" in piece:  # true and false, which array("d") takes
-            return None
-        try:
-            numbers = array.array("d", orjson.loads(piece))
-        except (ValueError, TypeError):  # TypeError: a non-number
-            return None
-        if not numbers or filled + len(numbers) > expected:
-            return None
-        chunk = pairs[filled:filled + len(numbers)]
-        chunk[:] = numbers
-        if not chunk.all() and _NEG_ZERO_INT_BYTES.search(piece):
-            if negative_zeros:  # a -0 that no "," follows
+    with memoryview(data) as view:
+        while True:
+            cut = data.find(b", ", begin + step, close)
+            piece = b"".join((b"[", view[begin:close if cut < 0 else cut], b"]"))
+            if negative_zeros:
+                # orjson reads the token -0 as int 0 but -0.0 as a negative zero;
+                # in an exponent, -0.0 is a decode error
+                piece = piece.replace(b"-0,", b"-0.0,").replace(b"-0]", b"-0.0]")
+            if b"t" in piece or b"f" in piece:  # true and false, which struct takes
                 return None
-            negative_zeros = True
-            continue  # parse the piece again
-        if np.abs(chunk).max() >= 2.0 ** 63 and _LONG_INT.search(piece):
-            return None
-        filled += len(numbers)
-        if cut < 0:
-            break
-        begin = cut + 2
+            try:
+                numbers = orjson.loads(piece)
+                if not numbers or filled + len(numbers) > expected:
+                    return None
+                struct.pack_into("%dd" % len(numbers), pairs, 8 * filled, *numbers)
+            except (ValueError, TypeError, struct.error):  # a non-number
+                return None
+            chunk = pairs[filled:filled + len(numbers)]
+            if not chunk.all() and _NEG_ZERO_INT_BYTES.search(piece):
+                if negative_zeros:  # a -0 that no "," follows
+                    return None
+                negative_zeros = True
+                continue  # parse the piece again
+            if np.abs(chunk).max() >= 2.0 ** 63 and _LONG_INT.search(piece):
+                return None
+            filled += len(numbers)
+            if cut < 0:
+                break
+            begin = cut + 2
+            if release is not None and begin - released >= _RELEASE:
+                done = begin - begin % mmap.PAGESIZE
+                release(mmap.MADV_DONTNEED, released, done - released)
+                released = done
     if filled != expected or not np.all(np.isfinite(pairs)):
         return None
     return _adopt(dims, pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,)))
 
 
-def loads_field(text: str | bytes) -> FormField:
-    """Parse the canonical JSON text form, as str or as ASCII bytes; inverse
-    of dumps_field.
+def loads_field(text: str | bytes | mmap.mmap) -> FormField:
+    """Parse the canonical JSON text form, as str or as ASCII bytes (or a
+    read-only map of them); inverse of dumps_field.
 
     Bytes in exactly the layout dumps_field writes are parsed in pieces by
     orjson (_loads_fast); ASCII str is encoded for it.  Everything else, and
@@ -515,7 +527,7 @@ def loads_field(text: str | bytes) -> FormField:
         field = _loads_fast(text)
         if field is None:
             try:
-                text = text.decode("ascii")
+                text = str(text, "ascii")
             except UnicodeDecodeError as exc:
                 raise FieldFormatError("field file must be ASCII text",
                                        offset=exc.start) from exc
@@ -561,19 +573,28 @@ def loads_field(text: str | bytes) -> FormField:
 def save_field(omega: FormField, path) -> None:
     """Write the serialized field and a newline atomically (temp file plus
     rename), streaming the text piece by piece so it is never built whole."""
-    with contextlib.closing(_field_text(omega)) as pieces:
+    directory = os.path.dirname(os.path.abspath(path))
+    with contextlib.closing(_field_text(omega, directory)) as pieces:
         atomic_write_text(path, itertools.chain(pieces, [b"\n"]))
 
 
 def load_field(path) -> FormField:
-    """Read a field file as bytes and parse it with loads_field.
+    """Map a field file read-only and parse it with loads_field.
 
-    A file in the canonical layout is never decoded to str, so a load holds
-    the file's bytes and the field, not a second copy of the text.
+    The canonical fast path hands back the pages of the map as it parses
+    them, so a load holds the field and about a MiB of the file, never the
+    whole file nor a decoded copy of its text.  A file that cannot be mapped
+    (empty, or not a regular file such as /dev/null or a pipe) is read
+    instead.  A file truncated by another process during the load raises
+    SIGBUS through the map, which ends the process.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return loads_field(data)
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return loads_field(fh.read())
+    with data:
+        return loads_field(data)
 
 
 def atomic_write_text(path, text: str | Iterable[str | bytes]) -> None:

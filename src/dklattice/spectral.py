@@ -21,7 +21,7 @@ import csv
 import numpy as np
 
 from . import blades
-from .calculus import d_plus_delta, site_slabs
+from .calculus import d_plus_delta
 from .fields import FormField, _adopt
 from .lattice import LatticeDims
 
@@ -194,10 +194,11 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     SingularBlockError is raised when the nearer one lies within
     1e-12 max(1, |m|) of m.
 
-    Two field-sized arrays are made besides the source: the transforms and
-    the divide run in place in one work array g, and (d_c + delta_c) g is
-    the other.  i (d_c + delta_c) g + m g is then written over g one site
-    slab at a time, and g is returned.
+    One field-sized array is made besides the source: the transforms and
+    the divide run in place in a work array g, and d_plus_delta then writes
+    i (d_c + delta_c) g + m g back over g one site slab at a time, once the
+    stencil has read the slab's rows (it keeps a copy of row 0 for the
+    periodic wrap).  g is returned.
     """
     mass = complex(mass)
     dims = source.dims
@@ -208,11 +209,16 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     work = np.empty_like(source.coeffs)
     np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3), out=work)
     work /= (-s - mass * mass)[..., None]
+    del s, root  # grid-sized, and of no use to the stencil
     np.fft.ifftn(work, axes=(0, 1, 2, 3), out=work)
-    # a read-only view of g, which d_plus_delta reads before g is overwritten
-    grad = d_plus_delta(_adopt(dims, work.view())).coeffs
-    for slab in site_slabs(work):
-        np.add(grad[slab] * 1j, work[slab] * mass, out=work[slab])
+
+    def store(rows, grad, spare):
+        grad *= 1j
+        work[rows] *= mass
+        work[rows] += grad  # m g + i grad, the same sum as i grad + m g
+
+    # a read-only view of g, whose rows d_plus_delta reads before store overwrites them
+    d_plus_delta(_adopt(dims, work.view()), out=store)
     return _adopt(dims, work)
 
 

@@ -15,7 +15,7 @@ from dklattice.calculus import (D_SIGN, DELTA_SIGN, HESTENES_EQUATION_BLADES,
                                 dk_residual, hestenes_apply, hestenes_residual,
                                 hestenes_residual_componentwise,
                                 pack_hestenes_components)
-from dklattice.fields import (Equation, EquationParams, FormField,
+from dklattice.fields import (Equation, EquationParams, FormField, _adopt,
                               even_part, grade_part, max_abs, plane_wave,
                               random_field, zeros)
 from dklattice.lattice import LatticeDims, shift
@@ -204,6 +204,26 @@ def test_slab_stencil_equals_whole_field_formula(shape, rows, monkeypatch):
     lhs = _roll_stencil(even.coeffs, HESTENES_SIGN, HESTENES_SRC)
     expected = np.moveaxis(lhs - (1.0 * params.mass) * rhs, -1, 0)
     assert hestenes_residual_componentwise(even, params).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1, 4), (5, 4, 3, 2), (1, 4, 3, 2)])
+@pytest.mark.parametrize("rows", [1, 2, None])
+def test_d_plus_delta_written_back_in_place(shape, rows, monkeypatch):
+    dims = LatticeDims(*shape)
+    coeffs = random_field(dims, 34).coeffs.copy()
+    coeffs.real[..., ::3] = -0.0
+    expected = _roll_stencil(coeffs, GEN_SIGN, GEN_SRC)
+    if rows is not None:  # else the module's own slab size
+        monkeypatch.setattr(calculus, "SLAB_BYTES", rows * coeffs[0].nbytes)
+    seen = []
+
+    def store(slab, grad, spare):
+        seen.append(slab)
+        coeffs[slab] = grad  # over the rows the stencil has just read
+
+    assert d_plus_delta(_adopt(dims, coeffs.view()), out=store) is None
+    assert seen == calculus.site_slabs(coeffs)
+    assert coeffs.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("slab_bytes", [None, 1])

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,19 @@ def test_solve_residual_equals_whole_field_residual(shape, slab_bytes, monkeypat
     if slab_bytes is not None:  # one site row per slab
         monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
     assert _solve_residual(solution, mass, source) == expected
+
+
+def test_solve_residual_peak_memory_at_8_4():
+    source = random_field(LatticeDims(8, 8, 8, 8), 15)
+    solution = propagator_solve(source, 1.0)
+    _solve_residual(solution, 1.0, source)
+    tracemalloc.start()
+    try:
+        _solve_residual(solution, 1.0, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * source.coeffs.nbytes
 
 
 def test_gen_random_16_4_file_is_unchanged(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import functools
 import hashlib
 import json
+import mmap
 import operator
 import os
 import stat
@@ -411,7 +412,110 @@ def test_load_field_peak_memory_at_8_4(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= os.path.getsize(path) + 1.5 * f.coeffs.nbytes
+    assert peak <= 1.5 * f.coeffs.nbytes
+
+
+_LOAD_HWM = """
+import sys
+from dklattice.fields import load_field
+import orjson  # imported by the first fast-path load
+
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
+
+
+before = hwm()
+field = load_field(sys.argv[1])
+print(hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_load_field_high_water_rises_by_the_field_not_the_file(tmp_path, package_env):
+    f = random_field(LatticeDims(12, 12, 12, 12), 19)
+    path = tmp_path / "f.json"
+    save_field(f, path)
+    assert os.path.getsize(path) > 2 * f.coeffs.nbytes
+    result = subprocess.run([sys.executable, "-c", _LOAD_HWM, str(path)], capture_output=True,
+                            text=True, timeout=120, env=package_env, check=True)
+    assert int(result.stdout) <= f.coeffs.nbytes + 4 * 2**20
+
+
+class _RecordingMap(mmap.mmap):
+    """A map that records the ranges its pages are released over."""
+
+    released: list
+
+    def madvise(self, option, start=0, length=None):
+        self.released.append((option, start, length))
+        return super().madvise(option, start, length)
+
+
+def test_load_field_releases_each_parsed_mib_of_the_map(tmp_path, monkeypatch):
+    f = random_field(LatticeDims(8, 8, 8, 8), 18)
+    path = tmp_path / "f.json"
+    save_field(f, path)
+    monkeypatch.setattr(_RecordingMap, "released", [], raising=False)
+    monkeypatch.setattr(fields.mmap, "mmap", _RecordingMap)
+    assert load_field(path).coeffs.tobytes() == f.coeffs.tobytes()
+    released = _RecordingMap.released
+    assert {option for option, _, _ in released} == {mmap.MADV_DONTNEED}
+    # page-aligned ranges, each about _RELEASE long, from the start of the
+    # file up to the last MiB, each one after the other
+    assert released[0][1] == 0
+    for (_, start, length), (_, following, _) in zip(released, released[1:] + [(0, None, 0)]):
+        assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0
+        assert fields._RELEASE - mmap.PAGESIZE <= length <= fields._RELEASE + 2**16
+        assert following in (None, start + length)
+    end = released[-1][1] + released[-1][2]
+    assert os.path.getsize(path) - fields._RELEASE - 2**16 <= end <= os.path.getsize(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "null", '"x"', "[1]", "1e999"])
+def test_mapped_load_falls_back_and_closes_the_map(token, tmp_path):
+    tokens = dumps_field(random_field(SMALL, 17))[:-2].split(", ")
+    tokens[len(tokens) // 2] = token
+    path = tmp_path / "f.json"
+    path.write_text(", ".join(tokens) + "]}")
+    with pytest.raises(FieldFormatError) as mapped:
+        load_field(path)  # a live view of the map would make its close raise BufferError
+    with pytest.raises(FieldFormatError) as read:
+        loads_field(path.read_bytes())
+    assert str(mapped.value) == str(read.value)
+
+
+@pytest.mark.parametrize("entry", [b"null", b'"x"', b"[2.5]", b"{}"])
+def test_fast_path_returns_none_on_non_numbers(entry):
+    def text(last):
+        return b'{"dims": [1, 1, 1, 1], "coeffs": [' + b", ".join([b"0.5"] * 31 + [last]) + b"]}"
+
+    assert fields._loads_fast(text(b"2.5")).coeffs[0, 0, 0, 0, 15] == 0.5 + 2.5j
+    assert fields._loads_fast(text(entry)) is None
+
+
+@pytest.mark.parametrize("name", ["empty", "devnull", "directory"])
+def test_unmappable_inputs_keep_their_errors(name, tmp_path, capsys):
+    path = {"empty": tmp_path / "empty.json", "devnull": os.devnull,
+            "directory": tmp_path / "adir"}[name]
+    if name == "empty":
+        path.write_bytes(b"")
+    elif name == "directory":
+        path.mkdir()
+    assert main(["apply", "d", "-i", str(path), "-o", str(tmp_path / "o.json")]) == 2
+    expected = (f"[Errno 21] Is a directory: '{path}'" if name == "directory"
+                else "malformed field file: Expecting value (byte offset 0)")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_max_abs_covers_every_piece():
+    f = random_field(LatticeDims(4, 4, 5, 13), 16)
+    assert f.coeffs.size % fields._CHUNK == 256  # one whole piece and a partial one
+    coeffs = f.coeffs.copy()
+    coeffs.reshape(-1)[-3] = 5 - 2j  # in the last piece
+    assert max_abs(FormField(f.dims, coeffs)) == abs(5 - 2j)
+    assert max_abs(f) == float(np.max(np.abs(f.coeffs)))
 
 
 def test_load_missing_file(tmp_path):
@@ -484,6 +588,25 @@ def test_split_dumps_and_save_match_reference(tmp_path, forks):
     assert_reaped(forks)
 
 
+def test_split_save_spills_the_child_half_next_to_the_output(tmp_path, monkeypatch, forks):
+    field = random_field(SPLIT, 23)
+    spills = []
+    real_temporary_file = fields.tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        spills.append(kwargs.get("dir"))
+        return real_temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(fields.tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(os, "pipe", None)  # the child's text no longer goes down a pipe
+    save_field(field, tmp_path / "f.json")
+    assert spills == [str(tmp_path)]
+    assert (tmp_path / "f.json").read_text(encoding="ascii") == reference_dumps(field) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]  # the spill file leaves no name behind
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
 def test_split_fast_range_child_half_matches_reference(tmp_path, forks):
     pairs = random_field(SPLIT, 28).coeffs.reshape(-1).view(np.float64).copy()
     half = pairs[pairs.size // 2:]  # the numbers the child formats
@@ -526,6 +649,7 @@ def _drop_comma(tokens, i):
 
 CORRUPTIONS = {
     "nan": lambda t, i: _replace(t, i, "NaN"),
+    "null": lambda t, i: _replace(t, i, "null"),
     "true": lambda t, i: _replace(t, i, "true"),
     "string": lambda t, i: _replace(t, i, '"x"'),
     "dropped-comma": _drop_comma,

@@ -361,7 +361,7 @@ def test_propagator_peak_memory_at_8_4():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * source.coeffs.nbytes
+    assert peak <= 1.5 * source.coeffs.nbytes
 
 
 def test_eigen_plane_waves_solve_equation():
