@@ -443,8 +443,8 @@ def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
     The coeffs list is cut at ", " into pieces of about _PIECE numbers, and
     orjson parses each piece of bytes into a list that struct packs straight
     into one float64 array, so neither the whole text as str nor the whole
-    list as Python floats ever exists.  When data is a map of a file, the
-    pages of each parsed _RELEASE bytes are handed back to the system.  Any
+    list as Python floats ever exists.  When data is a _FileMap, the pages
+    of each parsed _RELEASE bytes are handed back to the system.  Any
     other layout, a malformed or non-numeric entry, a wrong count, a value
     that is not finite, or an integer token beyond 64 bits returns None.
     """
@@ -467,7 +467,7 @@ def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
         return None
     import orjson  # here, not at the top, so that verify does not load it
 
-    release = getattr(data, "madvise", None)
+    release = isinstance(data, _FileMap) and hasattr(mmap, "MADV_DONTNEED")
     pairs = np.empty(expected)
     begin, released = head.end(), 0
     step = _PIECE * (close - begin) // expected  # bytes of about _PIECE numbers
@@ -502,9 +502,9 @@ def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
             if cut < 0:
                 break
             begin = cut + 2
-            if release is not None and begin - released >= _RELEASE:
+            if release and begin - released >= _RELEASE:
                 done = begin - begin % mmap.PAGESIZE
-                release(mmap.MADV_DONTNEED, released, done - released)
+                data.madvise(mmap.MADV_DONTNEED, released, done - released)
                 released = done
     if filled != expected or not np.all(np.isfinite(pairs)):
         return None
@@ -513,7 +513,7 @@ def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
 
 def loads_field(text: str | bytes | mmap.mmap) -> FormField:
     """Parse the canonical JSON text form, as str or as ASCII bytes (or a
-    read-only map of them); inverse of dumps_field.
+    map of them); inverse of dumps_field.
 
     Bytes in exactly the layout dumps_field writes are parsed in pieces by
     orjson (_loads_fast); ASCII str is encoded for it.  Everything else, and
@@ -578,6 +578,12 @@ def save_field(omega: FormField, path) -> None:
         atomic_write_text(path, itertools.chain(pieces, [b"\n"]))
 
 
+class _FileMap(mmap.mmap):
+    """A read-only map of a file, whose pages the parser may hand back: the
+    file supplies them again if they are read once more.  A private map a
+    caller passes in would lose what it held, so it is never released."""
+
+
 def load_field(path) -> FormField:
     """Map a field file read-only and parse it with loads_field.
 
@@ -590,7 +596,7 @@ def load_field(path) -> FormField:
     """
     with open(path, "rb") as fh:
         try:
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            data = _FileMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError):
             return loads_field(fh.read())
     with data:

@@ -443,7 +443,7 @@ def test_load_field_high_water_rises_by_the_field_not_the_file(tmp_path, package
     assert int(result.stdout) <= f.coeffs.nbytes + 4 * 2**20
 
 
-class _RecordingMap(mmap.mmap):
+class _RecordingMap(fields._FileMap):
     """A map that records the ranges its pages are released over."""
 
     released: list
@@ -458,19 +458,31 @@ def test_load_field_releases_each_parsed_mib_of_the_map(tmp_path, monkeypatch):
     path = tmp_path / "f.json"
     save_field(f, path)
     monkeypatch.setattr(_RecordingMap, "released", [], raising=False)
-    monkeypatch.setattr(fields.mmap, "mmap", _RecordingMap)
+    monkeypatch.setattr(fields, "_FileMap", _RecordingMap)
     assert load_field(path).coeffs.tobytes() == f.coeffs.tobytes()
     released = _RecordingMap.released
     assert {option for option, _, _ in released} == {mmap.MADV_DONTNEED}
-    # page-aligned ranges, each about _RELEASE long, from the start of the
-    # file up to the last MiB, each one after the other
+    # page-aligned ranges one after the other from the start of the file, each
+    # _RELEASE long give or take a page and a piece (about 88 KB here), up to
+    # the last MiB
+    piece = 2**17
     assert released[0][1] == 0
     for (_, start, length), (_, following, _) in zip(released, released[1:] + [(0, None, 0)]):
         assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0
-        assert fields._RELEASE - mmap.PAGESIZE <= length <= fields._RELEASE + 2**16
+        assert fields._RELEASE - mmap.PAGESIZE <= length <= fields._RELEASE + piece
         assert following in (None, start + length)
     end = released[-1][1] + released[-1][2]
-    assert os.path.getsize(path) - fields._RELEASE - 2**16 <= end <= os.path.getsize(path)
+    assert os.path.getsize(path) - fields._RELEASE - piece <= end <= os.path.getsize(path)
+
+
+def test_loads_field_leaves_a_callers_map_intact():
+    text = dumps_field(random_field(LatticeDims(8, 8, 8, 8), 18)).encode("ascii")
+    assert len(text) > 2 * fields._RELEASE
+    # private and anonymous, so pages handed back would read as zeros
+    with mmap.mmap(-1, len(text), flags=mmap.MAP_PRIVATE) as private:
+        private[:] = text
+        assert loads_field(private).coeffs.tobytes() == loads_field(text).coeffs.tobytes()
+        assert private[:] == text
 
 
 @pytest.mark.parametrize("token", ["NaN", "null", '"x"', "[1]", "1e999"])
