@@ -10,6 +10,8 @@ seeded random field and times these rows:
 - copy: np.copy of the coefficient array, the memcpy roofline;
 - d_plus_delta;
 - propagator_solve at mass 1;
+- clifford_mul of the field by a second seeded field;
+- hestenes_quadruple, both of its routes and their comparison;
 - load_field of the field's canonical file, in a temporary directory;
 - dumps_field.
 
@@ -23,8 +25,9 @@ Per row it records:
   field's bytes (tracing slows the call, so that run is not timed).
   tracemalloc sees this process only: dumps_field of a field large enough
   to fork a formatter does not count the child's allocations;
-- the SHA-256 of the result (coefficient bytes or text), so two result
-  files show whether the trees compute the same bytes.
+- the SHA-256 of the result (coefficient bytes or text; for the quadruple
+  its four members in turn), so two result files show whether the trees
+  compute the same bytes.
 
 A context block records the host, Python and numpy versions, as
 bench/codec.py does, and the BLAS thread setting: the thread variables of
@@ -51,11 +54,13 @@ from codec import context  # noqa: E402  (bench/codec.py, next to this script)
 
 import numpy as np  # noqa: E402
 
+from dklattice.algebra import clifford_mul  # noqa: E402
 from dklattice.calculus import d_plus_delta  # noqa: E402
 from dklattice.fields import (dumps_field, load_field, random_field,  # noqa: E402
                               save_field)
 from dklattice.lattice import LatticeDims  # noqa: E402
 from dklattice.spectral import propagator_solve  # noqa: E402
+from dklattice.transfer import hestenes_quadruple  # noqa: E402
 
 SIZES = {"8^4": (8, 8, 8, 8), "16^4": (16, 16, 16, 16)}
 SEED = 1
@@ -71,10 +76,14 @@ def blas_setting() -> dict:
 
 
 def _digest(result) -> str:
-    """SHA-256 of a text, a field's coefficient bytes or an array's bytes."""
+    """SHA-256 of a text, a field's coefficient bytes, an array's bytes or
+    the coefficient bytes of a quadruple's members in turn."""
     if isinstance(result, str):
         return hashlib.sha256(result.encode("ascii")).hexdigest()
-    return hashlib.sha256(getattr(result, "coeffs", result).tobytes()).hexdigest()
+    digest = hashlib.sha256()
+    for part in result.fields() if hasattr(result, "fields") else (result,):
+        digest.update(getattr(part, "coeffs", part).tobytes())
+    return digest.hexdigest()
 
 
 def _row(fn, arg, repeats: int, field_bytes: int) -> dict:
@@ -104,11 +113,15 @@ def _row(fn, arg, repeats: int, field_bytes: int) -> dict:
 
 def measure(shape: tuple, repeats: int) -> dict:
     field = random_field(LatticeDims(*shape), SEED)
+    other = random_field(field.dims, SEED + 1)
     field_bytes = field.coeffs.nbytes
     rows = {"copy": _row(np.copy, field.coeffs, repeats, field_bytes),
             "d_plus_delta": _row(d_plus_delta, field, repeats, field_bytes),
             "propagator_solve": _row(lambda f: propagator_solve(f, MASS), field,
-                                     repeats, field_bytes)}
+                                     repeats, field_bytes),
+            "clifford_mul": _row(lambda f: clifford_mul(f, other), field,
+                                 repeats, field_bytes),
+            "hestenes_quadruple": _row(hestenes_quadruple, field, repeats, field_bytes)}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "field.json"
         save_field(field, path)

@@ -98,6 +98,12 @@ class ConstantForm:
         return constant_field(dims, self.as_vector())
 
 
+# e0, e1 e2 and e0 e1 e2, signs read off the blade table: a product here
+# would wake BLAS at import
+E0 = ConstantForm.e(0)
+E12 = ConstantForm.blade(blades.E12, TABLE.sign[blades.E1, blades.E2])
+E012 = ConstantForm.blade(blades.E012, TABLE.sign[blades.E0, blades.E12])
+
 PROJECTOR_TAGS = ("+0", "-0", "+12", "-12", "++", "+-", "-+", "--")
 
 
@@ -112,10 +118,9 @@ def projector(tag: str) -> ConstantForm:
     """
     s = 1 if tag[:1] == "+" else -1
     if tag in ("+0", "-0"):
-        return (ConstantForm.unit() + ConstantForm.e(0).scaled(s)).scaled(0.5)
+        return (ConstantForm.unit() + E0.scaled(s)).scaled(0.5)
     if tag in ("+12", "-12"):
-        e1e2 = ConstantForm.e(1) * ConstantForm.e(2)
-        return (ConstantForm.unit() + e1e2.scaled(1j * s)).scaled(0.5)
+        return (ConstantForm.unit() + E12.scaled(1j * s)).scaled(0.5)
     if tag in ("++", "+-", "-+", "--"):
         return projector(tag[0] + "0") * projector(tag[1] + "12")
     raise ValueError(f"unknown projector tag {tag!r}, expected one of {PROJECTOR_TAGS}")
@@ -131,7 +136,7 @@ def clifford_mul(a: FormField, b: FormField) -> FormField:
     out = np.zeros_like(a.coeffs)
     for m in blades.ALL_MASKS:
         src = TABLE.result[m]
-        out += a.coeffs[..., m, None] * (b.coeffs[..., src] * TABLE.sign[m, src])
+        out += a.coeffs[..., m, None] * (np.take(b.coeffs, src, axis=-1) * TABLE.sign[m, src])
     return _adopt(a.dims, out)
 
 

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import blades
-from .algebra import ConstantForm, left_mul, right_mul
+from .algebra import E0, E12, ConstantForm, left_mul, right_mul
 from .fields import (Equation, EquationParams, FormField, _adopt, max_abs)
 from .lattice import delta_mu
 
@@ -133,8 +133,6 @@ def d_plus_delta(omega: FormField, out=None) -> FormField | None:
 
 
 _E_CONST = tuple(ConstantForm.e(mu) for mu in blades.AXES)
-# e1 e2, read off the blade table: a product here would wake BLAS at import
-_E12_CONST = ConstantForm.blade(blades.E12, blades.TABLE.sign[blades.E1, blades.E2])
 
 
 def d_plus_delta_via_clifford(omega: FormField) -> FormField:
@@ -173,10 +171,26 @@ def dk_residual(omega: FormField, params: EquationParams) -> FormField:
     return _adopt(omega.dims, out)
 
 
+def solve_residual(solution: FormField, mass: complex, source: FormField) -> float:
+    """max_abs(dk_residual(solution, m) - source), one site slab at a time,
+    so that besides the two fields only slab-sized buffers are made."""
+    dev = 0.0
+
+    def reduce(rows, grad, spare):
+        nonlocal dev
+        grad *= 1j
+        grad -= np.multiply(solution.coeffs[rows], mass, out=spare)
+        grad -= source.coeffs[rows]
+        dev = max(dev, float(np.max(np.abs(grad, out=spare.real))))
+
+    d_plus_delta(solution, out=reduce)
+    return dev
+
+
 def hestenes_apply(omega: FormField) -> FormField:
     """Left side of the lattice Hestenes equation: -(d_c + delta_c) omega e1 e2."""
     grad = d_plus_delta(omega)
-    return -right_mul(grad, _E12_CONST)
+    return -right_mul(grad, E12)
 
 
 def _hestenes_sign(params: EquationParams) -> float:
@@ -190,7 +204,7 @@ def _hestenes_sign(params: EquationParams) -> float:
 def hestenes_residual(omega: FormField, params: EquationParams) -> FormField:
     """-(d_c + delta_c) omega e1 e2 - s m omega e0, with s = -1 when flipped."""
     s = _hestenes_sign(params)
-    rhs = right_mul(omega, _E_CONST[0])
+    rhs = right_mul(omega, E0)
     return hestenes_apply(omega) - (s * params.mass) * rhs
 
 

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .blades import MASK_BY_NAME, NUM_BLADES, blade_name
-from .calculus import (d_c, d_plus_delta, delta_c, dk_apply, dk_residual,
-                       hestenes_apply, hestenes_residual)
+from .calculus import (d_c, delta_c, dk_apply, dk_residual, hestenes_apply,
+                       hestenes_residual, solve_residual)
 from .fields import (Equation, EquationParams, atomic_write_text,
                      constant_field, dumps_field, load_field, max_abs,
                      plane_wave, random_field, rms, save_field)
@@ -254,27 +254,11 @@ def _cmd_quadruple(args) -> int:
     return 0 if ok else 1
 
 
-def _solve_residual(solution, mass: complex, source) -> float:
-    """max_abs(dk_residual(solution, m) - source), one site slab at a time,
-    so that besides the two fields only slab-sized buffers are made."""
-    dev = 0.0
-
-    def reduce(rows, grad, spare):
-        nonlocal dev
-        grad *= 1j
-        grad -= np.multiply(solution.coeffs[rows], mass, out=spare)
-        grad -= source.coeffs[rows]
-        dev = max(dev, float(np.max(np.abs(grad, out=spare.real))))
-
-    d_plus_delta(solution, out=reduce)
-    return dev
-
-
 def _cmd_solve(args) -> int:
     source = load_field(args.input)
     solution = propagator_solve(source, args.mass)
     save_field(solution, args.output)
-    dev = _solve_residual(solution, args.mass, source)
+    dev = solve_residual(solution, args.mass, source)
     scale = max_abs(source)
     rel = rel_error(dev, scale)
     print(f"residual_rel={rel:.9g}")

@@ -166,7 +166,11 @@ def max_abs(omega: FormField) -> float:
 
 
 def rms(omega: FormField) -> float:
-    return float(np.sqrt(np.mean(np.abs(omega.coeffs) ** 2)))
+    """Root mean square |coefficient|, over pieces of _CHUNK as in max_abs."""
+    flat = omega.coeffs.reshape(-1)
+    total = sum(float(np.sum(np.abs(flat[start:start + _CHUNK]) ** 2))
+                for start in range(0, flat.size, _CHUNK))
+    return float(np.sqrt(total / flat.size))
 
 
 def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:

@@ -206,10 +206,12 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     distance, p, eigenvalue = _nearest_eigenvalue(root, mass)
     if distance <= 1e-12 * max(1.0, abs(mass)):
         raise SingularBlockError(momentum=p, eigenvalue=eigenvalue, mass=mass)
+    del root  # grid-sized, and of no use from here on
+    np.subtract(np.negative(s, out=s), mass * mass, out=s)  # -s - m^2, in place of s
     work = np.empty_like(source.coeffs)
     np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3), out=work)
-    work /= (-s - mass * mass)[..., None]
-    del s, root  # grid-sized, and of no use to the stencil
+    work /= s[..., None]
+    del s
     np.fft.ifftn(work, axes=(0, 1, 2, 3), out=work)
 
     def store(rows, grad, spare):

@@ -3,8 +3,9 @@
 Right-multiplying a solution of the massive Dirac-Kahler equation by the
 four compound projectors splits it into parts that solve the Hestenes
 equation (tags "++" and "--") or its sign-flipped variant ("-+" and "+-").
-From one solution a quadruple of real even Hestenes fields is built, in
-two independent ways that must agree to rounding.
+From one solution omega a quadruple of real even Hestenes fields is built
+out of its real companion (Re omega) e0 - (Im omega) e1 e2, in two
+independent ways that must agree to rounding.
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blades
-from .algebra import ConstantForm, projector, right_mul
+from .algebra import E0, E12, E012, projector, right_mul
 from .calculus import dk_residual, hestenes_residual
-from .fields import (Equation, EquationParams, FormField, conjugate,
-                     even_part, max_abs, odd_part)
-
-_E0 = ConstantForm.e(0)
-_E12 = ConstantForm.blade(blades.E12, blades.TABLE.sign[blades.E1, blades.E2])
-_E012 = ConstantForm.blade(blades.E012, blades.TABLE.sign[blades.E0, blades.E12])
+from .fields import (Equation, EquationParams, FormField, _adopt, even_part,
+                     max_abs, odd_part)
 
 # Decomposition order of the compound projector tags.
 DECOMPOSITION_TAGS = ("++", "-+", "+-", "--")
@@ -48,21 +44,24 @@ def decompose(omega: FormField) -> DecompositionResult:
     return DecompositionResult(*(right_mul(omega, projector(tag)) for tag in DECOMPOSITION_TAGS))
 
 
+def _re_im(omega: FormField) -> tuple[FormField, FormField]:
+    return _adopt(omega.dims, omega.coeffs.real), _adopt(omega.dims, omega.coeffs.imag)
+
+
 def omega_pm(omega: FormField, sign: str) -> FormField:
     """The real companion fields of omega.
 
     With overall sign s = +-1 this is
     s/2 (omega + conj) e0 + s i/2 (omega - conj) e1 e2,
-    which is real-valued for any omega; "-" is the negative of "+".
+    that is s ((Re omega) e0 - (Im omega) e1 e2), which is real-valued for
+    any omega; "-" is the negative of "+".
     """
     if sign not in ("+", "-"):
         raise ValueError(f'sign must be "+" or "-", got {sign!r}')
     s = 1.0 if sign == "+" else -1.0
-    re2 = omega + conjugate(omega)
-    im2 = omega - conjugate(omega)
-    term0 = 0.5 * right_mul(re2, _E0)
-    term12 = 0.5j * right_mul(im2, _E12)
-    return s * (term0 + term12)
+    re, im = _re_im(omega)
+    # s * rather than a negation, which would flip the sign of each zero
+    return s * (right_mul(re, E0) - right_mul(im, E12))
 
 
 @dataclass(frozen=True)
@@ -81,37 +80,30 @@ class HestenesQuadruple:
 
 def _quadruple_direct(omega: FormField):
     plus = omega_pm(omega, "+")
-    q1 = even_part(plus)
-    q2 = even_part(right_mul(plus, _E0))
-    q3 = even_part(right_mul(plus, _E12))
-    q4 = even_part(right_mul(plus, _E012))
-    return q1, q2, q3, q4
+    return (even_part(plus),) + tuple(even_part(right_mul(plus, c)) for c in (E0, E12, E012))
 
 
 def _quadruple_closed_form(omega: FormField):
-    ev, od = even_part(omega), odd_part(omega)
-    ev_sum = ev + conjugate(ev)
-    ev_diff = ev - conjugate(ev)
-    od_sum = od + conjugate(od)
-    od_diff = od - conjugate(od)
-    q1 = 0.5 * right_mul(od_sum, _E0) + 0.5j * right_mul(ev_diff, _E12)
-    q2 = 0.5 * ev_sum + 0.5j * right_mul(od_diff, _E012)
-    q3 = 0.5 * right_mul(od_sum, _E012) - 0.5j * ev_diff
-    q4 = 0.5 * right_mul(ev_sum, _E12) - 0.5j * right_mul(od_diff, _E0)
-    return q1, q2, q3, q4
+    """The four members as signed sums of the even and odd parts of Re omega
+    and Im omega, one member at a time."""
+    # Re omega and Im omega go as soon as both are split
+    re_ev, re_od, im_ev, im_od = (part(f) for f in _re_im(omega) for part in (even_part, odd_part))
+    yield right_mul(re_od, E0) - right_mul(im_ev, E12)
+    yield re_ev - right_mul(im_od, E012)
+    yield right_mul(re_od, E012) + im_ev
+    yield right_mul(re_ev, E12) + right_mul(im_od, E0)
 
 
 def hestenes_quadruple(omega: FormField) -> HestenesQuadruple:
     """Build the four even real companion fields of omega.
 
-    Both the direct route (even parts of omega_plus times blades) and the
-    closed-form route are evaluated; the members come from the direct route
+    The members come from the direct route (even parts of omega_plus times
+    blades); the closed-form route is compared with it one member at a time,
     and route_deviation is the largest absolute difference between the two.
     verify.QUADRUPLE_ROUTE_BOUND bounds it relative to max_abs(omega).
     """
     direct = _quadruple_direct(omega)
-    closed = _quadruple_closed_form(omega)
-    deviation = max(max_abs(a - b) for a, b in zip(direct, closed))
+    deviation = max(max_abs(a - b) for a, b in zip(direct, _quadruple_closed_form(omega)))
     return HestenesQuadruple(*direct, route_deviation=deviation)
 
 

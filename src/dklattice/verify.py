@@ -14,11 +14,11 @@ from functools import cache
 import numpy as np
 
 from . import blades
-from .algebra import (PROJECTOR_TAGS, ConstantForm, clifford_mul, is_constant,
-                      projector, right_mul, right_mul_matrix)
+from .algebra import (E0, E12, PROJECTOR_TAGS, ConstantForm, clifford_mul,
+                      is_constant, projector, right_mul, right_mul_matrix)
 from .calculus import (_hestenes_sign, d_c, d_plus_delta, d_plus_delta_via_clifford,
-                       delta_c, dk_apply, dk_residual, hestenes_residual,
-                       hestenes_residual_componentwise, pack_hestenes_components)
+                       delta_c, dk_apply, hestenes_residual, hestenes_residual_componentwise,
+                       pack_hestenes_components, solve_residual)
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
 from .lattice import LatticeDims, shift, site_iter
@@ -197,8 +197,7 @@ def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
 def check_prop2() -> Verification:
     """Projector idempotence, commutation, and absorption, exactly."""
     ver = Verification()
-    e0 = ConstantForm.e(0)
-    e1e2 = ConstantForm.e(1) * ConstantForm.e(2)
+    e1e2 = ConstantForm.e(1) * ConstantForm.e(2)  # the product, so E12 is not taken on trust
 
     def dev(lhs: ConstantForm, rhs: ConstantForm) -> float:
         return float(np.max(np.abs(lhs.as_vector() - rhs.as_vector())))
@@ -208,12 +207,12 @@ def check_prop2() -> Verification:
 
     # The "0" and "12" factors commute with each other, and each with its e0 or e1 e2.
     pairs = [(projector(s0 + "0"), projector(s12 + "12")) for s0 in "+-" for s12 in "+-"]
-    pairs += [(projector("+0"), e0), (projector("-0"), e0),
+    pairs += [(projector("+0"), E0), (projector("-0"), E0),
               (projector("+12"), e1e2), (projector("-12"), e1e2)]
     ver.add("prop2_commutation_dev", max(dev(p * q, q * p) for p, q in pairs), 1e-15)
 
     # P e0 (+-1) = P for P = (x +- e0)/2, and P e1 e2 (+-i) = P for P = (x +- i e1 e2)/2.
-    absorbing = ((projector("+0"), e0, 1), (projector("-0"), e0, -1),
+    absorbing = ((projector("+0"), E0, 1), (projector("-0"), E0, -1),
                  (projector("+12"), e1e2, 1j), (projector("-12"), e1e2, -1j))
     absorb = max(dev(p, (p * c).scaled(factor)) for p, c, factor in absorbing)
     ver.add("prop2_absorption_dev", absorb, 1e-15)
@@ -277,8 +276,7 @@ def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
     parts = {tag: right_mul_matrix(projector(tag)) for tag in DECOMPOSITION_TAGS}
     signs = {tag: _hestenes_sign(EquationParams(0.0, _PART_EQUATIONS[tag]))
              for tag in DECOMPOSITION_TAGS}
-    e0 = right_mul_matrix(ConstantForm.e(0))
-    e12 = right_mul_matrix(ConstantForm.e(1) * ConstantForm.e(2))
+    e0, e12 = right_mul_matrix(E0), right_mul_matrix(E12)
     momenta = solutions = 0
     eigen = rel_dk = 0.0
     worst = {Equation.HESTENES: 0.0, Equation.HESTENES_FLIPPED: 0.0}
@@ -391,7 +389,6 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
     ver = Verification()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    e0 = ConstantForm.e(0)
     for t in range(trials):
         omega = even_part(random_field(dims, seed + t))
         mass = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -399,7 +396,7 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
             params = EquationParams(mass, equation)
             packed = pack_hestenes_components(
                 hestenes_residual_componentwise(omega, params), dims)
-            reference = right_mul(hestenes_residual(omega, params), e0)
+            reference = right_mul(hestenes_residual(omega, params), E0)
             dev = max_abs(packed - reference)
             scale = max_abs(omega) * max(1.0, abs(mass))
             worst = max(worst, rel_error(dev, scale))
@@ -494,11 +491,10 @@ def check_propagator(dims: LatticeDims, sources: int = 10, seed: int = 0,
     else:
         sources = 0
     worst = 0.0 if sources else float("inf")
-    params = EquationParams(mass)
     for t in range(sources):
         source = random_field(dims, seed + t)
         solution = propagator_solve(source, mass)
-        dev = max_abs(dk_residual(solution, params) - source)
+        dev = solve_residual(solution, mass, source)
         worst = max(worst, rel_error(dev, max_abs(source)))
     ver.add("propagator_max_rel_residual", worst, 1e-11)
     ver.note("propagator_sources", sources)

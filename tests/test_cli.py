@@ -10,8 +10,8 @@ import pytest
 
 from dklattice import calculus, verify
 from dklattice.algebra import ConstantForm
-from dklattice.calculus import dk_apply, dk_residual
-from dklattice.cli import _join_signed_values, _solve_residual, main
+from dklattice.calculus import dk_apply, dk_residual, solve_residual
+from dklattice.cli import _join_signed_values, main
 from dklattice.fields import (EquationParams, load_field, max_abs, plane_wave, random_field,
                               save_field)
 from dklattice.spectral import build_symbol, propagator_solve
@@ -325,16 +325,16 @@ def test_solve_residual_equals_whole_field_residual(shape, slab_bytes, monkeypat
     expected = max_abs(dk_residual(solution, EquationParams(mass)) - source)
     if slab_bytes is not None:  # one site row per slab
         monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
-    assert _solve_residual(solution, mass, source) == expected
+    assert solve_residual(solution, mass, source) == expected
 
 
 def test_solve_residual_peak_memory_at_8_4():
     source = random_field(LatticeDims(8, 8, 8, 8), 15)
     solution = propagator_solve(source, 1.0)
-    _solve_residual(solution, 1.0, source)
+    solve_residual(solution, 1.0, source)
     tracemalloc.start()
     try:
-        _solve_residual(solution, 1.0, source)
+        solve_residual(solution, 1.0, source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

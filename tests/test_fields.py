@@ -530,6 +530,24 @@ def test_max_abs_covers_every_piece():
     assert max_abs(f) == float(np.max(np.abs(f.coeffs)))
 
 
+def _whole_rms(f: FormField) -> float:
+    return float(np.sqrt(np.mean(np.abs(f.coeffs) ** 2)))
+
+
+def test_rms_covers_every_piece():
+    # the squares are summed piece by piece, so only the summation order
+    # differs from the whole-array mean: a few ulps at most
+    f = random_field(LatticeDims(4, 4, 5, 13), 17)
+    assert f.coeffs.size % fields._CHUNK == 256  # one whole piece and a partial one
+    assert rms(f) == pytest.approx(_whole_rms(f), rel=16 * np.finfo(float).eps, abs=0)
+    coeffs = f.coeffs.copy()
+    coeffs.reshape(-1)[-3] = 1e3  # in the last piece
+    spiked = FormField(f.dims, coeffs)
+    assert rms(spiked) == pytest.approx(_whole_rms(spiked), rel=16 * np.finfo(float).eps, abs=0)
+    small = random_field(LatticeDims(3, 3, 3, 3), 18)  # a single piece: the same sum
+    assert rms(small) == _whole_rms(small)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_field(tmp_path / "nope.json")

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from dklattice import calculus, transfer
+from dklattice import algebra
 from dklattice.algebra import ConstantForm, projector, right_mul
 from dklattice.blades import ODD_BLADES
 from dklattice.calculus import d_plus_delta, hestenes_residual
-from dklattice.fields import (Equation, EquationParams, FormField,
+from dklattice.fields import (Equation, EquationParams, FormField, conjugate,
                               constant_field, even_part, max_abs, plane_wave,
                               random_field, zeros)
 from dklattice.lattice import LatticeDims
@@ -15,6 +15,7 @@ from dklattice.spectral import eigen_solve
 from dklattice.transfer import (DECOMPOSITION_TAGS, decompose,
                                 hestenes_quadruple, omega_pm, verify_prop4,
                                 verify_quadruple_independence)
+from dklattice.verify import _integer_field
 
 DIMS = LatticeDims(3, 3, 3, 3)
 DIMS4 = LatticeDims(4, 4, 4, 4)
@@ -186,6 +187,45 @@ def test_independence_detects_collapse():
 def test_import_time_blade_constants_equal_their_products():
     # built from blades.TABLE at import, bit-equal to the Clifford products
     e0, e1, e2 = (ConstantForm.e(mu) for mu in (0, 1, 2))
-    for constant, product in ((calculus._E12_CONST, e1 * e2), (transfer._E12, e1 * e2),
-                              (transfer._E012, e0 * (e1 * e2)), (transfer._E0, e0)):
+    for constant, product in ((algebra.E12, e1 * e2), (algebra.E012, e0 * (e1 * e2)),
+                              (algebra.E0, e0)):
         assert constant.vector.tobytes() == product.vector.tobytes()
+
+
+def _omega_pm_definition(omega: FormField, sign: str) -> FormField:
+    """The oracle: s/2 (omega + conj omega) e0 + s i/2 (omega - conj omega) e1 e2,
+    with e1 e2 as the product of the generators."""
+    s = 1.0 if sign == "+" else -1.0
+    e0, e1e2 = ConstantForm.e(0), ConstantForm.e(1) * ConstantForm.e(2)
+    term0 = 0.5 * right_mul(omega + conjugate(omega), e0)
+    term12 = 0.5j * right_mul(omega - conjugate(omega), e1e2)
+    return s * (term0 + term12)
+
+
+def _definition_inputs():
+    dims = LatticeDims(6, 5, 4, 3)
+    amplitude = np.arange(16) * (0.25 - 0.5j) - 1.5
+    yield "random", random_field(dims, 2)
+    yield "gaussian-integer", _integer_field(DIMS4, 3)
+    yield "plane-wave", plane_wave(dims, (1, 2, 0, 1), amplitude)
+    eigen = eigen_solve((0, 2, 0, 0), DIMS4)[1][15]  # real mass 2
+    yield "eigen-plane-wave", plane_wave(DIMS4, (0, 2, 0, 0), eigen)
+    yield "constant", constant_field(DIMS, amplitude)
+    yield "negative-zero", constant_field(DIMS, np.full(16, complex(-0.0, -0.0)))
+
+
+@pytest.mark.parametrize("name, omega", list(_definition_inputs()))
+def test_companion_and_quadruple_bit_equal_to_definition(name, omega):
+    # zero signs included: the files the quadruple writes keep their bytes
+    plus = _omega_pm_definition(omega, "+")
+    for sign in "+-":
+        assert omega_pm(omega, sign).coeffs.tobytes() == \
+            _omega_pm_definition(omega, sign).coeffs.tobytes(), sign
+    e0, e1e2 = ConstantForm.e(0), ConstantForm.e(1) * ConstantForm.e(2)
+    members = (even_part(plus),) + tuple(even_part(right_mul(plus, c))
+                                         for c in (e0, e1e2, e0 * e1e2))
+    quad = hestenes_quadruple(omega)
+    for i, (member, expected) in enumerate(zip(quad.fields(), members), start=1):
+        assert member.coeffs.tobytes() == expected.coeffs.tobytes(), f"q{i}"
+    if name == "gaussian-integer":
+        assert quad.route_deviation == 0.0
