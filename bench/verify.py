@@ -16,9 +16,10 @@ once for "all", and records per row:
 One untimed `verify all` at 2^4 runs first, so imports, the cached
 projectors and numpy's lazy set-up are not in the first timed call.  The
 timed calls run back to back in one process, so this does not show what a
-fresh `dklattice verify` process pays once, such as waking the BLAS
-threads; perfbench/ measures that end to end.  A context block records the
-host, Python and numpy versions.  Only the stdlib and numpy are used.
+fresh `dklattice verify` process pays once, such as its imports and
+numpy's first-call set-up; perfbench/ measures that end to end.  The
+context block is bench/kernels.py's: host, Python, numpy and BLAS setting.
+Only the stdlib and numpy are used.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from codec import context  # noqa: E402  (bench/codec.py, next to this script)
+from kernels import context  # noqa: E402  (bench/kernels.py, next to this script)
 
 from dklattice.cli import _parse_dims  # noqa: E402
 from dklattice.lattice import LatticeDims  # noqa: E402

@@ -1,0 +1,50 @@
+"""The bench/ scripts still run on this tree.
+
+They import private names of src/, such as fields._format, so a rename
+there breaks them without any other test failing.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+KERNEL_ROWS = {"copy", "d_plus_delta", "propagator_solve", "clifford_mul",
+               "hestenes_quadruple", "right_mul", "fftn", "dumps_field", "loads_field",
+               "format", "save_field", "load_field"}
+SMALL = (2, 2, 2, 2)
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """Import a bench/ script by module name, as the scripts import each other."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def test_kernel_rows_at_2_4(bench):
+    kernels = bench("kernels")
+    rows = kernels.measure(SMALL, 1)["rows"]
+    assert set(rows) == KERNEL_ROWS
+    for name, row in rows.items():
+        assert {"median_s", "gb_per_s", "copy_frac", "peak_x", "sha256"} <= set(row), name
+    json.dumps(kernels.context())
+
+
+def test_kernel_rows_exit_on_a_changed_round_trip(bench, monkeypatch):
+    kernels = bench("kernels")
+    monkeypatch.setattr(kernels, "load_field", lambda path: kernels.random_field(
+        kernels.LatticeDims(*SMALL), kernels.SEED + 2))
+    with pytest.raises(SystemExit, match="load_field round trip differs"):
+        kernels.measure(SMALL, 1)
+
+
+def test_verify_rows_at_2_4(bench, tmp_path):
+    out = tmp_path / "verify.json"
+    assert bench("verify").main([str(out), "--repeats", "1", "--dims", "2,2,2,2",
+                                 "--trials", "1"]) == 0
+    rows = json.loads(out.read_text(encoding="ascii"))["results"]["trials_1"]
+    assert "all" in rows
+    assert all(row["passed"] for row in rows.values())

@@ -1,14 +1,17 @@
 import cmath
+import errno
 import functools
 import hashlib
 import json
 import mmap
 import operator
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -40,6 +43,10 @@ def test_zeros_and_constant():
     amp = np.arange(16, dtype=np.complex128)
     c = constant_field(DIMS, amp)
     assert np.array_equal(c.coeffs[1, 2, 0, 1], amp)
+    # a scalar or a (1,) amplitude would broadcast over the blades
+    for bad in (1.0, np.ones(1), np.ones(15), np.ones((16, 1))):
+        with pytest.raises(ValueError, match="amplitude must have shape"):
+            constant_field(DIMS, bad)
 
 
 def test_formfield_validates_shape():
@@ -67,6 +74,12 @@ def test_arithmetic_dunders():
     m = (2 - 1j) * a
     assert np.array_equal(m.coeffs, (2 - 1j) * a.coeffs)
     assert np.array_equal((a * (2 - 1j)).coeffs, m.coeffs)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_sum_and_difference_reject_other_dims(op):
+    with pytest.raises(ValueError, match="lattice dimension mismatch"):
+        op(zeros(DIMS), zeros(SMALL))
 
 
 def test_grade_partition():
@@ -313,6 +326,8 @@ def test_loads_rejects_malformed_json():
     '{"dims": [2, 2, 2], "coeffs": []}',
     '{"dims": [2, 2, 2, 2.5], "coeffs": []}',
     '{"dims": [0, 2, 2, 2], "coeffs": []}',
+    # a canonical head whose volume LatticeDims refuses: the fast path hands it on
+    '{"dims": [999999999, 999999999, 999999999, 999999999], "coeffs": [0]}',
     '{"dims": [2, 2, 2, 2], "coeffs": [1.0]}',
     '{"dims": [2, 2, 2, 2], "coeffs": "lots"}',
 ])
@@ -575,6 +590,20 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def spills(monkeypatch):
+    """The spill files the codec opens, in order."""
+    files = []
+    real_temporary_file = fields.tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        files.append(real_temporary_file(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(fields.tempfile, "TemporaryFile", temporary_file)
+    return files
+
+
 def serial_loads(monkeypatch, text):
     with monkeypatch.context() as m:
         m.setattr(fields, "_loads_fast", lambda text: None)
@@ -741,6 +770,51 @@ def test_failing_child_leaves_no_temp_file_or_zombie(tmp_path, monkeypatch, fork
     assert loads_field(text).coeffs.tobytes() == field.coeffs.tobytes()
     assert len(forks) == 2
     assert_reaped(forks)
+
+
+def test_closing_a_split_save_early_kills_and_reaps_the_child(monkeypatch, forks, spills):
+    parent = os.getpid()
+    real_format = fields._format
+
+    def stalls_in_child(pairs):
+        if os.getpid() != parent:
+            time.sleep(30)  # still formatting when the parent lets go
+        return real_format(pairs)
+
+    statuses = []
+    real_waitpid = os.waitpid
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(fields, "SPLIT_MIN_NUMBERS", 32)
+    monkeypatch.setattr(fields, "_format", stalls_in_child)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    pieces = fields._field_text(random_field(SMALL, 29))
+    assert next(pieces).startswith(b'{"dims": [2, 2, 2, 2]')
+    next(pieces)  # the parent's first piece: the child is running
+    pieces.close()
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
+    assert len(spills) == 1 and spills[0].closed
+
+
+def test_failed_fork_closes_the_spill_file_and_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                                     spills):
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fields, "SPLIT_MIN_NUMBERS", 32)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError) as info:
+        save_field(random_field(SMALL, 30), tmp_path / "f.json")
+    assert info.value.errno == errno.EAGAIN
+    assert list(tmp_path.iterdir()) == []
+    assert len(spills) == 1 and spills[0].closed
 
 
 def test_small_fields_never_fork(tmp_path, monkeypatch):

@@ -55,6 +55,15 @@ def test_verification_extend():
     assert a.passed
 
 
+def test_rel_error_over_a_zero_scale():
+    assert verify.rel_error(0.0, 0.0) == 0.0
+    assert verify.rel_error(1e-300, 0.0) == float("inf")
+    ver = Verification()
+    ver.add("x", verify.rel_error(1e-300, 0.0), 1e-12)
+    assert not ver.passed
+    assert ver.lines()[0] == "x=inf"
+
+
 def test_check_clifford_is_clean():
     ver = check_clifford()
     assert ver.passed
