@@ -26,9 +26,10 @@ Per row it records:
   that rate over the copy row's, so 1 means as fast as a copy;
 - peak_x: the tracemalloc peak of one extra call, as a multiple of the
   field's bytes (tracing slows the call, so that run is not timed).
-  tracemalloc sees this process only: a dumps_field or save_field of a
-  field large enough to fork a formatter does not count the child's
-  allocations;
+  tracemalloc sees this process only: for a field large enough to be
+  split across a forked child, a save does not count the formatting
+  child's allocations, nor a load (loads_field, load_field) the parsing
+  child's;
 - the SHA-256 of the result (coefficient bytes, text, or the saved file;
   for the quadruple its four members in turn), so two result files show
   whether the trees compute the same bytes;

@@ -16,7 +16,8 @@ os.wait4 on that child alone.  The script imports only the standard
 library, so it stays small: a child started by vfork and exec inherits its
 parent's high-water RSS in ru_maxrss, and a large parent would set the
 floor of every reading.  ru_maxrss of a process that forked also covers
-the children it reaped, so a save's formatter process is counted.
+the children it reaped, so the load's parsing child and the save's
+formatting child are counted.
 
 It writes OUT_PREFIX_before.json and OUT_PREFIX_after.json, each with
 every run (peak MiB, wall s, SHA-256 of the solution file and of stdout),

@@ -9,18 +9,18 @@ The public FormField constructor copies the array it is given.  Kernels
 wrap the arrays they have just computed with _adopt instead, which marks
 the array read-only and keeps it, so a result is never copied.
 
-The JSON codec parses a field in one process: bytes in exactly the layout
-dumps_field writes are cut into pieces that orjson parses into one float64
-array, and any other text, or any that fails a check there, is decoded and
-goes whole through json, so errors do not depend on the fast path.  A file
-is mapped read-only and never decoded whole on the fast path, which hands
-the map's pages back as it parses them.  A save spells each number as
-%.17g does, byte for byte, from digits found with integer arithmetic on
-whole chunks where 1e-11 < |x| < 2^51 and with % itself elsewhere, in ASCII
-bytes all the way to the file.  Saving a large field splits it across two
-processes: a forked child formats the second half of the numbers into an
-unlinked temporary file while this process formats the first and streams
-it to disk, then copies the child's half in after it.
+The JSON codec parses bytes in exactly the layout dumps_field writes by
+cutting them into pieces that orjson parses into one float64 array; any
+other text, or any that fails a check there, is decoded and goes whole
+through json, so errors do not depend on the fast path.  A file is mapped
+read-only and never decoded whole on the fast path, which hands the map's
+pages back as it parses them.  A save spells each number as %.17g does,
+byte for byte, from digits found with integer arithmetic on whole chunks
+where 1e-11 < |x| < 2^51 and with % itself elsewhere, in ASCII bytes all
+the way to the file.  A large field is split across two processes both
+ways: a forked child formats or parses the second half of the numbers into
+an unlinked temporary file while this process does the first, then takes
+the child's half from it; a load without that file or child runs alone.
 """
 
 from __future__ import annotations
@@ -222,13 +222,14 @@ class FieldFormatError(ValueError):
 
 
 # A field with at least this many numbers (re and im counted apart), about
-# 5.6 MB of text, is formatted by two processes.
+# 5.6 MB of text, is formatted and parsed by two processes.
 SPLIT_MIN_NUMBERS = 1 << 18
 _CHUNK = 1 << 14  # numbers per formatted piece (2^16 grew a save's peak) and per draw
 # Numbers per orjson piece.  A piece briefly takes about 62 bytes a number
-# (its text, the Python floats and their list, and an array of doubles), so
-# this keeps it near 0.25 MB.
-_PIECE = 1 << 12
+# (its text, the Python floats and their list, and an array of doubles), and
+# the heap and arena pages it touched stay resident after the load: 2^12
+# left 0.43 MiB behind, 2^10 leaves 0.12 MiB for about 18% more parse CPU.
+_PIECE = 1 << 10
 _RELEASE = 1 << 20  # bytes of a mapped file parsed between releases of its pages
 _SPILL_READ = 1 << 20  # bytes a save copies from the child's file at a time
 _JSON_SPACE = b" \t\n\r"
@@ -243,7 +244,7 @@ _CANONICAL_HEAD = re.compile(
 
 
 def _two_processes(numbers: int) -> bool:
-    """Whether a save splits this many numbers across a forked child.
+    """Whether a save or a load splits this many numbers across a forked child.
 
     Only a process running one Python thread forks, so the child never
     inherits a lock that another thread held.
@@ -356,34 +357,42 @@ def _decimal(a: np.ndarray) -> tuple:
 
 
 def _format(pairs: np.ndarray) -> Iterator[bytes]:
-    """The ", "-separated %.17g text of pairs as ASCII, in pieces of _CHUNK numbers:
-    a 48-byte row a number, from _decimal's digits where it applies, 0 or -0 for
-    a zero and % for the rest, with the NULs deleted."""
-    groups, trailing, layouts = _format_tables()[2:]
+    """The ", "-separated %.17g text of pairs as ASCII, in pieces of _CHUNK numbers."""
     for start in range(0, pairs.size, _CHUNK):
-        values = pairs[start:start + _CHUNK]
-        size = np.abs(values)
-        fast = (size > 1e-11) & (size < 2.0 ** 51)
-        zero = values == 0
-        digits, x = _decimal(np.where(fast, size, 1.0))
-        rest = np.where(zero, 0, digits.astype(np.int64))
-        words = np.zeros((values.size, 6), np.uint64)
-        zeros = np.zeros(values.size, np.int64)  # trailing zeros of the digits
-        below = np.ones(values.size, bool)  # whether every lower group is 0000
-        for column in (4, 3, 2, 1, 0):
-            rest, group = rest // 10 ** 4, rest % 10 ** 4
-            words[:, column] = groups[group]
-            zeros += below * trailing[group]
-            below &= group == 0
-        words ^= layouts[((x + 11) * 18 + 17 - np.minimum(zeros, 17)) * 2 + np.signbit(values)]
-        rows = words.view(np.uint8)
-        slow = np.flatnonzero(~fast & ~zero)
-        if slow.size:
-            text = [b"%.17g" % v for v in values[slow].tolist()]
-            rows[slow, :44] = np.array(text, "S44").view(np.uint8).reshape(-1, 44)
-        if start + values.size == pairs.size:
-            rows[-1, 44:] = 0  # no separator after the last number
-        yield rows.tobytes().translate(None, b"\0")
+        yield _format_piece(pairs[start:start + _CHUNK], start + _CHUNK >= pairs.size)
+
+
+def _format_piece(values: np.ndarray, last: bool) -> bytes:
+    """A 48-byte row a number, from _decimal's digits where it applies, 0 or -0
+    for a zero and % for the rest, NULs deleted, ", " after each but the text's
+    last number.  Its arrays die on return, so none outlives the piece."""
+    groups, trailing, layouts = _format_tables()[2:]
+    size = np.abs(values)
+    fast = (size > 1e-11) & (size < 2.0 ** 51)
+    zero = values == 0
+    digits, x = _decimal(np.where(fast, size, 1.0))
+    rest = np.where(zero, 0, digits.astype(np.int64))
+    words = np.zeros((values.size, 6), np.uint64)
+    for column in (4, 3, 2, 1, 0):
+        rest, group = np.divmod(rest, 10 ** 4)
+        words[:, column] = np.take(groups, group)
+        if column == 4:
+            zeros, below = np.take(trailing, group), np.flatnonzero(group == 0)
+            upper = rest[below]
+    for _ in range(4):  # on up through the rows whose lower groups all read 0000
+        upper, group = np.divmod(upper, 10 ** 4)
+        zeros[below] += np.take(trailing, group)
+        below, upper = below[group == 0], upper[group == 0]
+    words ^= np.take(layouts, ((x + 11) * 18 + 17 - np.minimum(zeros, 17)) * 2
+                     + np.signbit(values), axis=0)
+    rows = words.view(np.uint8)
+    slow = np.flatnonzero(~fast & ~zero)
+    if slow.size:
+        text = [b"%.17g" % v for v in values[slow].tolist()]
+        rows[slow, :44] = np.array(text, "S44").view(np.uint8).reshape(-1, 44)
+    if last:
+        rows[-1, 44:] = 0  # no separator after the last number
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _field_text(omega: FormField, directory=None) -> Iterator[bytes]:
@@ -444,13 +453,15 @@ def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
     """Parse a field in exactly the layout dumps_field writes with orjson;
     None whenever the serial parser has to decide.
 
-    The coeffs list is cut at ", " into pieces of about _PIECE numbers, and
-    orjson parses each piece of bytes into a list that struct packs straight
-    into one float64 array, so neither the whole text as str nor the whole
-    list as Python floats ever exists.  When data is a _FileMap, the pages
-    of each parsed _RELEASE bytes are handed back to the system.  Any
-    other layout, a malformed or non-numeric entry, a wrong count, a value
-    that is not finite, or an integer token beyond 64 bits returns None.
+    _parse fills one float64 array, so neither the whole text as str nor the
+    whole list as Python floats ever exists.  When _two_processes allows,
+    coeffs is cut at the first ", " after its middle byte: a forked child
+    parses the second half into its spill file as packed doubles while this
+    process parses the first half, reaps the child and reads the spill into
+    the rest; without a spill file or a child, this process parses it all.
+    Another layout, a malformed or non-numeric entry, a wrong count in the
+    whole or a half, a value that is not finite, an integer token beyond 64
+    bits, or a failed child returns None.
     """
     head = _CANONICAL_HEAD.match(data)
     if head is None:
@@ -469,50 +480,80 @@ def _loads_fast(data: bytes | mmap.mmap) -> FormField | None:
     close = end - 2  # the "]" that ends coeffs
     if data[close:end] != b"]}":
         return None
-    import orjson  # here, not at the top, so that verify does not load it
-
-    release = isinstance(data, _FileMap) and hasattr(mmap, "MADV_DONTNEED")
     pairs = np.empty(expected)
-    begin, released = head.end(), 0
-    step = _PIECE * (close - begin) // expected  # bytes of about _PIECE numbers
-    filled = 0
-    negative_zeros = False  # whether an integer token -0 has been seen
-    with memoryview(data) as view:
-        while True:
-            cut = data.find(b", ", begin + step, close)
-            piece = b"".join((b"[", view[begin:close if cut < 0 else cut], b"]"))
-            if negative_zeros:
-                # orjson reads the token -0 as int 0 but -0.0 as a negative zero;
-                # in an exponent, -0.0 is a decode error
-                piece = piece.replace(b"-0,", b"-0.0,").replace(b"-0]", b"-0.0]")
-            if b"t" in piece or b"f" in piece:  # true and false, which struct takes
+    begin = head.end()
+    step = _PIECE * (close + 2 - begin) // expected - 2  # the ", " after ~_PIECE numbers
+    child = None
+    with memoryview(data) as view, contextlib.ExitStack() as stack:
+        parse = functools.partial(_parse, data, view, out=pairs, step=step)
+        cut = data.find(b", ", (begin + close) // 2, close)
+        if _two_processes(expected) and cut >= 0:
+            with contextlib.suppress(OSError):  # no spill file or no process: one process
+                # an error in the child's parse ends it with status 1
+                child = stack.enter_context(_Child(lambda: [pairs[:parse(cut + 2, close)]], None))
+        try:
+            filled = parse(begin, close if child is None else cut)
+        except (ValueError, TypeError, struct.error):  # a piece that json has to decide
+            return None
+        if child is not None:
+            spilled = 8 * (expected - filled)  # bytes the child must have written
+            if not child.reap() or os.fstat(child.spill.fileno()).st_size != spilled:
                 return None
-            try:
-                numbers = orjson.loads(piece)
-                if not numbers or filled + len(numbers) > expected:
-                    return None
-                struct.pack_into("%dd" % len(numbers), pairs, 8 * filled, *numbers)
-            except (ValueError, TypeError, struct.error):  # a non-number
-                return None
-            chunk = pairs[filled:filled + len(numbers)]
-            if not chunk.all() and _NEG_ZERO_INT_BYTES.search(piece):
-                if negative_zeros:  # a -0 that no "," follows
-                    return None
-                negative_zeros = True
-                continue  # parse the piece again
-            if np.abs(chunk).max() >= 2.0 ** 63 and _LONG_INT.search(piece):
-                return None
-            filled += len(numbers)
-            if cut < 0:
-                break
-            begin = cut + 2
-            if release and begin - released >= _RELEASE:
-                done = begin - begin % mmap.PAGESIZE
-                data.madvise(mmap.MADV_DONTNEED, released, done - released)
-                released = done
+            child.spill.seek(0)
+            filled += child.spill.readinto(pairs[filled:]) // 8
     if filled != expected or not np.all(np.isfinite(pairs)):
         return None
     return _adopt(dims, pairs.view(np.complex128).reshape(dims.shape + (blades.NUM_BLADES,)))
+
+
+def _parse(data, view: memoryview, begin: int, close: int, out: np.ndarray, step: int) -> int:
+    """Parse the ", "-separated numbers of data[begin:close] into out from its
+    start, in pieces that end at the first ", " from step bytes on; how many,
+    or ValueError, TypeError or struct.error where json has to decide.
+
+    orjson parses each piece of bytes into a list that struct packs straight
+    into out.  When data is a _FileMap, the pages of each parsed _RELEASE
+    bytes, and at the end all of the range's, are handed back to the system.
+    """
+    import orjson  # here, not at the top, so that verify does not load it
+
+    release = isinstance(data, _FileMap) and hasattr(mmap, "MADV_DONTNEED")
+    released = begin - begin % mmap.PAGESIZE
+    filled = 0
+    negative_zeros = False  # whether an integer token -0 has been seen
+    while True:
+        cut = data.find(b", ", begin + step, close)
+        piece = b"".join((b"[", view[begin:close if cut < 0 else cut], b"]"))
+        if negative_zeros:
+            # orjson reads the token -0 as int 0 but -0.0 as a negative zero;
+            # in an exponent, -0.0 is a decode error
+            piece = piece.replace(b"-0,", b"-0.0,").replace(b"-0]", b"-0.0]")
+        if b"t" in piece or b"f" in piece:  # true and false, which struct takes
+            raise ValueError("true or false")
+        numbers = orjson.loads(piece)
+        if not numbers or filled + len(numbers) > out.size:
+            raise ValueError("an empty piece or too many numbers")
+        # struct.error on a non-number
+        struct.pack_into("%dd" % len(numbers), out, 8 * filled, *numbers)
+        chunk = out[filled:filled + len(numbers)]
+        if not chunk.all() and _NEG_ZERO_INT_BYTES.search(piece):
+            if negative_zeros:
+                raise ValueError("a -0 that no comma follows")
+            negative_zeros = True
+            continue  # parse the piece again
+        if np.abs(chunk).max() >= 2.0 ** 63 and _LONG_INT.search(piece):
+            raise ValueError("an integer token beyond 64 bits")
+        filled += len(numbers)
+        if cut < 0:
+            break
+        begin = cut + 2
+        if release and begin - released >= _RELEASE:
+            done = begin - begin % mmap.PAGESIZE
+            data.madvise(mmap.MADV_DONTNEED, released, done - released)
+            released = done
+    if release:
+        data.madvise(mmap.MADV_DONTNEED, released, close - released)
+    return filled
 
 
 def loads_field(text: str | bytes | mmap.mmap) -> FormField:
@@ -520,10 +561,11 @@ def loads_field(text: str | bytes | mmap.mmap) -> FormField:
     map of them); inverse of dumps_field.
 
     Bytes in exactly the layout dumps_field writes are parsed in pieces by
-    orjson (_loads_fast); ASCII str is encoded for it.  Everything else, and
-    any text that fails a check there, is decoded and parsed whole by json,
-    so every error keeps its message and byte offset.  Bytes that are not
-    ASCII raise FieldFormatError at the offset of the first such byte.
+    orjson (_loads_fast, across two processes for a large field, as a save
+    is); ASCII str is encoded for it.  Everything else, and any text that
+    fails a check there, is decoded and parsed whole by json, so every error
+    keeps its message and byte offset.  Bytes that are not ASCII raise
+    FieldFormatError at the offset of the first such byte.
     """
     if isinstance(text, str):
         field = _loads_fast(text.encode("ascii")) if text.isascii() else None
@@ -593,7 +635,9 @@ def load_field(path) -> FormField:
 
     The canonical fast path hands back the pages of the map as it parses
     them, so a load holds the field and about a MiB of the file, never the
-    whole file nor a decoded copy of its text.  A file that cannot be mapped
+    whole file nor a decoded copy of its text.  For a large field each of
+    the two processes releases all of its range's pages when it is done,
+    before this process reads the child's half.  A file that cannot be mapped
     (empty, or not a regular file such as /dev/null or a pipe) is read
     instead.  A file truncated by another process during the load raises
     SIGBUS through the map, which ends the process.

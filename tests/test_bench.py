@@ -6,9 +6,12 @@ there breaks them without any other test failing.
 
 import importlib
 import json
+import os
 from pathlib import Path
 
 import pytest
+
+from dklattice import fields
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 KERNEL_ROWS = {"copy", "d_plus_delta", "propagator_solve", "clifford_mul",
@@ -31,6 +34,25 @@ def test_kernel_rows_at_2_4(bench):
     for name, row in rows.items():
         assert {"median_s", "gb_per_s", "copy_frac", "peak_x", "sha256"} <= set(row), name
     json.dumps(kernels.context())
+
+
+def test_kernel_rows_at_2_4_split_across_two_processes(bench, monkeypatch):
+    # with the threshold at one site, every save and load of the codec rows
+    # forks, so their round-trip digests cover both split paths
+    kernels = bench("kernels")
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(fields, "SPLIT_MIN_NUMBERS", 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    assert set(kernels.measure(SMALL, 1)["rows"]) == KERNEL_ROWS
+    assert forks
 
 
 def test_kernel_rows_exit_on_a_changed_round_trip(bench, monkeypatch):

@@ -478,16 +478,18 @@ def test_load_field_releases_each_parsed_mib_of_the_map(tmp_path, monkeypatch):
     released = _RecordingMap.released
     assert {option for option, _, _ in released} == {mmap.MADV_DONTNEED}
     # page-aligned ranges one after the other from the start of the file, each
-    # _RELEASE long give or take a page and a piece (about 88 KB here), up to
-    # the last MiB
+    # _RELEASE long give or take a page and a piece (about 88 KB here), and
+    # then the rest, up to the "]" that ends coeffs
     piece = 2**17
     assert released[0][1] == 0
     for (_, start, length), (_, following, _) in zip(released, released[1:] + [(0, None, 0)]):
-        assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0
-        assert fields._RELEASE - mmap.PAGESIZE <= length <= fields._RELEASE + piece
-        assert following in (None, start + length)
-    end = released[-1][1] + released[-1][2]
-    assert os.path.getsize(path) - fields._RELEASE - piece <= end <= os.path.getsize(path)
+        assert start % mmap.PAGESIZE == 0
+        if following is not None:
+            assert length % mmap.PAGESIZE == 0
+            assert fields._RELEASE - mmap.PAGESIZE <= length <= fields._RELEASE + piece
+            assert following == start + length
+    assert 0 < released[-1][2] <= fields._RELEASE + piece
+    assert released[-1][1] + released[-1][2] == os.path.getsize(path) - len(b"]}\n")
 
 
 def test_loads_field_leaves_a_callers_map_intact():
@@ -610,6 +612,19 @@ def serial_loads(monkeypatch, text):
         return loads_field(text)
 
 
+def _json_calls(monkeypatch):
+    """The texts the serial json parser is handed, in order."""
+    calls = []
+    real_loads = fields.json.loads
+
+    def loads(text, **kwargs):
+        calls.append(text)
+        return real_loads(text, **kwargs)
+
+    monkeypatch.setattr(fields.json, "loads", loads)
+    return calls
+
+
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -688,13 +703,17 @@ def test_split_fast_range_child_half_matches_reference(tmp_path, forks):
 
 def test_split_loads_bit_equal_to_serial(monkeypatch, forks):
     text = split_text(split_tokens()) + "\n"
+    parsed_by_json = _json_calls(monkeypatch)
     split = loads_field(text)
-    assert len(forks) == 0
+    assert parsed_by_json == []  # both halves on the fast path
+    assert len(forks) == 1
     assert_reaped(forks)
     serial = serial_loads(monkeypatch, text)
-    assert len(forks) == 0
+    assert len(forks) == 1
     assert split.coeffs.tobytes() == serial.coeffs.tobytes()
-    assert np.signbit(split.coeffs.reshape(-1).view(np.float64)[5])
+    numbers = split.coeffs.reshape(-1).view(np.float64)
+    assert np.signbit(numbers[5])  # a -0 of each half: the parent's and the child's
+    assert np.signbit(numbers[numbers.size // 2 + 7])
     assert dumps_field(split) == text.rstrip()
 
 
@@ -728,7 +747,7 @@ def test_split_errors_match_serial(corruption, half, monkeypatch, forks):
     text = split_text(tokens)
     with pytest.raises(FieldFormatError) as split:
         loads_field(text)
-    assert len(forks) == 0
+    assert len(forks) == 1
     assert_reaped(forks)
     with pytest.raises(FieldFormatError) as serial:
         serial_loads(monkeypatch, text)
@@ -743,7 +762,7 @@ def test_split_deeply_nested_coeffs_exit_2(tmp_path, capsys, forks):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
-    assert len(forks) == 0
+    assert len(forks) == 1
     assert_reaped(forks)
 
 
@@ -765,11 +784,57 @@ def test_failing_child_leaves_no_temp_file_or_zombie(tmp_path, monkeypatch, fork
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(OSError, match="field formatter process failed"):
         dumps_field(field)
-    # a load forks no child
+    # a load's child parses instead of formatting, so it succeeds
     text = reference_dumps(field)
     assert loads_field(text).coeffs.tobytes() == field.coeffs.tobytes()
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_reaped(forks)
+
+
+@pytest.mark.parametrize("when", ["before-writing", "after-writing"])
+def test_failing_load_child_hands_the_text_to_json(when, tmp_path, monkeypatch, forks, spills):
+    field = random_field(SPLIT, 31)
+    path = tmp_path / "f.json"
+    path.write_text(reference_dumps(field))
+    parent = os.getpid()
+    real_parse, real_exit = fields._parse, os._exit
+
+    def in_parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real_parse(*args, **kwargs)
+
+    if when == "before-writing":
+        monkeypatch.setattr(fields, "_parse", in_parent_only)
+    else:  # a whole spill, but the child's status says it failed
+        monkeypatch.setattr(os, "_exit", lambda status: real_exit(1))
+    serial = _json_calls(monkeypatch)
+    assert load_field(path).coeffs.tobytes() == field.coeffs.tobytes()
+    assert len(serial) == 1
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert len(spills) == 1 and spills[0].closed
+
+
+@pytest.mark.parametrize("failing", ["spill", "fork"])
+def test_split_load_without_a_spill_or_a_process_runs_in_one(failing, tmp_path, monkeypatch,
+                                                               forks, spills):
+    field = random_field(SPLIT, 32)
+    path = tmp_path / "f.json"
+    path.write_text(reference_dumps(field))
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    if failing == "spill":
+        monkeypatch.setattr(fields.tempfile, "TemporaryFile", fail)
+    else:
+        monkeypatch.setattr(os, "fork", fail)
+    serial = _json_calls(monkeypatch)
+    assert load_field(path).coeffs.tobytes() == field.coeffs.tobytes()
+    assert serial == []  # parsed on the fast path, in this process
+    assert forks == []
+    assert len(spills) == (failing == "fork") and all(spill.closed for spill in spills)
 
 
 def test_closing_a_split_save_early_kills_and_reaps_the_child(monkeypatch, forks, spills):
@@ -830,18 +895,20 @@ def test_small_fields_never_fork(tmp_path, monkeypatch):
         assert loads_field(dumps_field(field)).coeffs.tobytes() == field.coeffs.tobytes()
 
 
-def test_loads_never_fork(tmp_path, monkeypatch, forks):
-    # with the threshold at one site, every save below forks once; no load does
+def test_saves_and_loads_fork_once_each(tmp_path, monkeypatch, forks):
+    # with the threshold at one site, every save and every load below forks once
     monkeypatch.setattr(fields, "SPLIT_MIN_NUMBERS", 32)
     for dims in (ONE_SITE, SMALL, LatticeDims(7, 7, 7, 7), SPLIT):
         field = random_field(dims, 27)
         path = tmp_path / "f.json"
+        before = len(forks)
         save_field(field, path)
-        saves = len(forks)
+        assert len(forks) == before + 1
         assert load_field(path).coeffs.tobytes() == field.coeffs.tobytes()
+        assert len(forks) == before + 2
         assert loads_field(path.read_text()).coeffs.tobytes() == field.coeffs.tobytes()
-        assert len(forks) == saves
-    assert len(forks) == 4
+        assert len(forks) == before + 3
+    assert len(forks) == 12
     assert_reaped(forks)
 
 
