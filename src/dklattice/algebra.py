@@ -89,13 +89,9 @@ class ConstantForm:
     def is_zero(self) -> bool:
         return not self.vector.any()
 
-    def as_vector(self) -> np.ndarray:
-        """The read-only complex128 16-vector of blade coefficients."""
-        return self.vector
-
     def as_field(self, dims: LatticeDims) -> FormField:
         """Materialize onto a lattice as a constant FormField."""
-        return constant_field(dims, self.as_vector())
+        return constant_field(dims, self.vector)
 
 
 # e0, e1 e2 and e0 e1 e2, signs read off the blade table: a product here
@@ -163,7 +159,7 @@ def right_mul_matrix(c: ConstantForm) -> np.ndarray:
 
     Row a holds sign[a, b] * c[b] at column result[a, b].
     """
-    return _gather_matrix(_A, c.as_vector()[_B])
+    return _gather_matrix(_A, c.vector[_B])
 
 
 def right_mul(a: FormField, c: ConstantForm) -> FormField:
@@ -177,7 +173,7 @@ def right_mul(a: FormField, c: ConstantForm) -> FormField:
 
 def left_mul(c: ConstantForm, a: FormField) -> FormField:
     """Clifford product c * a with a constant left factor, as one matmul."""
-    return _gather_mul(a, _gather_matrix(_B, c.as_vector()[_A]))
+    return _gather_mul(a, _gather_matrix(_B, c.vector[_A]))
 
 
 def is_constant(omega: FormField) -> bool:

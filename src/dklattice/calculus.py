@@ -193,17 +193,17 @@ def hestenes_apply(omega: FormField) -> FormField:
     return -right_mul(grad, E12)
 
 
-def _hestenes_sign(params: EquationParams) -> float:
-    if params.equation is Equation.HESTENES:
+def _hestenes_sign(equation: Equation) -> float:
+    if equation is Equation.HESTENES:
         return 1.0
-    if params.equation is Equation.HESTENES_FLIPPED:
+    if equation is Equation.HESTENES_FLIPPED:
         return -1.0
-    raise ValueError(f"expected Hestenes equation params, got {params.equation}")
+    raise ValueError(f"expected a Hestenes equation, got {equation}")
 
 
 def hestenes_residual(omega: FormField, params: EquationParams) -> FormField:
     """-(d_c + delta_c) omega e1 e2 - s m omega e0, with s = -1 when flipped."""
-    s = _hestenes_sign(params)
+    s = _hestenes_sign(params.equation)
     rhs = right_mul(omega, E0)
     return hestenes_apply(omega) - (s * params.mass) * rhs
 
@@ -244,7 +244,7 @@ def hestenes_residual_componentwise(omega: FormField, params: EquationParams) ->
     Only even-grade input blades enter the equations; a warning is issued
     when the odd part of omega exceeds ODD_WARN_RATIO relative to its scale.
     """
-    s = _hestenes_sign(params)
+    s = _hestenes_sign(params.equation)
     coeffs = omega.coeffs
     odd = np.max(np.abs(coeffs[..., list(blades.ODD_BLADES)]))
     if odd > ODD_WARN_RATIO * max(max_abs(omega), 1.0):

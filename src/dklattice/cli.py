@@ -26,7 +26,8 @@ from .spectral import (eigen_solve, format_complex, propagator_solve,
                        write_spectrum_csv)
 from .transfer import (decompose, hestenes_quadruple, tag_label,
                        verify_quadruple_independence)
-from .verify import CHECK_NAMES, QUADRUPLE_ROUTE_BOUND, rel_error, run_checks
+from .verify import (CHECK_NAMES, QUADRUPLE_ROUTE_BOUND, Verification, rel_error,
+                     run_checks)
 
 _EQUATIONS = {equation.value: equation for equation in Equation}
 
@@ -128,11 +129,11 @@ def _amplitude_vector(entries) -> np.ndarray:
     return amp
 
 
-def _emit(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(path, text)
+def _report(report: Verification) -> int:
+    """Print a report's name=value lines; exit code 0 if it passed, else 1."""
+    for line in report.lines():
+        print(line)
+    return 0 if report.passed else 1
 
 
 def _cmd_gen(args) -> int:
@@ -184,14 +185,12 @@ def _cmd_residual(args) -> int:
         residual = hestenes_residual(omega, params)
     dev = max_abs(residual)
     scale = max_abs(omega) * max(1.0, abs(params.mass))
-    rel = rel_error(dev, scale)
-    print(f"max_abs={dev:.9g}")
-    print(f"rms={rms(residual):.9g}")
-    print(f"scale={scale:.9g}")
-    print(f"rel={rel:.9g}")
-    ok = rel <= args.tol
-    print(f"status={'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    report = Verification()
+    report.add("max_abs", dev)
+    report.add("rms", rms(residual))
+    report.add("scale", scale)
+    report.add("rel", rel_error(dev, scale), args.tol)
+    return _report(report)
 
 
 def _cmd_spectrum(args) -> int:
@@ -200,7 +199,10 @@ def _cmd_spectrum(args) -> int:
     momenta = list(site_iter(args.dims)) if args.all else args.p
     buffer = io.StringIO()
     write_spectrum_csv(buffer, args.dims, momenta)
-    _emit(args.output, buffer.getvalue())
+    if args.output is None:
+        sys.stdout.write(buffer.getvalue())
+    else:
+        atomic_write_text(args.output, buffer.getvalue())
     return 0
 
 
@@ -208,9 +210,7 @@ def _cmd_verify(args) -> int:
     report = run_checks(args.prop, args.dims, trials=args.trials, seed=args.seed)
     if args.tol_scale != 1.0:
         report = report.scaled(args.tol_scale)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    return _report(report)
 
 
 def _cmd_decompose(args) -> int:
@@ -219,12 +219,9 @@ def _cmd_decompose(args) -> int:
     for tag, part in result.parts():
         save_field(part, f"{args.out_prefix}.{tag_label(tag)}.json")
     dev = max_abs(result.total() - omega)
-    scale = max_abs(omega)
-    rel = rel_error(dev, scale)
-    print(f"reconstruction_rel={rel:.9g}")
-    ok = rel <= args.tol
-    print(f"status={'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    report = Verification()
+    report.add("reconstruction_rel", rel_error(dev, max_abs(omega)), args.tol)
+    return _report(report)
 
 
 def _cmd_quadruple(args) -> int:
@@ -233,25 +230,24 @@ def _cmd_quadruple(args) -> int:
     for i, member in enumerate(quad.fields(), start=1):
         save_field(member, f"{args.out_prefix}.q{i}.json")
     scale = max_abs(omega)
-    route_rel = rel_error(quad.route_deviation, scale)
-    print(f"route_rel={route_rel:.9g}")
+    report = Verification()
+    report.add("route_rel", rel_error(quad.route_deviation, scale), QUADRUPLE_ROUTE_BOUND)
     independence = verify_quadruple_independence(quad)
-    for line in independence.lines():
-        print(line)
-    ok = route_rel <= QUADRUPLE_ROUTE_BOUND
+    report.add("rank", independence.rank)
+    report.add("rank_threshold", independence.threshold)
+    for i, s in enumerate(independence.singular_values):
+        report.add(f"sigma_{i}", s)
     if args.mass.imag == 0.0:
         params = EquationParams(args.mass, Equation.HESTENES)
         res_scale = max(scale, 1.0) * max(1.0, abs(args.mass))
         for i, member in enumerate(quad.fields(), start=1):
-            rel = max_abs(hestenes_residual(member, params)) / res_scale
-            print(f"residual_q{i}={rel:.9g}")
-            ok = ok and rel <= args.tol
+            report.add(f"residual_q{i}", max_abs(hestenes_residual(member, params)) / res_scale,
+                       args.tol)
     else:
         # Individual members only satisfy the componentwise equations for
         # real mass; for complex mass just the construction is checked.
-        print("mass_real=false")
-    print(f"status={'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+        report.note("mass_real", "false")
+    return _report(report)
 
 
 def _cmd_solve(args) -> int:
@@ -259,12 +255,9 @@ def _cmd_solve(args) -> int:
     solution = propagator_solve(source, args.mass)
     save_field(solution, args.output)
     dev = solve_residual(solution, args.mass, source)
-    scale = max_abs(source)
-    rel = rel_error(dev, scale)
-    print(f"residual_rel={rel:.9g}")
-    ok = rel <= args.tol
-    print(f"status={'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    report = Verification()
+    report.add("residual_rel", rel_error(dev, max_abs(source)), args.tol)
+    return _report(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dims", type=_parse_dims,
                         default=LatticeDims(3, 3, 3, 3))
     verify.add_argument("--trials", type=_trials, default=50,
-                        help="random fields per sampled family (default 50); "
-                             "families 4 and spectral cover every momentum and ignore it")
+                        help="random fields per sampled family (default 50); propagator "
+                             "solves at most 50 sources; clifford, 2, 4, 5, matrix and "
+                             "spectral ignore it")
     verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--tol-scale", type=_tolerance, default=1.0,
                         help="multiply every bound by this factor")

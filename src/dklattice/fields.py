@@ -178,9 +178,7 @@ def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:
 
     Momentum components are integers, reduced modulo the extents.
     """
-    if len(p) != 4:
-        raise ValueError(f"momentum must have four components, got {p!r}")
-    p = tuple(int(c) % n for c, n in zip(p, dims.shape))
+    p = dims.wrap(p, "momentum")
     amp = np.asarray(amplitude, dtype=np.complex128)
     if amp.shape != (blades.NUM_BLADES,):
         raise ValueError(f"amplitude must have shape (16,), got {amp.shape}")
@@ -402,18 +400,23 @@ def _field_text(omega: FormField, directory=None) -> Iterator[bytes]:
     into a temporary file in directory (the default temporary directory
     when None) while this process formats the first and hands it on piece
     by piece.  The child's text follows from the file; if the child
-    failed, OSError.
+    failed, OSError.  Without a spill file or a child, this process formats
+    every number.
     """
     pairs = omega.coeffs.reshape(-1).view(np.float64)  # (re, im) interleaved
     if not np.all(np.isfinite(pairs)):
         raise ValueError("cannot serialize non-finite coefficients")
     dims_text = ", ".join(str(n) for n in omega.dims.shape)
     yield f'{{"dims": [{dims_text}], "coeffs": ['.encode("ascii")
-    if not _two_processes(pairs.size):
+    mid = pairs.size // 2
+    child = None
+    if _two_processes(pairs.size):
+        with contextlib.suppress(OSError):  # no spill file or no process: one process
+            child = _Child(lambda: _format(pairs[mid:]), directory)
+    if child is None:
         yield from _format(pairs)
     else:
-        mid = pairs.size // 2
-        with _Child(lambda: _format(pairs[mid:]), directory) as child:
+        with child:
             yield from _format(pairs[:mid])
             yield b", "
             if not child.reap():

@@ -43,6 +43,13 @@ class LatticeDims:
     def extent(self, mu: int) -> int:
         return self.shape[_checked_axis(mu)]
 
+    def wrap(self, k, what: str) -> MultiIndex:
+        """The integer components of k modulo the extents; what names k when
+        it has other than four components."""
+        if len(k) != 4:
+            raise ValueError(f"{what} must have four components, got {k!r}")
+        return tuple(int(c) % n for c, n in zip(k, self.shape))
+
     @classmethod
     def parse(cls, text: str) -> "LatticeDims":
         """Parse a comma-separated extent list such as "4,4,4,4"."""
@@ -65,9 +72,7 @@ def _checked_axis(mu: int) -> int:
 def shift(k, mu: int, dims: LatticeDims) -> MultiIndex:
     """Forward neighbor of site k along axis mu, wrapping periodically."""
     _checked_axis(mu)
-    if len(k) != 4:
-        raise ValueError(f"site index must have four components, got {k!r}")
-    site = [int(c) % n for c, n in zip(k, dims.shape)]
+    site = list(dims.wrap(k, "site index"))
     site[mu] = (site[mu] + 1) % dims.extent(mu)
     return tuple(site)
 

@@ -92,12 +92,6 @@ def _nearest_eigenvalue(root, mass: complex) -> tuple:
     return float(distances[p]), p, 0j + eigenvalues[p]  # 0j + turns a -0 part into 0
 
 
-def _momentum(p, dims: LatticeDims) -> tuple:
-    if len(p) != 4:
-        raise ValueError(f"momentum must have four components, got {p!r}")
-    return tuple(int(c) % n for c, n in zip(p, dims.shape))
-
-
 def _eigen_stack(momenta: np.ndarray, dims: LatticeDims) -> list:
     """The eigenpairs of eigen_solve, and the symbols, of an (M, 4) stack of momenta.
 
@@ -139,7 +133,7 @@ def _eigen_stack(momenta: np.ndarray, dims: LatticeDims) -> list:
 
 def build_symbol(p, dims: LatticeDims) -> np.ndarray:
     """Read-only 16 x 16 symbol S(p) of d_c + delta_c at integer momentum p."""
-    block = _symbol_block(_z(np.array(_momentum(p, dims))[:, None], dims))[0]
+    block = _symbol_block(_z(np.array(dims.wrap(p, "momentum"))[:, None], dims))[0]
     block.setflags(write=False)
     return block
 
@@ -160,7 +154,7 @@ def eigen_solve(p, dims: LatticeDims) -> tuple[np.ndarray, np.ndarray]:
     This is _eigen_stack on a stack of one momentum, so the momentum sweep
     of verify checks exactly these rows.
     """
-    stack = np.array([_momentum(p, dims)])
+    stack = np.array([dims.wrap(p, "momentum")])
     eigenvalues, amplitudes = next((values[0], amps[0])
                                    for values, amps, _ in _eigen_stack(stack, dims) if len(values))
     eigenvalues.setflags(write=False)
@@ -230,7 +224,7 @@ def spectrum_rows(dims: LatticeDims, momenta):
     -i sqrt(s(p)) and +i sqrt(s(p)), 8 rows each in (re, im) order; 0,0 on the
     light cone.  The eigenvalues of all momenta are computed as one stack.
     """
-    stack = np.array([_momentum(p, dims) for p in momenta], dtype=np.int64).reshape(-1, 4)
+    stack = np.array([dims.wrap(p, "momentum") for p in momenta], dtype=np.int64).reshape(-1, 4)
     lo, hi = _eigenvalue_pair(_roots(_z(stack.T, dims))[1])
     for p, *pair in zip(map(tuple, stack.tolist()), lo.tolist(), hi.tolist()):
         for lam in pair:

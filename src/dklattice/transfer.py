@@ -161,12 +161,6 @@ class IndependenceReport:
     singular_values: tuple
     threshold: float
 
-    def lines(self) -> list[str]:
-        out = [f"rank={self.rank}", f"rank_threshold={self.threshold:.9g}"]
-        for i, s in enumerate(self.singular_values):
-            out.append(f"sigma_{i}={s:.9g}")
-        return out
-
 
 def verify_quadruple_independence(quad: HestenesQuadruple) -> IndependenceReport:
     """Report the rank of the four stacked fields.

@@ -133,7 +133,7 @@ def test_worked_one_form_product():
     zero = ConstantForm(np.zeros(16))
     uf = sum((ConstantForm.e(mu).scaled(c) for mu, c in enumerate((2, 3, 5, 7))), zero)
     vf = sum((ConstantForm.e(mu).scaled(c) for mu, c in enumerate((11, 13, 17, 19))), zero)
-    assert np.array_equal((uf * vf).as_vector(), expected)
+    assert np.array_equal((uf * vf).vector, expected)
 
 
 def test_clifford_mul_random_associative():
@@ -204,18 +204,18 @@ def test_projector_pair_commutes_exact():
 
 def test_projector_frozen_vectors():
     half = 0.5
-    p0 = projector("+0").as_vector()
+    p0 = projector("+0").vector
     expected0 = np.zeros(16, dtype=np.complex128)
     expected0[[X, E0]] = half
     assert np.array_equal(p0, expected0)
 
-    p12 = projector("+12").as_vector()
+    p12 = projector("+12").vector
     expected12 = np.zeros(16, dtype=np.complex128)
     expected12[X] = half
     expected12[E12] = 0.5j
     assert np.array_equal(p12, expected12)
 
-    ppp = projector("++").as_vector()
+    ppp = projector("++").vector
     expected = np.zeros(16, dtype=np.complex128)
     expected[[X, E0]] = 0.25
     expected[[E12, E012]] = 0.25j
@@ -254,7 +254,7 @@ def test_unit_and_generator_fields():
 
     pf = projector("++").as_field(DIMS)
     assert is_constant(pf)
-    assert np.array_equal(pf.coeffs[0, 0, 0, 0], projector("++").as_vector())
+    assert np.array_equal(pf.coeffs[0, 0, 0, 0], projector("++").vector)
 
 
 def test_is_constant():
@@ -265,12 +265,12 @@ def test_is_constant():
 def test_constant_form_conjugate():
     # the blade table is real, so conjugating coefficients distributes over products
     c = ConstantForm.blade(E12, 0.5 - 0.75j)
-    cc = ConstantForm(c.as_vector().conj())
-    assert cc.as_vector()[E12] == complex(0.5, 0.75)
+    cc = ConstantForm(c.vector.conj())
+    assert cc.vector[E12] == complex(0.5, 0.75)
     for tag in PROJECTOR_TAGS:
         p = projector(tag)
-        pc = ConstantForm(p.as_vector().conj())
-        assert np.array_equal((pc * cc).as_vector(), (p * c).as_vector().conj()), tag
+        pc = ConstantForm(p.vector.conj())
+        assert np.array_equal((pc * cc).vector, (p * c).vector.conj()), tag
 
 
 # The 14 constant forms the package builds: the four generators, e1 e2,
@@ -283,7 +283,7 @@ def _package_forms() -> list:
 def _exact_product(a: ConstantForm, b: ConstantForm) -> list:
     """a * b in exact rationals, one (re, im) pair per blade, through the oracle."""
     def exact(v):
-        return [(Fraction(z.real), Fraction(z.imag)) for z in v.as_vector().tolist()]
+        return [(Fraction(z.real), Fraction(z.imag)) for z in v.vector.tolist()]
 
     out = [[Fraction(0), Fraction(0)] for _ in ALL_MASKS]
     for i, (ar, ai) in enumerate(exact(a)):
@@ -299,7 +299,7 @@ def test_constant_form_products_equal_exact_rationals():
     assert len(forms) == 14
     for a in forms:
         for b in forms:
-            product = (a * b).as_vector()
+            product = (a * b).vector
             parts = product.view(np.float64)
             assert not np.any(np.signbit(parts) & (parts == 0.0))
             assert [(Fraction(z.real), Fraction(z.imag)) for z in product.tolist()] \
@@ -316,7 +316,7 @@ def test_constant_form_rejects_non_dyadic(value):
 
 def test_constant_form_bounds_and_shape():
     largest = 2.0 ** DYADIC_BITS - 2.0 ** -DYADIC_BITS
-    assert ConstantForm.blade(E3, largest + 1j * 2.0 ** -DYADIC_BITS).as_vector()[E3] \
+    assert ConstantForm.blade(E3, largest + 1j * 2.0 ** -DYADIC_BITS).vector[E3] \
         == complex(largest, 2.0 ** -DYADIC_BITS)
     with pytest.raises(ValueError):
         ConstantForm(np.zeros(15))
@@ -328,7 +328,7 @@ def test_constant_form_clears_negative_zeros_and_is_read_only():
     vector = np.zeros(16, dtype=np.complex128)
     vector[E0] = complex(-0.0, -0.0)
     form = ConstantForm(vector)
-    assert not np.any(np.signbit(form.as_vector().view(np.float64)))
-    assert not np.any(np.signbit((-ConstantForm.unit().scaled(0)).as_vector().view(np.float64)))
+    assert not np.any(np.signbit(form.vector.view(np.float64)))
+    assert not np.any(np.signbit((-ConstantForm.unit().scaled(0)).vector.view(np.float64)))
     with pytest.raises(ValueError):
-        form.as_vector()[E0] = 1.0
+        form.vector[E0] = 1.0

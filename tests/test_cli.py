@@ -262,6 +262,16 @@ def test_decompose_files_and_report(tmp_path, capsys):
     assert max_abs(total - load_field(src)) <= 1e-13 * max_abs(load_field(src))
 
 
+def test_decompose_fails_at_tol_zero(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    save_field(random_field(DIMS, 7), src)
+    assert run_cli("decompose", "-i", str(src), "--out-prefix", str(tmp_path / "part"),
+                   "--tol", "0") == 1
+    rel, status = capsys.readouterr().out.splitlines()
+    assert float(rel.removeprefix("reconstruction_rel=")) > 0.0
+    assert status == "status=fail"
+
+
 def test_quadruple_files_and_report(tmp_path, capsys):
     wave = tmp_path / "w.json"
     run_cli("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "0,2,0,0",
@@ -277,6 +287,19 @@ def test_quadruple_files_and_report(tmp_path, capsys):
     for i in (1, 2, 3, 4):
         q = load_field(f"{prefix}.q{i}.json")
         assert np.max(np.abs(q.coeffs.imag)) == 0.0
+
+
+def test_quadruple_fails_when_member_residuals_do(tmp_path, capsys):
+    # a random field solves no Hestenes equation, so every member's residual fails
+    src = tmp_path / "f.json"
+    save_field(random_field(DIMS, 8), src)
+    assert run_cli("quadruple", "-i", str(src), "--mass", "1,0",
+                   "--out-prefix", str(tmp_path / "quad")) == 1
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(report["route_rel"]) <= verify.QUADRUPLE_ROUTE_BOUND
+    assert report["rank"] == "4"
+    assert all(float(report[f"residual_q{i}"]) > 1e-12 for i in (1, 2, 3, 4))
+    assert report["status"] == "fail"
 
 
 def test_quadruple_complex_mass_skips_residuals(tmp_path, capsys):
@@ -298,6 +321,16 @@ def test_solve_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "status=pass"
     assert load_field(dst).coeffs.shape == DIMS.shape + (16,)
+
+
+def test_solve_fails_at_tol_zero(tmp_path, capsys):
+    src = tmp_path / "src.json"
+    save_field(random_field(DIMS, 9), src)
+    assert run_cli("solve", "-i", str(src), "--mass", "1,0", "-o", str(tmp_path / "sol.json"),
+                   "--tol", "0") == 1
+    rel, status = capsys.readouterr().out.splitlines()
+    assert float(rel.removeprefix("residual_rel=")) > 0.0
+    assert status == "status=fail"
 
 
 def test_solve_singular_mass(tmp_path, capsys):

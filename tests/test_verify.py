@@ -44,6 +44,22 @@ def test_verification_scaled_bounds():
     assert not ver.scaled(0.5).passed
 
 
+def test_unbounded_entries_report_without_deciding():
+    ver = Verification()
+    ver.add("alpha", 0.5, 1.0)
+    ver.add("size", 1 / 3)
+    ver.add("beta", 0.25, 1.0)
+    ver.add("worst", float("inf"))
+    ver.note("gamma", 7)
+    assert ver.passed
+    assert ver.lines() == ["alpha=0.5", "size=0.333333333", "beta=0.25", "worst=inf",
+                           "gamma=7", "status=pass"]
+    crushed = ver.scaled(0.0)
+    assert [c.bound for c in crushed.checks] == [0.0, None, 0.0, None]
+    assert not crushed.passed
+    assert [c.name for c in crushed.checks if not c.passed] == ["alpha", "beta"]
+
+
 def test_verification_extend():
     a = Verification()
     a.add("x", 0.0, 1.0)
