@@ -95,7 +95,7 @@ def _digest(result) -> str:
     elif isinstance(result, Path):
         result = result.read_bytes()
     digest = hashlib.sha256()
-    for part in result.fields() if hasattr(result, "fields") else (result,):
+    for part in result if isinstance(result, tuple) else (result,):
         digest.update(getattr(part, "coeffs", part))
     return digest.hexdigest()
 
@@ -140,7 +140,7 @@ def measure(shape: tuple, repeats: int) -> dict:
             "d_plus_delta": (d_plus_delta, field),
             "propagator_solve": (lambda f: propagator_solve(f, MASS), field),
             "clifford_mul": (lambda f: clifford_mul(f, other), field),
-            "hestenes_quadruple": (hestenes_quadruple, field),
+            "hestenes_quadruple": (lambda f: hestenes_quadruple(f)[0], field),
             "right_mul": (lambda f: right_mul(f, plus), field),
             "fftn": (lambda c: np.fft.fftn(c, axes=SITE_AXES), field.coeffs),
             "dumps_field": (dumps_field, field),

@@ -24,7 +24,7 @@ from .fields import (Equation, EquationParams, atomic_write_text,
 from .lattice import LatticeDims, site_iter
 from .spectral import (eigen_solve, format_complex, propagator_solve,
                        write_spectrum_csv)
-from .transfer import (decompose, hestenes_quadruple, tag_label,
+from .transfer import (decompose, hestenes_quadruple, sum_parts, tag_label,
                        verify_quadruple_independence)
 from .verify import (CHECK_NAMES, QUADRUPLE_ROUTE_BOUND, Verification, rel_error,
                      run_checks)
@@ -215,10 +215,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     omega = load_field(args.input)
-    result = decompose(omega)
-    for tag, part in result.parts():
+    parts = decompose(omega)
+    for tag, part in parts.items():
         save_field(part, f"{args.out_prefix}.{tag_label(tag)}.json")
-    dev = max_abs(result.total() - omega)
+    dev = max_abs(sum_parts(parts) - omega)
     report = Verification()
     report.add("reconstruction_rel", rel_error(dev, max_abs(omega)), args.tol)
     return _report(report)
@@ -226,21 +226,21 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_quadruple(args) -> int:
     omega = load_field(args.input)
-    quad = hestenes_quadruple(omega)
-    for i, member in enumerate(quad.fields(), start=1):
+    members, route_deviation = hestenes_quadruple(omega)
+    for i, member in enumerate(members, start=1):
         save_field(member, f"{args.out_prefix}.q{i}.json")
     scale = max_abs(omega)
     report = Verification()
-    report.add("route_rel", rel_error(quad.route_deviation, scale), QUADRUPLE_ROUTE_BOUND)
-    independence = verify_quadruple_independence(quad)
-    report.add("rank", independence.rank)
-    report.add("rank_threshold", independence.threshold)
-    for i, s in enumerate(independence.singular_values):
+    report.add("route_rel", rel_error(route_deviation, scale), QUADRUPLE_ROUTE_BOUND)
+    rank, singular_values, threshold = verify_quadruple_independence(members)
+    report.add("rank", rank)
+    report.add("rank_threshold", threshold)
+    for i, s in enumerate(singular_values):
         report.add(f"sigma_{i}", s)
     if args.mass.imag == 0.0:
         params = EquationParams(args.mass, Equation.HESTENES)
         res_scale = max(scale, 1.0) * max(1.0, abs(args.mass))
-        for i, member in enumerate(quad.fields(), start=1):
+        for i, member in enumerate(members, start=1):
             report.add(f"residual_q{i}", max_abs(hestenes_residual(member, params)) / res_scale,
                        args.tol)
     else:

@@ -3,14 +3,15 @@
 Right-multiplying a solution of the massive Dirac-Kahler equation by the
 four compound projectors splits it into parts that solve the Hestenes
 equation (tags "++" and "--") or its sign-flipped variant ("-+" and "+-").
-From one solution omega a quadruple of real even Hestenes fields is built
-out of its real companion (Re omega) e0 - (Im omega) e1 e2, in two
-independent ways that must agree to rounding.
+decompose returns the parts as a dict keyed by tag, in DECOMPOSITION_TAGS
+order, and sum_parts adds them back up.  From one solution omega a
+quadruple of real even Hestenes fields is built out of its real companion
+(Re omega) e0 - (Im omega) e1 e2, in two independent ways that must agree
+to rounding; hestenes_quadruple returns the four members as a tuple,
+together with the largest difference between the two routes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +24,17 @@ from .fields import (Equation, EquationParams, FormField, _adopt, even_part,
 DECOMPOSITION_TAGS = ("++", "-+", "+-", "--")
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """The four projector parts of a field, keyed by compound tag."""
-
-    pp: FormField
-    mp: FormField
-    pm: FormField
-    mm: FormField
-
-    def parts(self):
-        return (("++", self.pp), ("-+", self.mp), ("+-", self.pm), ("--", self.mm))
-
-    def total(self) -> FormField:
-        return self.pp + self.mp + self.pm + self.mm
+def decompose(omega: FormField) -> dict:
+    """Split omega into its four compound projector parts, {tag: omega P_tag}
+    in DECOMPOSITION_TAGS order."""
+    return {tag: right_mul(omega, projector(tag)) for tag in DECOMPOSITION_TAGS}
 
 
-def decompose(omega: FormField) -> DecompositionResult:
-    """Split omega into its four compound projector parts."""
-    return DecompositionResult(*(right_mul(omega, projector(tag)) for tag in DECOMPOSITION_TAGS))
+def sum_parts(parts: dict):
+    """The sum of the four parts keyed by tag, fields or constant forms,
+    added in DECOMPOSITION_TAGS order: ((pp + mp) + pm) + mm."""
+    pp, mp, pm, mm = (parts[tag] for tag in DECOMPOSITION_TAGS)
+    return pp + mp + pm + mm
 
 
 def _re_im(omega: FormField) -> tuple[FormField, FormField]:
@@ -64,20 +57,6 @@ def omega_pm(omega: FormField, sign: str) -> FormField:
     return s * (right_mul(re, E0) - right_mul(im, E12))
 
 
-@dataclass(frozen=True)
-class HestenesQuadruple:
-    """Even parts of omega_plus times 1, e0, e1 e2, and e0 e1 e2."""
-
-    omega1: FormField
-    omega2: FormField
-    omega3: FormField
-    omega4: FormField
-    route_deviation: float
-
-    def fields(self):
-        return (self.omega1, self.omega2, self.omega3, self.omega4)
-
-
 def _quadruple_direct(omega: FormField):
     plus = omega_pm(omega, "+")
     return (even_part(plus),) + tuple(even_part(right_mul(plus, c)) for c in (E0, E12, E012))
@@ -94,28 +73,19 @@ def _quadruple_closed_form(omega: FormField):
     yield right_mul(re_ev, E12) + right_mul(im_od, E0)
 
 
-def hestenes_quadruple(omega: FormField) -> HestenesQuadruple:
+def hestenes_quadruple(omega: FormField) -> tuple[tuple, float]:
     """Build the four even real companion fields of omega.
 
-    The members come from the direct route (even parts of omega_plus times
-    blades); the closed-form route is compared with it one member at a time,
-    and route_deviation is the largest absolute difference between the two.
-    verify.QUADRUPLE_ROUTE_BOUND bounds it relative to max_abs(omega).
+    Returns (members, route_deviation).  members are the even parts of
+    omega_plus times 1, e0, e1 e2 and e0 e1 e2, in that order, from the
+    direct route; the closed-form route is compared with it one member at a
+    time, and route_deviation is the largest absolute difference between
+    the two.  verify.QUADRUPLE_ROUTE_BOUND bounds it relative to
+    max_abs(omega).
     """
     direct = _quadruple_direct(omega)
     deviation = max(max_abs(a - b) for a, b in zip(direct, _quadruple_closed_form(omega)))
-    return HestenesQuadruple(*direct, route_deviation=deviation)
-
-
-@dataclass(frozen=True)
-class Prop4Report:
-    """Max-abs residuals of omega (dk_residual) and of its four projector
-    parts (residuals, keyed by tag) against their equations."""
-
-    mass: complex
-    scale: float
-    dk_residual: float
-    residuals: dict
+    return direct, deviation
 
 
 def tag_label(tag: str) -> str:
@@ -131,49 +101,37 @@ _PART_EQUATIONS = {
 }
 
 
-def verify_prop4(omega: FormField, mass: complex) -> Prop4Report:
+def verify_prop4(omega: FormField, mass: complex) -> dict:
     """Measure the solution-transfer claims for one candidate solution.
 
-    dk_residual is the max-abs residual of omega against the Dirac-Kahler
-    equation at mass, the precondition of the claims.  The "++" and "--"
-    parts are measured against the Hestenes equation, the "-+" and "+-"
-    parts against its sign-flipped variant.  scale is max_abs(omega).
+    Returns max-abs residuals keyed "dk", then by tag in DECOMPOSITION_TAGS
+    order.  "dk" is the residual of omega against the Dirac-Kahler equation
+    at mass, the precondition of the claims.  The "++" and "--" parts are
+    measured against the Hestenes equation, the "-+" and "+-" parts against
+    its sign-flipped variant.
     """
     mass = complex(mass)
-    scale = max_abs(omega)
-    dk = max_abs(dk_residual(omega, EquationParams(mass)))
-    residuals = {}
-    for tag, part in decompose(omega).parts():
+    residuals = {"dk": max_abs(dk_residual(omega, EquationParams(mass)))}
+    for tag, part in decompose(omega).items():
         params = EquationParams(mass, _PART_EQUATIONS[tag])
         residuals[tag] = max_abs(hestenes_residual(part, params))
-    return Prop4Report(mass=mass, scale=scale, dk_residual=dk, residuals=residuals)
+    return residuals
 
 
 # Singular values below this fraction of the largest count as zero.
 RANK_THRESHOLD_RATIO = 1e-10
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Numerical rank of the stacked quadruple coefficient matrix."""
+def verify_quadruple_independence(members) -> tuple[int, tuple, float]:
+    """The numerical rank of the stacked members of a quadruple.
 
-    rank: int
-    singular_values: tuple
-    threshold: float
-
-
-def verify_quadruple_independence(quad: HestenesQuadruple) -> IndependenceReport:
-    """Report the rank of the four stacked fields.
-
-    Rows are the flattened coefficient arrays; singular values below
-    RANK_THRESHOLD_RATIO times the largest count as zero.  All-zero input
-    has rank 0.
+    Returns (rank, singular_values, threshold).  Rows are the flattened
+    coefficient arrays; singular values below threshold, RANK_THRESHOLD_RATIO
+    times the largest, count as zero.  All-zero input has rank 0.
     """
-    matrix = np.stack([f.coeffs.ravel() for f in quad.fields()])
+    matrix = np.stack([f.coeffs.ravel() for f in members])
     singular = np.linalg.svd(matrix, compute_uv=False)
     top = float(singular[0])
     threshold = RANK_THRESHOLD_RATIO * top
     rank = 0 if top == 0.0 else int(np.sum(singular > threshold))
-    return IndependenceReport(rank=rank,
-                              singular_values=tuple(float(s) for s in singular),
-                              threshold=threshold)
+    return rank, tuple(float(s) for s in singular), threshold

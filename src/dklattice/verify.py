@@ -25,7 +25,7 @@ from .lattice import LatticeDims, shift, site_iter
 from .spectral import (_eigen_stack, _eigenvalue_pair, _grid_z, _nearest_eigenvalue,
                        _roots, eigen_solve, propagator_solve)
 from .transfer import (_PART_EQUATIONS, DECOMPOSITION_TAGS, decompose,
-                       hestenes_quadruple, verify_quadruple_independence)
+                       hestenes_quadruple, sum_parts, verify_quadruple_independence)
 
 # Bound on the quadruple's route_deviation relative to max_abs(omega).
 QUADRUPLE_ROUTE_BOUND = 1e-14
@@ -223,18 +223,18 @@ def check_prop2() -> Verification:
 def check_prop3(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verification:
     """Four-part decomposition: exact projector sum, field reconstruction."""
     ver = Verification()
-    total = (projector("++") + projector("+-") + projector("-+") + projector("--"))
+    total = sum_parts({tag: projector(tag) for tag in DECOMPOSITION_TAGS})
     exact = 0 if (total - ConstantForm.unit()).is_zero() else 1
     ver.add("prop3_projector_sum_violations", exact, 0)
 
     worst = 0.0
     for t in range(trials):
         omega = random_field(dims, seed + t)
-        dev = max_abs(decompose(omega).total() - omega)
+        dev = max_abs(sum_parts(decompose(omega)) - omega)
         worst = max(worst, rel_error(dev, max_abs(omega)))
     ver.add("prop3_max_rel_reconstruction", worst, 1e-14)
     integer = _integer_field(dims, seed)
-    ver.add("prop3_integer_max_abs", max_abs(decompose(integer).total() - integer), 0)
+    ver.add("prop3_integer_max_abs", max_abs(sum_parts(decompose(integer)) - integer), 0)
     ver.note("prop3_trials", trials)
     return ver
 
@@ -326,21 +326,20 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     omega = constant_field(dims, amp)
     scale = max_abs(omega)
 
-    quad = hestenes_quadruple(omega)
+    members, route_deviation = hestenes_quadruple(omega)
     params = EquationParams(0.0, Equation.HESTENES)
-    odd_dev = max(max_abs(odd_part(q)) for q in quad.fields())
-    imag_dev = max(float(np.max(np.abs(q.coeffs.imag))) for q in quad.fields())
-    res_dev = max(max_abs(hestenes_residual(q, params)) for q in quad.fields())
+    odd_dev = max(max_abs(odd_part(q)) for q in members)
+    imag_dev = max(float(np.max(np.abs(q.coeffs.imag))) for q in members)
+    res_dev = max(max_abs(hestenes_residual(q, params)) for q in members)
     ver.add("prop5_max_rel_odd", rel_error(odd_dev, scale), 1e-14)
     ver.add("prop5_max_rel_imag", rel_error(imag_dev, scale), 1e-14)
     ver.add("prop5_residual_mass0", res_dev, 0.0)
-    ver.add("prop5_max_rel_route_dev", rel_error(quad.route_deviation, scale),
+    ver.add("prop5_max_rel_route_dev", rel_error(route_deviation, scale),
             QUADRUPLE_ROUTE_BOUND)
-    ver.add("prop5_integer_route_max_abs",
-            hestenes_quadruple(_integer_field(dims, seed)).route_deviation, 0)
-    rank_report = verify_quadruple_independence(quad)
-    ver.note("prop5_rank", rank_report.rank)
-    for i, s in enumerate(rank_report.singular_values):
+    ver.add("prop5_integer_route_max_abs", hestenes_quadruple(_integer_field(dims, seed))[1], 0)
+    rank, singular_values, _ = verify_quadruple_independence(members)
+    ver.note("prop5_rank", rank)
+    for i, s in enumerate(singular_values):
         ver.note(f"prop5_sigma_{i}", f"{s:.9g}")
 
     # The first momentum in site order with a real positive eigenvalue gives
@@ -356,9 +355,9 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     p = tuple(int(c) for c in np.unravel_index(found[0], dims.shape))
     mass, amp = next((lam, amp) for lam, amp in zip(*eigen_solve(p, dims)) if real_mass(lam))
     solution = plane_wave(dims, p, amp)
-    quad_real = hestenes_quadruple(solution)
+    members_real, _ = hestenes_quadruple(solution)
     params_real = EquationParams(mass.real, Equation.HESTENES)
-    res_real = max(max_abs(hestenes_residual(q, params_real)) for q in quad_real.fields())
+    res_real = max(max_abs(hestenes_residual(q, params_real)) for q in members_real)
     sol_scale = max_abs(solution)
     ver.add("prop5_realmass_max_rel_residual", rel_error(res_real, sol_scale), 1e-12)
     ver.note("prop5_realmass_momentum", ",".join(str(c) for c in p))

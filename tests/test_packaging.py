@@ -1,13 +1,17 @@
-"""Every third-party module imported under src/ is a declared dependency."""
+"""Packaging: every third-party module imported under src/ is a declared
+dependency, and the package root binds what the README and perfbench use."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import dklattice
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -42,3 +46,30 @@ def test_cli_import_loads_no_exact_arithmetic_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+ROOT_NAMES = {"LatticeDims", "EquationParams", "dk_residual", "eigen_solve", "plane_wave",
+              "max_abs", "build_symbol", "load_field", "random_field"}
+SUBMODULES = ("blades", "lattice", "fields", "algebra", "calculus", "spectral", "transfer",
+              "verify")
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    eigenvalue, residual = capsys.readouterr().out.split()
+    assert eigenvalue == "(2+0j)"
+    assert float(residual) <= 1e-15
+
+
+def test_package_root_binds_documented_names_and_submodules():
+    from dklattice import (EquationParams, LatticeDims, dk_residual,  # noqa: F401
+                           load_field, max_abs, random_field)
+    for name in SUBMODULES:
+        assert isinstance(getattr(dklattice, name), types.ModuleType), name
+    public = {name for name, value in vars(dklattice).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == ROOT_NAMES
+    assert dklattice.__version__
