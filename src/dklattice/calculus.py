@@ -236,13 +236,16 @@ HESTENES_SIGN, HESTENES_SRC = _hestenes_gather()
 ODD_WARN_RATIO = 1e-12
 
 
-def hestenes_residual_componentwise(omega: FormField, params: EquationParams) -> np.ndarray:
+def hestenes_residual_componentwise(omega: FormField, params: EquationParams) -> FormField:
     """Evaluate the eight scalar Hestenes equations directly.
 
-    Returns an array of shape (8, N0, N1, N2, N3) holding left minus right
-    of each equation at every site, ordered as HESTENES_EQUATION_BLADES.
-    Only even-grade input blades enter the equations; a warning is issued
-    when the odd part of omega exceeds ODD_WARN_RATIO relative to its scale.
+    Blade B of the result holds left minus right of the equation whose
+    right-hand blade is B (HESTENES_EQUATION_BLADES), at every site, and
+    every odd blade holds +0.  For even input this equals the operator-form
+    residual right-multiplied by e0, which is the agreement check between the
+    two Hestenes routes.  Only even-grade input blades enter the equations; a
+    warning is issued when the odd part of omega exceeds ODD_WARN_RATIO
+    relative to its scale.
     """
     s = _hestenes_sign(params.equation)
     coeffs = omega.coeffs
@@ -250,22 +253,8 @@ def hestenes_residual_componentwise(omega: FormField, params: EquationParams) ->
     if odd > ODD_WARN_RATIO * max(max_abs(omega), 1.0):
         warnings.warn(f"odd-grade content of size {odd:.3e} is ignored by the "
                       "componentwise Hestenes equations", stacklevel=2)
+    rhs_blades = list(HESTENES_EQUATION_BLADES)
     lhs = _stencil(coeffs, HESTENES_SIGN, HESTENES_SRC)
-    rhs = coeffs[..., list(HESTENES_EQUATION_BLADES)]
-    return np.moveaxis(lhs - (s * params.mass) * rhs, -1, 0)
-
-
-def pack_hestenes_components(residuals: np.ndarray, dims) -> FormField:
-    """Lay the eight componentwise residuals onto their right-hand blades.
-
-    For even input the packed field equals the operator-form residual
-    right-multiplied by e0, which is the agreement check between the two
-    Hestenes routes.
-    """
-    if residuals.shape != (8,) + dims.shape:
-        raise ValueError(f"expected residual array of shape {(8,) + dims.shape}, "
-                         f"got {residuals.shape}")
-    coeffs = np.zeros(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128)
-    for j, mask in enumerate(HESTENES_EQUATION_BLADES):
-        coeffs[..., mask] = residuals[j]
-    return _adopt(dims, coeffs)
+    out = np.zeros_like(coeffs)
+    out[..., rhs_blades] = lhs - (s * params.mass) * coeffs[..., rhs_blades]
+    return _adopt(omega.dims, out)

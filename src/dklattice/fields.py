@@ -125,10 +125,6 @@ def _check_same_dims(a: FormField, b: FormField):
         raise ValueError(f"lattice dimension mismatch: {a.dims.shape} vs {b.dims.shape}")
 
 
-def zeros(dims: LatticeDims) -> FormField:
-    return _adopt(dims, np.zeros(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128))
-
-
 def constant_field(dims: LatticeDims, amplitude) -> FormField:
     """Field with the same 16-vector of blade coefficients at every site."""
     amp = np.asarray(amplitude, dtype=np.complex128)
@@ -137,24 +133,12 @@ def constant_field(dims: LatticeDims, amplitude) -> FormField:
     return FormField(dims, np.broadcast_to(amp, dims.shape + (blades.NUM_BLADES,)))
 
 
-def grade_part(omega: FormField, r: int) -> FormField:
-    """Projection onto the blades of grade r (0 <= r <= 4)."""
-    if r not in (0, 1, 2, 3, 4):
-        raise ValueError(f"grade must be 0..4, got {r}")
-    return _adopt(omega.dims, omega.coeffs * (blades.GRADES == r))
-
-
 def even_part(omega: FormField) -> FormField:
     return _adopt(omega.dims, omega.coeffs * (blades.GRADES % 2 == 0))
 
 
 def odd_part(omega: FormField) -> FormField:
     return _adopt(omega.dims, omega.coeffs * (blades.GRADES % 2 == 1))
-
-
-def conjugate(omega: FormField) -> FormField:
-    """Componentwise complex conjugate."""
-    return _adopt(omega.dims, np.conj(omega.coeffs))
 
 
 def max_abs(omega: FormField) -> float:

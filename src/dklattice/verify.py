@@ -18,7 +18,7 @@ from .algebra import (E0, E12, PROJECTOR_TAGS, ConstantForm, clifford_mul,
                       is_constant, projector, right_mul, right_mul_matrix)
 from .calculus import (_hestenes_sign, d_c, d_plus_delta, d_plus_delta_via_clifford,
                        delta_c, dk_apply, hestenes_residual, hestenes_residual_componentwise,
-                       pack_hestenes_components, solve_residual)
+                       solve_residual)
 from .fields import (Equation, EquationParams, FormField, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field)
 from .lattice import LatticeDims, shift, site_iter
@@ -239,37 +239,25 @@ def check_prop3(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
     return ver
 
 
-@dataclass(frozen=True)
-class _MomentumSweep:
-    """Worst residuals of every eigen plane wave, worked out per momentum.
-
-    A plane wave of amplitude a at momentum p is mapped by d_c + delta_c to
-    the plane wave of S(p) a, and right multiplication by a constant form
-    acts on a alone, so each residual of such a solution is 16-vector
-    algebra with the symbol block.  rel_* are max-abs residuals relative to
-    max|a|; eigen_residual is the largest 2-norm of i S a - lambda a.
-    """
-
-    momenta: int
-    solutions: int
-    eigen_residual: float
-    rel_dk: float
-    rel_hestenes: float
-    rel_flipped: float
-
-
 def _row_rel(residual: np.ndarray, scale: np.ndarray) -> float:
     """Largest row max-abs of residual relative to that row's (positive) scale."""
     return float(np.max(np.max(np.abs(residual), axis=-1) / scale))
 
 
-def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
+def _momentum_sweep(dims: LatticeDims) -> dict:
     """Check every eigenpair of every momentum block of the lattice.
 
-    For each eigen solution a (a row) with eigenvalue lambda: the Dirac-Kahler
-    residual i S a - lambda a, and for each projector part b = a P_tag the
-    residual -(S b) e1 e2 - s lambda b e0 of its Hestenes equation, with
-    s = -1 for the sign-flipped parts.
+    A plane wave of amplitude a at momentum p is mapped by d_c + delta_c to
+    the plane wave of S(p) a, and right multiplication by a constant form
+    acts on a alone, so each residual of such a solution is 16-vector
+    algebra with the symbol block.  For each eigen solution a (a row) with
+    eigenvalue lambda: the Dirac-Kahler residual i S a - lambda a, and for
+    each projector part b = a P_tag the residual -(S b) e1 e2 - s lambda b e0
+    of its Hestenes equation, with s = -1 for the sign-flipped parts.
+
+    Returns the counts "momenta" and "solutions", "eigen_residual", the
+    largest 2-norm of i S a - lambda a, and the max-abs residuals relative
+    to max|a|: "rel_dk", "rel_hestenes" and "rel_flipped".
 
     The momenta go SWEEP_MOMENTA at a time, in site order, through
     _eigen_stack, and every product is stacked, one 16 x 16 slice per momentum.
@@ -299,22 +287,22 @@ def _momentum_sweep(dims: LatticeDims) -> _MomentumSweep:
                 worst[equation] = max(worst[equation], _row_rel(residual, scale))
             momenta += len(amps)
             solutions += lam.size
-    return _MomentumSweep(momenta=momenta, solutions=solutions, eigen_residual=eigen,
-                          rel_dk=rel_dk, rel_hestenes=worst[Equation.HESTENES],
-                          rel_flipped=worst[Equation.HESTENES_FLIPPED])
+    return {"momenta": momenta, "solutions": solutions, "eigen_residual": eigen,
+            "rel_dk": rel_dk, "rel_hestenes": worst[Equation.HESTENES],
+            "rel_flipped": worst[Equation.HESTENES_FLIPPED]}
 
 
-def check_prop4(dims: LatticeDims, sweep: _MomentumSweep | None = None) -> Verification:
+def check_prop4(dims: LatticeDims, sweep: dict | None = None) -> Verification:
     """Solution transfer for every eigenpair at every momentum.
 
     sweep is the _momentum_sweep of dims, computed here when not given.
     """
     ver = Verification()
     sweep = sweep or _momentum_sweep(dims)
-    ver.add("prop4_max_rel_dk_residual", sweep.rel_dk, 1e-12)
-    ver.add("prop4_max_rel_hestenes", sweep.rel_hestenes, 1e-12)
-    ver.add("prop4_max_rel_flipped", sweep.rel_flipped, 1e-12)
-    ver.note("prop4_solutions_checked", sweep.solutions)
+    ver.add("prop4_max_rel_dk_residual", sweep["rel_dk"], 1e-12)
+    ver.add("prop4_max_rel_hestenes", sweep["rel_hestenes"], 1e-12)
+    ver.add("prop4_max_rel_flipped", sweep["rel_flipped"], 1e-12)
+    ver.note("prop4_solutions_checked", sweep["solutions"])
     return ver
 
 
@@ -393,10 +381,8 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
         mass = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         for equation in (Equation.HESTENES, Equation.HESTENES_FLIPPED):
             params = EquationParams(mass, equation)
-            packed = pack_hestenes_components(
-                hestenes_residual_componentwise(omega, params), dims)
             reference = right_mul(hestenes_residual(omega, params), E0)
-            dev = max_abs(packed - reference)
+            dev = max_abs(hestenes_residual_componentwise(omega, params) - reference)
             scale = max_abs(omega) * max(1.0, abs(mass))
             worst = max(worst, rel_error(dev, scale))
     ver.add("componentwise_max_rel_dev", worst, 1e-14)
@@ -455,7 +441,7 @@ def _symbol_route(omega: FormField) -> np.ndarray:
 
 
 def check_spectral(dims: LatticeDims, seed: int = 0,
-                   sweep: _MomentumSweep | None = None) -> Verification:
+                   sweep: dict | None = None) -> Verification:
     """Eigenpair residuals at every momentum, and the stencil against the symbol.
 
     sweep is the _momentum_sweep of dims, computed here when not given.
@@ -464,10 +450,10 @@ def check_spectral(dims: LatticeDims, seed: int = 0,
     sweep = sweep or _momentum_sweep(dims)
     omega = random_field(dims, seed)
     dev = float(np.max(np.abs(d_plus_delta(omega).coeffs - _symbol_route(omega))))
-    ver.add("spectral_eigen_residual_max", sweep.eigen_residual, 1e-12)
-    ver.add("spectral_max_rel_dk_residual", sweep.rel_dk, 1e-12)
+    ver.add("spectral_eigen_residual_max", sweep["eigen_residual"], 1e-12)
+    ver.add("spectral_max_rel_dk_residual", sweep["rel_dk"], 1e-12)
     ver.add("spectral_max_rel_symbol_dev", rel_error(dev, max_abs(omega)), 1e-13)
-    ver.note("spectral_momenta", sweep.momenta)
+    ver.note("spectral_momenta", sweep["momenta"])
     return ver
 
 

@@ -70,3 +70,22 @@ def test_verify_rows_at_2_4(bench, tmp_path):
     rows = json.loads(out.read_text(encoding="ascii"))["results"]["trials_1"]
     assert "all" in rows
     assert all(row["passed"] for row in rows.values())
+
+
+def test_identity_of_a_tree_with_itself(bench, monkeypatch, capsys):
+    identity = bench("identity")
+    monkeypatch.setattr(identity, "CATALOGUE", (
+        ("gen", "random", "--dims", "2,1,1,2", "--seed", "3", "-o", "f.json"),
+        ("apply", "dk", "-i", "f.json", "-o", "g.json"),
+        ("residual", "dk", "-i", "f.json", "--mass", "1,0"),
+    ))
+    src = str(BENCH.parent / "src")
+    assert identity.main([src, src]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "same exit=0 files=1", "same exit=0 files=1", "same exit=1 files=0"]
+    assert lines[3] == "3 of 3 invocations identical"
+    # and a difference in any part is named
+    run = (0, b"out", b"", {"f.json": "aa"})
+    assert identity._differences(run, (1, b"out", b"err", {"f.json": "ab", "g.json": "c"})) \
+        == ["exit", "stderr", "file f.json", "file g.json"]

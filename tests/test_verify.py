@@ -1,5 +1,6 @@
 """The verification harness itself: report format and check behavior."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -263,8 +264,9 @@ def test_momentum_sweep_matches_the_per_momentum_loop(shape):
     dims = LatticeDims(*shape)
     sweep = verify._momentum_sweep(dims)
     momenta, solutions, *maxima = _sweep_per_momentum(dims)
-    assert (sweep.momenta, sweep.solutions) == (momenta, solutions)
-    got = (sweep.eigen_residual, sweep.rel_dk, sweep.rel_hestenes, sweep.rel_flipped)
+    assert (sweep["momenta"], sweep["solutions"]) == (momenta, solutions)
+    got = (sweep["eigen_residual"], sweep["rel_dk"], sweep["rel_hestenes"],
+           sweep["rel_flipped"])
     assert all(abs(a - b) <= 1e-16 for a, b in zip(got, maxima)), (got, maxima)
 
 
@@ -440,3 +442,20 @@ def test_check_names_cover_run_table():
     assert set(CHECK_NAMES) == {"clifford", "1", "2", "3", "4", "5",
                                 "nilpotency", "componentwise", "matrix",
                                 "spectral", "propagator"}
+
+
+# Axis 0 is the time axis of METRIC; axes 1-3 are interchangeable, so their
+# extents are taken as a multiset: 4 x 20 = 80 shapes.
+SMALL_SHAPES = [(n0,) + spatial for n0 in range(1, 5)
+                for spatial in itertools.combinations_with_replacement(range(1, 5), 3)]
+
+
+def test_every_small_shape_keeps_every_bound():
+    assert len(SMALL_SHAPES) == 80
+    over = {}
+    for shape in SMALL_SHAPES:
+        failed = [c.name for c in run_checks("all", LatticeDims(*shape), trials=2).checks
+                  if not c.passed]
+        if failed:
+            over[shape] = failed
+    assert not over
