@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blades
 from .algebra import E0, E12, ConstantForm, left_mul, right_mul
-from .fields import (Equation, EquationParams, FormField, _adopt, max_abs)
+from .fields import (Equation, EquationParams, FormField, _adopt, max_abs, worst)
 from .lattice import delta_mu
 
 # Signs of the d_c and delta_c stencils, shape (4, 16) like blades.GEN_SIGN:
@@ -172,19 +172,19 @@ def dk_residual(omega: FormField, params: EquationParams) -> FormField:
 
 
 def solve_residual(solution: FormField, mass: complex, source: FormField) -> float:
-    """max_abs(dk_residual(solution, m) - source), one site slab at a time,
-    so that besides the two fields only slab-sized buffers are made."""
-    dev = 0.0
+    """max_abs(dk_residual(solution, m) - source), NaN if any slab holds NaN,
+    one site slab at a time, so that besides the two fields only slab-sized
+    buffers are made."""
+    slab_maxima = []
 
     def reduce(rows, grad, spare):
-        nonlocal dev
         grad *= 1j
         grad -= np.multiply(solution.coeffs[rows], mass, out=spare)
         grad -= source.coeffs[rows]
-        dev = max(dev, float(np.max(np.abs(grad, out=spare.real))))
+        slab_maxima.append(np.max(np.abs(grad, out=spare.real)))
 
     d_plus_delta(solution, out=reduce)
-    return dev
+    return worst(slab_maxima)
 
 
 def hestenes_apply(omega: FormField) -> FormField:

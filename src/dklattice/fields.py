@@ -141,12 +141,18 @@ def odd_part(omega: FormField) -> FormField:
     return _adopt(omega.dims, omega.coeffs * (blades.GRADES % 2 == 1))
 
 
+def worst(values) -> float:
+    """The largest of some non-negative numbers: 0.0 when there are none, NaN
+    when any is NaN (the builtin max drops a NaN that is not first)."""
+    return float(np.max(np.fromiter(values, float), initial=0.0))
+
+
 def max_abs(omega: FormField) -> float:
-    """Largest |coefficient|, over pieces of _CHUNK coefficients, so that no
-    field-sized array of moduli is made."""
+    """Largest |coefficient|, NaN if any is NaN, over pieces of _CHUNK
+    coefficients, so that no field-sized array of moduli is made."""
     flat = omega.coeffs.reshape(-1)
-    return max(float(np.max(np.abs(flat[start:start + _CHUNK])))
-               for start in range(0, flat.size, _CHUNK))
+    return worst(np.max(np.abs(flat[start:start + _CHUNK]))
+                 for start in range(0, flat.size, _CHUNK))
 
 
 def rms(omega: FormField) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import E0, E12, E012, projector, right_mul
 from .calculus import dk_residual, hestenes_residual
 from .fields import (Equation, EquationParams, FormField, _adopt, even_part,
-                     max_abs, odd_part)
+                     max_abs, odd_part, worst)
 
 # Decomposition order of the compound projector tags.
 DECOMPOSITION_TAGS = ("++", "-+", "+-", "--")
@@ -84,7 +84,7 @@ def hestenes_quadruple(omega: FormField) -> tuple[tuple, float]:
     max_abs(omega).
     """
     direct = _quadruple_direct(omega)
-    deviation = max(max_abs(a - b) for a, b in zip(direct, _quadruple_closed_form(omega)))
+    deviation = worst(max_abs(a - b) for a, b in zip(direct, _quadruple_closed_form(omega)))
     return direct, deviation
 
 

@@ -20,7 +20,7 @@ from .calculus import (_hestenes_sign, d_c, d_plus_delta, d_plus_delta_via_cliff
                        delta_c, dk_apply, hestenes_residual, hestenes_residual_componentwise,
                        solve_residual)
 from .fields import (Equation, EquationParams, FormField, constant_field,
-                     even_part, max_abs, odd_part, plane_wave, random_field)
+                     even_part, max_abs, odd_part, plane_wave, random_field, worst)
 from .lattice import LatticeDims, shift, site_iter
 from .spectral import (_eigen_stack, _eigenvalue_pair, _grid_z, _nearest_eigenvalue,
                        _roots, eigen_solve, propagator_solve)
@@ -30,7 +30,7 @@ from .transfer import (_PART_EQUATIONS, DECOMPOSITION_TAGS, decompose,
 # Bound on the quadruple's route_deviation relative to max_abs(omega).
 QUADRUPLE_ROUTE_BOUND = 1e-14
 
-# check_propagator's default masses, tried in order: the first farther than
+# check_propagator's masses, tried in order: the first farther than
 # PROPAGATOR_MASS_GAP max(1, |m|) from every block eigenvalue is used.  Over
 # all extents up to 12, mass 1 is either within 1e-15 of the spectrum (as at
 # 6^4 and 12^4) or at least 3.3e-3 from it, so the gap keeps mass 1 wherever
@@ -179,15 +179,17 @@ def _integer_field(dims: LatticeDims, seed: int) -> FormField:
     return FormField(dims, parts[0] + 1j * parts[1])
 
 
+def _fields(dims: LatticeDims, trials: int, seed: int):
+    """The random fields of the trials, of seeds seed to seed + trials - 1."""
+    return (random_field(dims, s) for s in range(seed, seed + trials))
+
+
 def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verification:
     """Stencil route versus generator route for d_c + delta_c."""
     ver = Verification()
-    worst = 0.0
-    for t in range(trials):
-        omega = random_field(dims, seed + t)
-        dev = max_abs(d_plus_delta(omega) - d_plus_delta_via_clifford(omega))
-        worst = max(worst, rel_error(dev, max_abs(omega)))
-    ver.add("prop1_max_rel_dev", worst, 1e-13)
+    devs = (rel_error(max_abs(d_plus_delta(omega) - d_plus_delta_via_clifford(omega)),
+                      max_abs(omega)) for omega in _fields(dims, trials, seed))
+    ver.add("prop1_max_rel_dev", worst(devs), 1e-13)
     integer = _integer_field(dims, seed)
     ver.add("prop1_integer_max_abs",
             max_abs(d_plus_delta(integer) - d_plus_delta_via_clifford(integer)), 0)
@@ -203,19 +205,19 @@ def check_prop2() -> Verification:
     def dev(lhs: ConstantForm, rhs: ConstantForm) -> float:
         return float(np.max(np.abs(lhs.vector - rhs.vector)))
 
-    idem = max(dev(projector(tag) * projector(tag), projector(tag)) for tag in PROJECTOR_TAGS)
+    idem = worst(dev(projector(tag) * projector(tag), projector(tag)) for tag in PROJECTOR_TAGS)
     ver.add("prop2_idempotence_dev", idem, 1e-15)
 
     # The "0" and "12" factors commute with each other, and each with its e0 or e1 e2.
     pairs = [(projector(s0 + "0"), projector(s12 + "12")) for s0 in "+-" for s12 in "+-"]
     pairs += [(projector("+0"), E0), (projector("-0"), E0),
               (projector("+12"), e1e2), (projector("-12"), e1e2)]
-    ver.add("prop2_commutation_dev", max(dev(p * q, q * p) for p, q in pairs), 1e-15)
+    ver.add("prop2_commutation_dev", worst(dev(p * q, q * p) for p, q in pairs), 1e-15)
 
     # P e0 (+-1) = P for P = (x +- e0)/2, and P e1 e2 (+-i) = P for P = (x +- i e1 e2)/2.
     absorbing = ((projector("+0"), E0, 1), (projector("-0"), E0, -1),
                  (projector("+12"), e1e2, 1j), (projector("-12"), e1e2, -1j))
-    absorb = max(dev(p, (p * c).scaled(factor)) for p, c, factor in absorbing)
+    absorb = worst(dev(p, (p * c).scaled(factor)) for p, c, factor in absorbing)
     ver.add("prop2_absorption_dev", absorb, 1e-15)
     return ver
 
@@ -227,12 +229,9 @@ def check_prop3(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
     exact = 0 if (total - ConstantForm.unit()).is_zero() else 1
     ver.add("prop3_projector_sum_violations", exact, 0)
 
-    worst = 0.0
-    for t in range(trials):
-        omega = random_field(dims, seed + t)
-        dev = max_abs(sum_parts(decompose(omega)) - omega)
-        worst = max(worst, rel_error(dev, max_abs(omega)))
-    ver.add("prop3_max_rel_reconstruction", worst, 1e-14)
+    devs = (rel_error(max_abs(sum_parts(decompose(omega)) - omega), max_abs(omega))
+            for omega in _fields(dims, trials, seed))
+    ver.add("prop3_max_rel_reconstruction", worst(devs), 1e-14)
     integer = _integer_field(dims, seed)
     ver.add("prop3_integer_max_abs", max_abs(sum_parts(decompose(integer)) - integer), 0)
     ver.note("prop3_trials", trials)
@@ -267,7 +266,7 @@ def _momentum_sweep(dims: LatticeDims) -> dict:
     e0, e12 = right_mul_matrix(E0), right_mul_matrix(E12)
     momenta = solutions = 0
     eigen = rel_dk = 0.0
-    worst = {Equation.HESTENES: 0.0, Equation.HESTENES_FLIPPED: 0.0}
+    rel = {Equation.HESTENES: 0.0, Equation.HESTENES_FLIPPED: 0.0}
     for start in range(0, dims.volume, SWEEP_MOMENTA):
         sites = np.arange(start, min(start + SWEEP_MOMENTA, dims.volume))
         stack = np.stack(np.unravel_index(sites, dims.shape), axis=1)
@@ -278,18 +277,18 @@ def _momentum_sweep(dims: LatticeDims) -> dict:
             scale = np.max(np.abs(amps), axis=2)
             s_t = np.swapaxes(symbols, 1, 2)  # rows times S^T are the rows of S a
             dk = 1j * (amps @ s_t) - lam * amps
-            eigen = max(eigen, float(np.max(np.linalg.norm(dk, axis=2))))
-            rel_dk = max(rel_dk, _row_rel(dk, scale))
+            eigen = np.maximum(eigen, np.max(np.linalg.norm(dk, axis=2)))
+            rel_dk = np.maximum(rel_dk, _row_rel(dk, scale))
             for tag, matrix in parts.items():
                 part = amps @ matrix
                 residual = -((part @ s_t) @ e12) - signs[tag] * lam * (part @ e0)
                 equation = _PART_EQUATIONS[tag]
-                worst[equation] = max(worst[equation], _row_rel(residual, scale))
+                rel[equation] = np.maximum(rel[equation], _row_rel(residual, scale))
             momenta += len(amps)
             solutions += lam.size
-    return {"momenta": momenta, "solutions": solutions, "eigen_residual": eigen,
-            "rel_dk": rel_dk, "rel_hestenes": worst[Equation.HESTENES],
-            "rel_flipped": worst[Equation.HESTENES_FLIPPED]}
+    return {"momenta": momenta, "solutions": solutions, "eigen_residual": float(eigen),
+            "rel_dk": float(rel_dk), "rel_hestenes": float(rel[Equation.HESTENES]),
+            "rel_flipped": float(rel[Equation.HESTENES_FLIPPED])}
 
 
 def check_prop4(dims: LatticeDims, sweep: dict | None = None) -> Verification:
@@ -316,9 +315,9 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
 
     members, route_deviation = hestenes_quadruple(omega)
     params = EquationParams(0.0, Equation.HESTENES)
-    odd_dev = max(max_abs(odd_part(q)) for q in members)
-    imag_dev = max(float(np.max(np.abs(q.coeffs.imag))) for q in members)
-    res_dev = max(max_abs(hestenes_residual(q, params)) for q in members)
+    odd_dev = worst(max_abs(odd_part(q)) for q in members)
+    imag_dev = worst(np.max(np.abs(q.coeffs.imag)) for q in members)
+    res_dev = worst(max_abs(hestenes_residual(q, params)) for q in members)
     ver.add("prop5_max_rel_odd", rel_error(odd_dev, scale), 1e-14)
     ver.add("prop5_max_rel_imag", rel_error(imag_dev, scale), 1e-14)
     ver.add("prop5_residual_mass0", res_dev, 0.0)
@@ -345,7 +344,7 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     solution = plane_wave(dims, p, amp)
     members_real, _ = hestenes_quadruple(solution)
     params_real = EquationParams(mass.real, Equation.HESTENES)
-    res_real = max(max_abs(hestenes_residual(q, params_real)) for q in members_real)
+    res_real = worst(max_abs(hestenes_residual(q, params_real)) for q in members_real)
     sol_scale = max_abs(solution)
     ver.add("prop5_realmass_max_rel_residual", rel_error(res_real, sol_scale), 1e-12)
     ver.note("prop5_realmass_momentum", ",".join(str(c) for c in p))
@@ -356,14 +355,11 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
 def check_nilpotency(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verification:
     """d_c twice and delta_c twice vanish on random fields, exactly on integer ones."""
     ver = Verification()
-    worst_d = worst_delta = 0.0
-    for t in range(trials):
-        omega = random_field(dims, seed + t)
-        scale = max_abs(omega)
-        worst_d = max(worst_d, rel_error(max_abs(d_c(d_c(omega))), scale))
-        worst_delta = max(worst_delta, rel_error(max_abs(delta_c(delta_c(omega))), scale))
-    ver.add("nilpotency_dd_max_rel", worst_d, 1e-13)
-    ver.add("nilpotency_deltadelta_max_rel", worst_delta, 1e-13)
+    devs = [[rel_error(max_abs(op(op(omega))), max_abs(omega)) for op in (d_c, delta_c)]
+            for omega in _fields(dims, trials, seed)]
+    dd, deltadelta = np.reshape(devs, (-1, 2)).T
+    ver.add("nilpotency_dd_max_rel", worst(dd), 1e-13)
+    ver.add("nilpotency_deltadelta_max_rel", worst(deltadelta), 1e-13)
     integer = _integer_field(dims, seed)
     ver.add("nilpotency_dd_integer_max_abs", max_abs(d_c(d_c(integer))), 0)
     ver.add("nilpotency_deltadelta_integer_max_abs", max_abs(delta_c(delta_c(integer))), 0)
@@ -375,17 +371,16 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
     """Operator-form Hestenes residual versus the eight scalar equations."""
     ver = Verification()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(trials):
-        omega = even_part(random_field(dims, seed + t))
+    devs = []
+    for omega in map(even_part, _fields(dims, trials, seed)):
         mass = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        scale = max_abs(omega) * max(1.0, abs(mass))
         for equation in (Equation.HESTENES, Equation.HESTENES_FLIPPED):
             params = EquationParams(mass, equation)
             reference = right_mul(hestenes_residual(omega, params), E0)
             dev = max_abs(hestenes_residual_componentwise(omega, params) - reference)
-            scale = max_abs(omega) * max(1.0, abs(mass))
-            worst = max(worst, rel_error(dev, scale))
-    ver.add("componentwise_max_rel_dev", worst, 1e-14)
+            devs.append(rel_error(dev, scale))
+    ver.add("componentwise_max_rel_dev", worst(devs), 1e-14)
     ver.note("componentwise_trials", trials)
     return ver
 
@@ -408,20 +403,21 @@ def dk_matrix_oracle(dims: LatticeDims) -> np.ndarray:
     return blocks.reshape(dims.volume * n, dims.volume * n)
 
 
-def check_matrix_oracle(vectors: int = 20, seed: int = 0) -> Verification:
-    """Matrix-free operator versus the independent matrix on a 2^4 lattice."""
+def check_matrix_oracle(seed: int = 0) -> Verification:
+    """Matrix-free operator versus the independent matrix on a 2^4 lattice,
+    applied to 20 random vectors."""
     ver = Verification()
     dims = LatticeDims(2, 2, 2, 2)
     matrix = dk_matrix_oracle(dims)
     n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     draws = np.stack([rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
-                      for _ in range(vectors)], axis=1)
+                      for _ in range(20)], axis=1)
     direct = np.stack([dk_apply(FormField(dims, v.reshape(dims.shape + (16,)))).coeffs.ravel()
                        for v in draws.T], axis=1)
     dev = np.max(np.abs(matrix @ draws - direct), axis=0)
-    worst = max(map(rel_error, dev, np.max(np.abs(draws), axis=0)))
-    ver.add("matrix_oracle_max_rel_dev", worst, 1e-13)
+    ver.add("matrix_oracle_max_rel_dev",
+            worst(map(rel_error, dev, np.max(np.abs(draws), axis=0))), 1e-13)
     ver.note("matrix_oracle_dimension", n)
     return ver
 
@@ -457,30 +453,24 @@ def check_spectral(dims: LatticeDims, seed: int = 0,
     return ver
 
 
-def check_propagator(dims: LatticeDims, sources: int = 10, seed: int = 0,
-                     mass: complex | None = None) -> Verification:
+def check_propagator(dims: LatticeDims, sources: int = 10, seed: int = 0) -> Verification:
     """A-posteriori residual of the momentum-block solver.
 
-    An explicit mass is used as given, otherwise the first of
-    PROPAGATOR_MASSES far enough from the spectrum.  When the mass is within
-    PROPAGATOR_MASS_GAP max(1, |m|) of a block eigenvalue no source is
-    solved, and the residual reads inf, a failure.
+    The mass is the first of PROPAGATOR_MASSES far enough from the spectrum.
+    When every one is within PROPAGATOR_MASS_GAP max(1, |m|) of a block
+    eigenvalue no source is solved, and the residual reads inf, a failure.
     """
     ver = Verification()
     root = _roots(_grid_z(dims))[1]
-    for mass in PROPAGATOR_MASSES if mass is None else (complex(mass),):
+    for mass in PROPAGATOR_MASSES:
         distance = _nearest_eigenvalue(root, mass)[0]
         if distance > PROPAGATOR_MASS_GAP * max(1.0, abs(mass)):
             break
     else:
         sources = 0
-    worst = 0.0 if sources else float("inf")
-    for t in range(sources):
-        source = random_field(dims, seed + t)
-        solution = propagator_solve(source, mass)
-        dev = solve_residual(solution, mass, source)
-        worst = max(worst, rel_error(dev, max_abs(source)))
-    ver.add("propagator_max_rel_residual", worst, 1e-11)
+    devs = (rel_error(solve_residual(propagator_solve(source, mass), mass, source),
+                      max_abs(source)) for source in _fields(dims, sources, seed))
+    ver.add("propagator_max_rel_residual", worst(devs) if sources else float("inf"), 1e-11)
     ver.note("propagator_sources", sources)
     ver.note("propagator_mass", f"{mass.real:.9g},{mass.imag:.9g}")
     ver.note("propagator_mass_distance", f"{distance:.9g}")
@@ -522,7 +512,7 @@ def run_checks(name: str, dims: LatticeDims, trials: int = 50,
         "5": lambda: check_prop5(dims, seed),
         "nilpotency": lambda: check_nilpotency(dims, trials, seed),
         "componentwise": lambda: check_componentwise(dims, trials, seed),
-        "matrix": lambda: check_matrix_oracle(seed=seed),
+        "matrix": lambda: check_matrix_oracle(seed),
         "spectral": lambda: check_spectral(dims, seed, sweep()),
         "propagator": lambda: check_propagator(dims, sources, seed),
     }

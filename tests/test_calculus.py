@@ -13,7 +13,7 @@ from dklattice.calculus import (D_SIGN, DELTA_SIGN, HESTENES_EQUATION_BLADES,
                                 HESTENES_SIGN, HESTENES_SRC, d_c, d_plus_delta,
                                 d_plus_delta_via_clifford, delta_c, dk_apply,
                                 dk_residual, hestenes_apply, hestenes_residual,
-                                hestenes_residual_componentwise)
+                                hestenes_residual_componentwise, solve_residual)
 from dklattice.fields import (Equation, EquationParams, FormField, _adopt,
                               even_part, max_abs, plane_wave, random_field)
 from dklattice.lattice import LatticeDims, shift
@@ -246,3 +246,12 @@ def test_d_plus_delta_peak_memory_at_8_4():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * f.coeffs.nbytes
+
+
+def test_solve_residual_keeps_a_nan_in_the_last_slab():
+    dims = LatticeDims(8, 8, 8, 8)
+    source = random_field(dims, 2)
+    assert calculus.SLAB_BYTES < source.coeffs[0].nbytes * dims.n0  # several slabs
+    coeffs = source.coeffs.copy()
+    coeffs[-1, -1, -1, -1, -1] = np.nan
+    assert np.isnan(solve_residual(random_field(dims, 1), 1.0, FormField(dims, coeffs)))

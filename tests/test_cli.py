@@ -12,8 +12,8 @@ from dklattice import calculus, verify
 from dklattice.algebra import ConstantForm
 from dklattice.calculus import dk_apply, dk_residual, solve_residual
 from dklattice.cli import _join_signed_values, main
-from dklattice.fields import (EquationParams, load_field, max_abs, plane_wave, random_field,
-                              save_field)
+from dklattice.fields import (EquationParams, FormField, load_field, max_abs, plane_wave,
+                              random_field, save_field)
 from dklattice.spectral import build_symbol, propagator_solve
 from dklattice.lattice import LatticeDims
 
@@ -153,6 +153,22 @@ def test_residual_pass_and_fail(tmp_path, capsys):
     save_field(random_field(DIMS, 5), noise)
     assert run_cli("residual", "dk", "-i", str(noise), "--mass", "2,0") == 1
     assert capsys.readouterr().out.splitlines()[-1] == "status=fail"
+
+
+@pytest.mark.parametrize("eq", ["dk", "hestenes"])
+def test_residual_reports_a_nan_past_the_first_piece_and_fails(eq, tmp_path, capsys):
+    # blade x at sites (5, 5, 5, k) alternating +-1.5e308: the differences
+    # overflow, and the first non-finite residual coefficient is past the
+    # first piece of max_abs
+    dims = LatticeDims(6, 6, 6, 6)
+    coeffs = np.zeros(dims.shape + (16,), dtype=complex)
+    coeffs[5, 5, 5, :, 0] = 1.5e308 * np.array([1, -1, 1, -1, 1, -1])
+    huge = tmp_path / "huge.json"
+    save_field(FormField(dims, coeffs), huge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("residual", eq, "-i", str(huge), "--mass", "0,0") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert {"max_abs=nan", "rel=nan", "status=fail"} <= set(out)
 
 
 def test_residual_hestenes_variants(tmp_path):

@@ -536,6 +536,14 @@ def test_max_abs_covers_every_piece():
     assert max_abs(f) == float(np.max(np.abs(f.coeffs)))
 
 
+def test_max_abs_keeps_a_nan_past_the_first_piece():
+    f = random_field(LatticeDims(6, 6, 6, 6), 16)
+    assert f.coeffs.size > fields._CHUNK
+    coeffs = f.coeffs.copy()
+    coeffs.reshape(-1)[-1] = np.nan
+    assert np.isnan(max_abs(FormField(f.dims, coeffs)))
+
+
 def _whole_rms(f: FormField) -> float:
     return float(np.sqrt(np.mean(np.abs(f.coeffs) ** 2)))
 

@@ -9,7 +9,7 @@ import pytest
 from dklattice import blades, calculus, transfer, verify
 from dklattice.algebra import ConstantForm, projector, right_mul_matrix
 from dklattice.calculus import dk_apply
-from dklattice.fields import Equation, random_field
+from dklattice.fields import Equation, FormField, random_field
 from dklattice.lattice import LatticeDims, site_iter
 from dklattice.spectral import (SingularBlockError, build_symbol, eigen_solve,
                                 propagator_solve)
@@ -199,6 +199,23 @@ def test_prop1_integer_twin_catches_a_relative_perturbation(monkeypatch):
     assert not checks["prop1_integer_max_abs"].passed
 
 
+def test_prop1_keeps_a_nan_of_a_later_trial(monkeypatch):
+    real_route = verify.d_plus_delta_via_clifford
+    calls = []
+
+    def route(omega):
+        calls.append(omega)
+        coeffs = real_route(omega).coeffs.copy()
+        if len(calls) == 2:  # the second of three random trials
+            coeffs[0, 0, 0, 0, 0] = np.nan
+        return FormField(omega.dims, coeffs)
+
+    monkeypatch.setattr(verify, "d_plus_delta_via_clifford", route)
+    ver = check_prop1(DIMS, trials=3)
+    assert "prop1_max_rel_dev=nan" in ver.lines()
+    assert not ver.passed
+
+
 def test_check_prop2():
     ver = check_prop2()
     assert ver.passed
@@ -346,7 +363,7 @@ def test_check_componentwise():
 
 
 def test_check_matrix_oracle():
-    ver = check_matrix_oracle(vectors=5)
+    ver = check_matrix_oracle()
     assert ver.passed
     assert ("matrix_oracle_dimension", "256") in ver.info
 
@@ -375,7 +392,7 @@ def _flip_one_stencil_sign(monkeypatch):
 
 def test_check_matrix_oracle_catches_a_flipped_stencil_sign(monkeypatch):
     _flip_one_stencil_sign(monkeypatch)
-    assert not check_matrix_oracle(vectors=2).passed
+    assert not check_matrix_oracle().passed
 
 
 def test_check_spectral():
@@ -411,12 +428,11 @@ def test_check_propagator_mass_choice(shape):
     assert float(info["propagator_mass_distance"]) > PROPAGATOR_MASS_GAP
 
 
-def test_check_propagator_honours_an_explicit_mass():
-    info = dict(check_propagator(DIMS, sources=1, mass=0.3 - 0.8j).info)
-    assert info["propagator_mass"] == "0.3,-0.8"
-    # an explicit mass on the spectrum is not replaced: nothing is solved
-    ver = check_propagator(LatticeDims(6, 6, 6, 6), sources=1, mass=1.0)
-    assert not ver.passed
+def test_check_propagator_honours_an_explicit_mass(monkeypatch):
+    # a mass on the spectrum with no other to try: nothing is solved
+    monkeypatch.setattr(verify, "PROPAGATOR_MASSES", (1.0,))
+    ver = check_propagator(LatticeDims(6, 6, 6, 6), sources=1)
+    assert not ver.passed and ver.checks[0].value == float("inf")
     assert ("propagator_sources", "0") in ver.info
 
 
