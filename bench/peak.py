@@ -1,15 +1,19 @@
-"""Peak memory and wall time of the CLI `solve` process at 16^4, two trees in turn.
+"""Peak memory and wall time of CLI processes, two trees in turn.
 
 Usage:
     python3 bench/peak.py BEFORE_SRC AFTER_SRC OUT_PREFIX [--pairs N]
+                          [--dims D] [--verify-dims V]
 
 BEFORE_SRC and AFTER_SRC are the src/ directories of two checkouts.  In a
-temporary directory the script writes a 16^4 random field (seed 1) with the
-after tree's `gen random`, then runs
+temporary directory the script writes a random field of extents D (default
+16,16,16,16, seed 1) with the after tree's `gen random`, then runs three rows
 
-    python3 -m dklattice solve -i src.json --mass 1,0 -o sol.json
+    solve:  python3 -m dklattice solve -i src.json --mass 1,0 -o out.json
+    gen:    python3 -m dklattice gen random --dims D --seed 1 -o out.json
+    verify: python3 -m dklattice verify all --dims V --trials 20
 
-from each tree in turn, N pairs (default 5), the before tree first in even
+(V is --verify-dims, default 3,3,3,3) from each tree in turn, N pairs
+(default 5, at least 2 for the quartiles), the before tree first in even
 pairs and the after tree first in odd ones.  Each run is a child process
 of this script, and its peak RSS (ru_maxrss) and wall time come from
 os.wait4 on that child alone.  The script imports only the standard
@@ -19,10 +23,11 @@ floor of every reading.  ru_maxrss of a process that forked also covers
 the children it reaped, so the load's parsing child and the save's
 formatting child are counted.
 
-It writes OUT_PREFIX_before.json and OUT_PREFIX_after.json, each with
-every run (peak MiB, wall s, SHA-256 of the solution file and of stdout),
-the median and quartiles of both metrics, and a host/Python context.  Equal
-digests across the two files show that the trees wrote the same bytes.
+It writes OUT_PREFIX_before.json and OUT_PREFIX_after.json with one entry
+per row under "rows": every run (peak MiB, wall s, SHA-256 of the file it
+wrote, if any, and of stdout), and the median and quartiles of both
+metrics; and a host/Python context.  Equal digests across the two files
+show that the trees wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -39,9 +44,18 @@ import tempfile
 import time
 from pathlib import Path
 
-DIMS = "16,16,16,16"
 SEED = 1
 MASS = "1,0"
+VERIFY_TRIALS = 20
+
+
+def rows(dims: str, verify_dims: str) -> dict:
+    """The CLI arguments of each row; solve reads the field gen wrote first."""
+    return {
+        "solve": ("solve", "-i", "src.json", "--mass", MASS, "-o", "out.json"),
+        "gen": ("gen", "random", "--dims", dims, "--seed", str(SEED), "-o", "out.json"),
+        "verify": ("verify", "all", "--dims", verify_dims, "--trials", str(VERIFY_TRIALS)),
+    }
 
 
 def _cpu_model() -> str:
@@ -81,6 +95,18 @@ def run_cli(src: Path, work: Path, *args) -> dict:
             "stdout": (work / "stdout").read_bytes()}
 
 
+def file_sha256(path: Path):
+    """SHA-256 of a file, or None if there is none.  The file is read in
+    blocks, so this script's own high-water RSS stays below its children's."""
+    if not path.exists():
+        return None
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
@@ -92,37 +118,46 @@ def main(argv=None) -> int:
     parser.add_argument("after", type=Path, help="src/ directory of the changed tree")
     parser.add_argument("out_prefix", help="writes OUT_PREFIX_before.json and _after.json")
     parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--dims", default="16,16,16,16", help="extents of solve and gen")
+    parser.add_argument("--verify-dims", default="3,3,3,3", help="extents of verify all")
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of a row need two runs of each tree
+        parser.error("--pairs must be at least 2")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
-    runs = {name: [] for name in trees}
+    commands = rows(args.dims, args.verify_dims)
+    runs = {name: {row: [] for row in commands} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        run_cli(trees["after"], work, "gen", "random", "--dims", DIMS, "--seed", str(SEED),
-                "-o", "src.json")
+        run_cli(trees["after"], work, "gen", "random", "--dims", args.dims,
+                "--seed", str(SEED), "-o", "src.json")
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-            for name in order:
-                (work / "sol.json").unlink(missing_ok=True)
-                run = run_cli(trees[name], work, "solve", "-i", "src.json", "--mass", MASS,
-                              "-o", "sol.json")
-                runs[name].append({
-                    "pair": pair,
-                    "peak_mib": run["peak_mib"],
-                    "wall_s": run["wall_s"],
-                    "solution_sha256": hashlib.sha256((work / "sol.json").read_bytes()).hexdigest(),
-                    "stdout_sha256": hashlib.sha256(run["stdout"]).hexdigest(),
-                })
-                print(f"pair {pair} {name}: peak {run['peak_mib']:.1f} MiB, "
-                      f"wall {run['wall_s']:.3f} s", file=sys.stderr)
-    for name, records in runs.items():
+            for row, command in commands.items():
+                for name in order:
+                    out = work / "out.json"
+                    out.unlink(missing_ok=True)
+                    run = run_cli(trees[name], work, *command)
+                    runs[name][row].append({
+                        "pair": pair,
+                        "peak_mib": run["peak_mib"],
+                        "wall_s": run["wall_s"],
+                        "file_sha256": file_sha256(out),
+                        "stdout_sha256": hashlib.sha256(run["stdout"]).hexdigest(),
+                    })
+                    print(f"pair {pair} {row} {name}: peak {run['peak_mib']:.2f} MiB, "
+                          f"wall {run['wall_s']:.3f} s", file=sys.stderr)
+    for name, by_row in runs.items():
         result = {
             "benchmark": "peak",
             "tree": name,
-            "command": f"solve -i <gen random --dims {DIMS} --seed {SEED}> --mass {MASS}",
             "pairs": args.pairs,
-            "peak_mib": summary([r["peak_mib"] for r in records]),
-            "wall_s": summary([r["wall_s"] for r in records]),
-            "runs": records,
+            "rows": {row: {
+                "command": " ".join(commands[row]).replace(
+                    "src.json", f"<gen random --dims {args.dims} --seed {SEED}>"),
+                "peak_mib": summary([r["peak_mib"] for r in records]),
+                "wall_s": summary([r["wall_s"] for r in records]),
+                "runs": records,
+            } for row, records in by_row.items()},
             "context": context(),
         }
         with open(f"{args.out_prefix}_{name}.json", "w", encoding="ascii") as fh:

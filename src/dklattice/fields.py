@@ -156,11 +156,19 @@ def max_abs(omega: FormField) -> float:
 
 
 def rms(omega: FormField) -> float:
-    """Root mean square |coefficient|, over pieces of _CHUNK as in max_abs."""
+    """Root mean square |coefficient|, over pieces of _CHUNK as in max_abs.  Only
+    where the plain sum of squares overflows are the moduli divided by a finite
+    max_abs first, so every other result keeps the plain sum's bits."""
     flat = omega.coeffs.reshape(-1)
-    total = sum(float(np.sum(np.abs(flat[start:start + _CHUNK]) ** 2))
-                for start in range(0, flat.size, _CHUNK))
-    return float(np.sqrt(total / flat.size))
+    def mean_square(scale: float) -> float:
+        with np.errstate(over="ignore"):
+            return sum(float(np.sum((np.abs(flat[start:start + _CHUNK]) / scale) ** 2))
+                       for start in range(0, flat.size, _CHUNK)) / flat.size
+
+    scale, mean = 1.0, mean_square(1.0)
+    if mean == np.inf and np.isfinite(scale := max_abs(omega)):
+        mean = mean_square(scale)
+    return scale * float(np.sqrt(mean))
 
 
 def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:
@@ -179,23 +187,29 @@ def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:
     return _adopt(dims, wave[..., None] * amp)
 
 
-def random_field(dims: LatticeDims, seed: int) -> FormField:
-    """Deterministic random field for a given seed.
+def _draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start .. start + count - 1 of SplitMix64 (Steele, Lea & Flood 2014):
+    draw k is z = mix(seed + (k + 1) 0x9E3779B97F4A7C15 mod 2^64), given as
+    -1 + 2 (z >> 11) 2^-53 on [-1, 1), so it depends on seed and k alone."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"random seed {seed} outside 0..2^64-1")
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN + np.uint64(seed)
+    for shift, factor in _MIX:
+        z ^= z >> shift
+        z *= factor
+    return ((z ^ z >> 31) >> 11) * 2.0 ** -52 - 1.0
 
-    Draws from numpy's PCG64 generator seeded with `seed`: one uniform(-1, 1)
-    block of shape (2, N0, N1, N2, N3, 16), slab 0 the real parts and slab 1
-    the imaginary parts.  The same seed and extents always reproduce the
-    field bit for bit.  The block is drawn in pieces of _CHUNK numbers
-    straight into the real and imaginary parts of the field; successive
-    draws continue one stream, so the pieces do not change the values.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
+
+def random_field(dims: LatticeDims, seed: int) -> FormField:
+    """Deterministic random field for a seed in 0..2^64-1: with n = 16 volume,
+    draws 0 .. n-1 of _draws are the real parts and n .. 2n-1 the imaginary
+    parts in ravel order, made in pieces of _CHUNK straight into the field."""
     coeffs = np.empty(dims.shape + (blades.NUM_BLADES,), dtype=np.complex128)
     flat = coeffs.reshape(-1)
-    for part in (flat.real, flat.imag):
+    for offset, part in ((0, flat.real), (flat.size, flat.imag)):
         for start in range(0, part.size, _CHUNK):
             piece = part[start:start + _CHUNK]
-            piece[...] = rng.uniform(-1.0, 1.0, size=piece.size)
+            piece[...] = _draws(seed, offset + start, piece.size)
     return _adopt(dims, coeffs)
 
 
@@ -213,6 +227,8 @@ class FieldFormatError(ValueError):
 # 5.6 MB of text, is formatted and parsed by two processes.
 SPLIT_MIN_NUMBERS = 1 << 18
 _CHUNK = 1 << 14  # numbers per formatted piece (2^16 grew a save's peak) and per draw
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment and its two mixing rounds
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 # Numbers per orjson piece.  A piece briefly takes about 62 bytes a number
 # (its text, the Python floats and their list, and an array of doubles), and
 # the heap and arena pages it touched stay resident after the load: 2^12

@@ -19,7 +19,7 @@ from .algebra import (E0, E12, PROJECTOR_TAGS, ConstantForm, clifford_mul,
 from .calculus import (_hestenes_sign, d_c, d_plus_delta, d_plus_delta_via_clifford,
                        delta_c, dk_apply, hestenes_residual, hestenes_residual_componentwise,
                        solve_residual)
-from .fields import (Equation, EquationParams, FormField, constant_field,
+from .fields import (Equation, EquationParams, FormField, _draws, constant_field,
                      even_part, max_abs, odd_part, plane_wave, random_field, worst)
 from .lattice import LatticeDims, shift, site_iter
 from .spectral import (_eigen_stack, _eigenvalue_pair, _grid_z, _nearest_eigenvalue,
@@ -168,15 +168,15 @@ def check_clifford() -> Verification:
 
 
 def _integer_field(dims: LatticeDims, seed: int) -> FormField:
-    """A field of Gaussian integers below 2^20 in size.
+    """A field of Gaussian integers below 2^20 in size: the random field of
+    seed times 2^20, each part truncated toward zero.
 
     Every sum, difference and power-of-two scaling of its coefficients in
     the checks is exact in float64, so identities without irrational
     numbers hold exactly on it and are checked with bound 0.
     """
-    rng = np.random.default_rng(seed)
-    parts = rng.integers(1 - 2 ** 20, 2 ** 20, size=(2,) + dims.shape + (16,))
-    return FormField(dims, parts[0] + 1j * parts[1])
+    parts = np.trunc(random_field(dims, seed).coeffs.view(np.float64) * 2 ** 20)
+    return FormField(dims, parts.view(np.complex128))
 
 
 def _fields(dims: LatticeDims, trials: int, seed: int):
@@ -308,8 +308,7 @@ def check_prop4(dims: LatticeDims, sweep: dict | None = None) -> Verification:
 def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     """Quadruple construction at mass zero, plus a real-mass case if available."""
     ver = Verification()
-    rng = np.random.default_rng(seed)
-    amp = rng.uniform(-1.0, 1.0, size=16) + 1j * rng.uniform(-1.0, 1.0, size=16)
+    amp = _draws(seed, 0, 16) + 1j * _draws(seed, 16, 16)
     omega = constant_field(dims, amp)
     scale = max_abs(omega)
 
@@ -370,10 +369,9 @@ def check_nilpotency(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Ver
 def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verification:
     """Operator-form Hestenes residual versus the eight scalar equations."""
     ver = Verification()
-    rng = np.random.default_rng(seed)
+    masses = 2 * _draws(seed, 0, 2 * trials).view(np.complex128)
     devs = []
-    for omega in map(even_part, _fields(dims, trials, seed)):
-        mass = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    for omega, mass in zip(map(even_part, _fields(dims, trials, seed)), masses.tolist()):
         scale = max_abs(omega) * max(1.0, abs(mass))
         for equation in (Equation.HESTENES, Equation.HESTENES_FLIPPED):
             params = EquationParams(mass, equation)
@@ -410,9 +408,8 @@ def check_matrix_oracle(seed: int = 0) -> Verification:
     dims = LatticeDims(2, 2, 2, 2)
     matrix = dk_matrix_oracle(dims)
     n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    draws = np.stack([rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
-                      for _ in range(20)], axis=1)
+    draws = _draws(seed, 0, 40 * n).reshape(20, 2, n)
+    draws = (draws[:, 0] + 1j * draws[:, 1]).T
     direct = np.stack([dk_apply(FormField(dims, v.reshape(dims.shape + (16,)))).coeffs.ravel()
                        for v in draws.T], axis=1)
     dev = np.max(np.abs(matrix @ draws - direct), axis=0)

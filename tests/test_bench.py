@@ -89,3 +89,26 @@ def test_identity_of_a_tree_with_itself(bench, monkeypatch, capsys):
     run = (0, b"out", b"", {"f.json": "aa"})
     assert identity._differences(run, (1, b"out", b"err", {"f.json": "ab", "g.json": "c"})) \
         == ["exit", "stderr", "file f.json", "file g.json"]
+
+
+def test_peak_rows_at_2_4(bench, tmp_path):
+    src = str(BENCH.parent / "src")
+    prefix = tmp_path / "peak"
+    assert bench("peak").main([src, src, str(prefix), "--pairs", "2", "--dims", "2,2,2,2",
+                               "--verify-dims", "2,2,2,2"]) == 0
+    before, after = (json.loads((tmp_path / f"peak_{name}.json").read_text(encoding="ascii"))
+                     for name in ("before", "after"))
+    assert set(after["rows"]) == {"solve", "gen", "verify"}
+    for row, result in after["rows"].items():
+        assert [r["pair"] for r in result["runs"]] == [0, 1], row
+        assert result["peak_mib"]["median"] > 0 and result["wall_s"]["median"] > 0
+        # one tree against itself writes the same bytes
+        digests = {(r["file_sha256"], r["stdout_sha256"])
+                   for r in before["rows"][row]["runs"] + result["runs"]}
+        assert len(digests) == 1, row
+    assert after["rows"]["verify"]["runs"][0]["file_sha256"] is None
+    assert after["rows"]["gen"]["command"] == "gen random --dims 2,2,2,2 --seed 1 -o out.json"
+    # quartiles need two runs of each tree, so one pair is refused before any run
+    with pytest.raises(SystemExit):
+        bench("peak").main([src, src, str(tmp_path / "one"), "--pairs", "1"])
+    assert not list(tmp_path.glob("one_*"))

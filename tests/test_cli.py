@@ -171,6 +171,17 @@ def test_residual_reports_a_nan_past_the_first_piece_and_fails(eq, tmp_path, cap
     assert {"max_abs=nan", "rel=nan", "status=fail"} <= set(out)
 
 
+def test_residual_rms_of_a_huge_field_is_finite(tmp_path, capsys):
+    # the residual of a constant field at mass 1 is minus the field, whose one
+    # blade of 4e200 among 16 has root mean square 1e200
+    big = tmp_path / "big.json"
+    assert run_cli("gen", "constant", "--amp", "x=4e200,0", "-o", str(big)) == 0
+    assert run_cli("residual", "dk", "-i", str(big), "--mass", "1,0") == 1
+    captured = capsys.readouterr()
+    assert {"max_abs=4e+200", "rms=1e+200"} <= set(captured.out.splitlines())
+    assert captured.err == ""
+
+
 def test_residual_hestenes_variants(tmp_path):
     wave = tmp_path / "w.json"
     run_cli("gen", "plane-wave", "--dims", "4,4,4,4", "--p", "0,2,0,0",
@@ -394,7 +405,7 @@ def test_gen_random_16_4_file_is_unchanged(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("gen", "random", "--dims", "16,16,16,16", "--seed", "1", "-o", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5f10a49def25be9d1f5b011b38517e0a38d7e051b548f03a9f08cdf2e4b0a872")
+        "69cfefb653cd9967d7eee7487ae2b9b8f29add35b77519749e8c1bae96aec4cd")
 
 
 @pytest.mark.parametrize("option, value, argv", [
@@ -454,6 +465,29 @@ def test_non_finite_or_negative_numbers_rejected_at_parse(argv, tmp_path, capsys
     assert f"argument {argv[-2]}: " in captured.err
     assert "status=" not in captured.out
     assert "expected non-negative integer" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--dims", "2,2,2,2", "--seed", str(2 ** 64), "-o", "{out}"),
+    ("verify", "1", "--dims", "2,2,2,2", "--trials", "2", "--seed", str(2 ** 64 - 1)),
+    ("verify", "matrix", "--seed", str(2 ** 64)),
+    ("verify", "all", "--dims", "2,2,2,2", "--trials", "1", "--seed", str(2 ** 64)),
+], ids=["gen", "verify-second-trial", "verify-matrix", "verify-all"])
+def test_a_seed_drawn_outside_64_bits_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run_cli(*(a.format(out=out) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: random seed {2 ** 64} outside 0..2^64-1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_seed_that_is_never_drawn_is_not_checked(capsys):
+    # the last seed of 64 bits draws one trial; family 2 draws nothing
+    assert run_cli("verify", "1", "--dims", "2,2,2,2", "--trials", "1",
+                   "--seed", str(2 ** 64 - 1)) == 0
+    assert run_cli("verify", "2", "--seed", str(2 ** 70)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_input_file(tmp_path, capsys):

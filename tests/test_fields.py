@@ -141,11 +141,42 @@ def test_random_field_deterministic():
 
 
 def test_random_field_keeps_its_values_at_16_4():
-    # SHA-256 of the coefficients drawn as one uniform block of shape
-    # (2, 16, 16, 16, 16, 16), real parts first
+    # SHA-256 of the coefficients: SplitMix64 draws of seed 1, the first 2^20
+    # the real parts and the next 2^20 the imaginary parts
     f = random_field(LatticeDims(16, 16, 16, 16), 1)
     assert hashlib.sha256(f.coeffs.tobytes()).hexdigest() == (
-        "5aa7dc14b00011e28fa162a9f7ac152138af7b03cae3475e12950ba11aa71158")
+        "9388455243f028bb05fd4595c2284cff48ea2157a15447011bc216c669ea09e3")
+
+
+def _splitmix64(seed: int, k: int) -> float:
+    """Draw k of SplitMix64 on Python ints masked to 64 bits, mapped to [-1, 1)."""
+    mask = (1 << 64) - 1
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+    return -1 + 2 * ((z ^ z >> 31) >> 11) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 63, 2 ** 64 - 1])
+def test_random_field_is_splitmix64_in_file_order(seed):
+    dims = LatticeDims(6, 6, 6, 6)
+    flat = random_field(dims, seed).coeffs.reshape(-1)
+    n = flat.size
+    assert n > fields._CHUNK
+    # the first draws, both sides of a piece boundary, the first and the last
+    # imaginary parts
+    for index in (0, 1, 2, fields._CHUNK - 1, fields._CHUNK, n - 1):
+        assert flat[index].real == _splitmix64(seed, index)
+    for index in (0, fields._CHUNK - 1, fields._CHUNK, n - 1):
+        assert flat[index].imag == _splitmix64(seed, n + index)
+    # the published first output of SplitMix64 seeded with 0
+    assert fields._draws(0, 0, 1)[0] == -1 + 2 * (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_random_field_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"random seed -?\d+ outside 0..2\^64-1"):
+        random_field(SMALL, seed)
 
 
 def test_constructor_copies_the_callers_array():
@@ -560,6 +591,16 @@ def test_rms_covers_every_piece():
     assert rms(spiked) == pytest.approx(_whole_rms(spiked), rel=16 * np.finfo(float).eps, abs=0)
     small = random_field(LatticeDims(3, 3, 3, 3), 18)  # a single piece: the same sum
     assert rms(small) == _whole_rms(small)
+
+
+def test_rms_of_huge_coefficients_is_finite_and_exact():
+    # the squares of 4e200 overflow; the moduli are divided by max_abs first
+    amp = np.zeros(16, dtype=complex)
+    amp[X] = 4e200
+    assert rms(constant_field(SMALL, amp)) == 1e200
+    assert rms(constant_field(SMALL, amp * 1j)) == 1e200
+    amp[X] = np.inf
+    assert rms(FormField(SMALL, np.broadcast_to(amp, SMALL.shape + (16,)))) == np.inf
 
 
 def test_load_missing_file(tmp_path):

@@ -48,6 +48,21 @@ def test_cli_import_loads_no_exact_arithmetic_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_random_draws_load_no_numpy_random_or_openssl(tmp_path):
+    # the random fields come from SplitMix64 on uint64 arrays, so neither
+    # verify nor gen random imports numpy.random and its secrets and hashlib
+    code = ("import contextlib, io, sys; from dklattice.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', 'all', '--dims', '2,2,2,2', '--trials', '1']) == 0\n"
+            "    assert main(['gen', 'random', '--dims', '2,2,2,2', '-o', 'r.json']) == 0\n"
+            "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "r.json").exists()
+
+
 ROOT_NAMES = {"LatticeDims", "EquationParams", "dk_residual", "eigen_solve", "plane_wave",
               "max_abs", "build_symbol", "load_field", "random_field"}
 SUBMODULES = ("blades", "lattice", "fields", "algebra", "calculus", "spectral", "transfer",
