@@ -2,18 +2,17 @@
 
 Usage:
     python3 bench/peak.py BEFORE_SRC AFTER_SRC OUT_PREFIX [--pairs N]
-                          [--dims D] [--verify-dims V]
 
 BEFORE_SRC and AFTER_SRC are the src/ directories of two checkouts.  In a
-temporary directory the script writes a random field of extents D (default
-16,16,16,16, seed 1) with the after tree's `gen random`, then runs three rows
+temporary directory the script writes a 16^4 random field (seed 1) with the
+after tree's `gen random`, then runs three rows
 
     solve:  python3 -m dklattice solve -i src.json --mass 1,0 -o out.json
-    gen:    python3 -m dklattice gen random --dims D --seed 1 -o out.json
-    verify: python3 -m dklattice verify all --dims V --trials 20
+    gen:    python3 -m dklattice gen random --dims 16,16,16,16 --seed 1 -o out.json
+    verify: python3 -m dklattice verify all --dims 3,3,3,3 --trials 20
 
-(V is --verify-dims, default 3,3,3,3) from each tree in turn, N pairs
-(default 5, at least 2 for the quartiles), the before tree first in even
+from each tree in turn, N pairs (default 5, at least 2 for the
+quartiles), the before tree first in even
 pairs and the after tree first in odd ones.  Each run is a child process
 of this script, and its peak RSS (ru_maxrss) and wall time come from
 os.wait4 on that child alone.  The script imports only the standard
@@ -44,17 +43,18 @@ import tempfile
 import time
 from pathlib import Path
 
+DIMS = "16,16,16,16"
+VERIFY_DIMS = "3,3,3,3"
 SEED = 1
 MASS = "1,0"
-VERIFY_TRIALS = 20
 
 
-def rows(dims: str, verify_dims: str) -> dict:
-    """The CLI arguments of each row; solve reads the field gen wrote first."""
+def rows() -> dict:
+    """The CLI arguments of each row; solve reads the field made first."""
     return {
         "solve": ("solve", "-i", "src.json", "--mass", MASS, "-o", "out.json"),
-        "gen": ("gen", "random", "--dims", dims, "--seed", str(SEED), "-o", "out.json"),
-        "verify": ("verify", "all", "--dims", verify_dims, "--trials", str(VERIFY_TRIALS)),
+        "gen": ("gen", "random", "--dims", DIMS, "--seed", str(SEED), "-o", "out.json"),
+        "verify": ("verify", "all", "--dims", VERIFY_DIMS, "--trials", "20"),
     }
 
 
@@ -118,18 +118,16 @@ def main(argv=None) -> int:
     parser.add_argument("after", type=Path, help="src/ directory of the changed tree")
     parser.add_argument("out_prefix", help="writes OUT_PREFIX_before.json and _after.json")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--dims", default="16,16,16,16", help="extents of solve and gen")
-    parser.add_argument("--verify-dims", default="3,3,3,3", help="extents of verify all")
     args = parser.parse_args(argv)
     if args.pairs < 2:  # the quartiles of a row need two runs of each tree
         parser.error("--pairs must be at least 2")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
-    commands = rows(args.dims, args.verify_dims)
+    commands = rows()
     runs = {name: {row: [] for row in commands} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        run_cli(trees["after"], work, "gen", "random", "--dims", args.dims,
-                "--seed", str(SEED), "-o", "src.json")
+        run_cli(trees["after"], work, "gen", "random", "--dims", DIMS, "--seed", str(SEED),
+                "-o", "src.json")
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
             for row, command in commands.items():
@@ -153,7 +151,7 @@ def main(argv=None) -> int:
             "pairs": args.pairs,
             "rows": {row: {
                 "command": " ".join(commands[row]).replace(
-                    "src.json", f"<gen random --dims {args.dims} --seed {SEED}>"),
+                    "src.json", f"<gen random --dims {DIMS} --seed {SEED}>"),
                 "peak_mib": summary([r["peak_mib"] for r in records]),
                 "wall_s": summary([r["wall_s"] for r in records]),
                 "runs": records,

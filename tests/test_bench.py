@@ -91,11 +91,12 @@ def test_identity_of_a_tree_with_itself(bench, monkeypatch, capsys):
         == ["exit", "stderr", "file f.json", "file g.json"]
 
 
-def test_peak_rows_at_2_4(bench, tmp_path):
+def test_peak_rows_at_2_4(bench, tmp_path, monkeypatch):
+    peak = bench("peak")
+    monkeypatch.setattr(peak, "DIMS", "2,2,2,2")
+    monkeypatch.setattr(peak, "VERIFY_DIMS", "2,2,2,2")
     src = str(BENCH.parent / "src")
-    prefix = tmp_path / "peak"
-    assert bench("peak").main([src, src, str(prefix), "--pairs", "2", "--dims", "2,2,2,2",
-                               "--verify-dims", "2,2,2,2"]) == 0
+    assert peak.main([src, src, str(tmp_path / "peak"), "--pairs", "2"]) == 0
     before, after = (json.loads((tmp_path / f"peak_{name}.json").read_text(encoding="ascii"))
                      for name in ("before", "after"))
     assert set(after["rows"]) == {"solve", "gen", "verify"}
@@ -110,5 +111,5 @@ def test_peak_rows_at_2_4(bench, tmp_path):
     assert after["rows"]["gen"]["command"] == "gen random --dims 2,2,2,2 --seed 1 -o out.json"
     # quartiles need two runs of each tree, so one pair is refused before any run
     with pytest.raises(SystemExit):
-        bench("peak").main([src, src, str(tmp_path / "one"), "--pairs", "1"])
+        peak.main([src, src, str(tmp_path / "one"), "--pairs", "1"])
     assert not list(tmp_path.glob("one_*"))
