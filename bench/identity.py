@@ -14,9 +14,10 @@ of every file the invocation wrote or changed.
 It prints one line per invocation, `same` or `DIFF` with what differs,
 then a count, and exits 1 if any invocation differs in any of these.  The
 catalogue covers every verb, checks that pass (exit 0) and fail (exit 1),
-errors (exit 2), a light-cone and a complex-mass plane wave, and an
-8,8,8,16 field of 2^18 numbers, which the field codec saves and loads in
-two processes.  The script imports only the standard library.
+errors (exit 2), a light-cone and a complex-mass plane wave, an 8,8,8,16
+field of 2^18 numbers, which the field codec saves and loads in two
+processes, and values far from 1: a residual of size 1e-200, and masses
+whose square overflows.  The script imports only the standard library.
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ CATALOGUE = (
     ("verify", "spectral", "--dims", "3,3,3,3", "--tol-scale", "0"),
     ("verify", "5", "--dims", "3,1,1,1"),
     ("verify", "all", "--trials", "0"),
+    # every finite scale: a subnormal-square rms, overflowing residuals, and
+    # solves whose m^2 overflows
+    ("gen", "constant", "--dims", "2,2,2,2", "--amp", "x=1e-200,0", "-o", "tiny.json"),
+    ("residual", "dk", "-i", "tiny.json", "--mass", "1,0"),
+    ("residual", "dk", "-i", "noise.json", "--mass", "1e308,1e308"),
+    ("residual", "hestenes", "-i", "noise.json", "--mass", "1e308,1e308"),
+    ("gen", "random", "--dims", "2,2,2,2", "-o", "small.json"),
+    ("solve", "-i", "small.json", "--mass", "1e160,0", "-o", "huge_sol.json"),
+    ("solve", "-i", "noise.json", "--mass", "1e308,1e308", "-o", "huger_sol.json"),
 )
 
 

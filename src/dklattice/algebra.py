@@ -2,8 +2,8 @@
 
 The product of two fields is strictly local: the 16-vectors at each site
 multiply through the blade table, with no coupling between sites.  Every
-product is a signed gather over blades.TABLE: blade a times blade b puts
-sign[a, b] times the coefficient product onto blade result[a, b].  A constant
+product is a signed gather over blades.SIGN: blade a times blade b puts
+SIGN[a, b] times the coefficient product onto blade a ^ b.  A constant
 form (one site-independent 16-vector) multiplies as a row times
 right_mul_matrix, with zero rounding, as its coefficients are small dyadics.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blades
-from .blades import TABLE
+from .blades import SIGN
 from .fields import FormField, _adopt, constant_field
 from .lattice import LatticeDims
 
@@ -98,8 +98,8 @@ class ConstantForm:
 # would be a matmul at import, and OpenBLAS allocates its buffers on the
 # first one (0.25 MiB of peak RSS)
 E0 = ConstantForm.e(0)
-E12 = ConstantForm.blade(blades.E12, TABLE.sign[blades.E1, blades.E2])
-E012 = ConstantForm.blade(blades.E012, TABLE.sign[blades.E0, blades.E12])
+E12 = ConstantForm.blade(blades.E12, SIGN[blades.E1, blades.E2])
+E012 = ConstantForm.blade(blades.E012, SIGN[blades.E0, blades.E12])
 
 PROJECTOR_TAGS = ("+0", "-0", "+12", "-12", "++", "+-", "-+", "--")
 
@@ -126,25 +126,26 @@ def projector(tag: str) -> ConstantForm:
 def clifford_mul(a: FormField, b: FormField) -> FormField:
     """Per-site Clifford product of two fields on the same lattice.
 
-    One signed gather per blade m of a: blade result[m, o] of b lands on o.
+    One signed gather per blade m of a: blade m ^ o of b lands on o.
     """
     if a.dims != b.dims:
         raise ValueError(f"lattice dimension mismatch: {a.dims.shape} vs {b.dims.shape}")
     out = np.zeros_like(a.coeffs)
+    masks = np.arange(blades.NUM_BLADES)
     for m in blades.ALL_MASKS:
-        src = TABLE.result[m]
-        out += a.coeffs[..., m, None] * (np.take(b.coeffs, src, axis=-1) * TABLE.sign[m, src])
+        src = m ^ masks
+        out += a.coeffs[..., m, None] * (np.take(b.coeffs, src, axis=-1) * SIGN[m, src])
     return _adopt(a.dims, out)
 
 
-# Row and column index of every entry of the 16 x 16 sign/result tables.
-_A, _B = np.indices(TABLE.sign.shape)
+# Row and column index of every entry of the 16 x 16 sign table.
+_A, _B = np.indices(SIGN.shape)
 
 
 def _gather_matrix(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The 16 x 16 matrix with entry [rows, result] = sign * values."""
+    """The 16 x 16 matrix with entry [rows, a ^ b] = SIGN[a, b] * values."""
     matrix = np.zeros((blades.NUM_BLADES, blades.NUM_BLADES), dtype=np.complex128)
-    matrix[rows, TABLE.result] = TABLE.sign * values
+    matrix[rows, _A ^ _B] = SIGN * values
     return matrix
 
 
@@ -157,7 +158,7 @@ def _gather_mul(a: FormField, matrix: np.ndarray) -> FormField:
 def right_mul_matrix(c: ConstantForm) -> np.ndarray:
     """The matrix M with a * c = a @ M for any row 16-vector a.
 
-    Row a holds sign[a, b] * c[b] at column result[a, b].
+    Row a holds SIGN[a, b] * c[b] at column a ^ b.
     """
     return _gather_matrix(_A, c.vector[_B])
 

@@ -9,17 +9,19 @@ are generated by
     e_mu e_mu = g_mumu x,               g = diag(+1, -1, -1, -1),
     e_mu1 e_mu2 ... = e_{mu1 mu2 ...}   (strictly ascending indices),
 
-extended bilinearly.  All 256 ordered blade products are precomputed once
-at import into two 16 x 16 lookup tables, sign and result.  Every operator
-of the package (the difference stencils, the momentum symbol, products of
-fields and constant forms) is derived from this one table as a signed
-gather: blade(a) * blade(b) moves a coefficient onto blade result[a, b]
-and multiplies it by sign[a, b].
+extended bilinearly.  The product of two blades is always the blade of the
+symmetric difference of their generator sets, so all 256 ordered products
+reduce to one read-only 16 x 16 table of signs, precomputed at import:
+
+    blade(a) * blade(b) = SIGN[a, b] * blade(a ^ b).
+
+Every operator of the package (the difference stencils, the momentum
+symbol, products of fields and constant forms) is derived from this one
+table as a signed gather: blade(a) * blade(b) moves a coefficient onto
+blade a ^ b and multiplies it by SIGN[a, b].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +39,6 @@ ALL_MASKS = tuple(range(NUM_BLADES))
 def indices(mask: int) -> tuple[int, ...]:
     """Generator indices present in a blade mask, ascending."""
     return tuple(mu for mu in AXES if mask >> mu & 1)
-
-
-def mask_of(idx: tuple[int, ...]) -> int:
-    m = 0
-    for mu in idx:
-        m |= 1 << mu
-    return m
 
 
 def grade(mask: int) -> int:
@@ -90,43 +85,17 @@ def reduce_product(seq) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(work)
 
 
-@dataclass(frozen=True)
-class CliffordTable:
-    """Structure constants of the blade product.
-
-    sign[a, b] and result[a, b] describe blade(a) * blade(b) as
-    sign * blade(result).
-    """
-
-    sign: np.ndarray
-    result: np.ndarray
-
-    def mul_masks(self, a: int, b: int) -> tuple[int, int]:
-        """Product of two blades as (sign, result mask)."""
-        return int(self.sign[a, b]), int(self.result[a, b])
-
-
-def build_table() -> CliffordTable:
-    """Precompute all 256 ordered blade products by sequence reduction."""
-    sign = np.zeros((NUM_BLADES, NUM_BLADES), dtype=np.int8)
-    result = np.zeros((NUM_BLADES, NUM_BLADES), dtype=np.uint8)
-    for a in ALL_MASKS:
-        for b in ALL_MASKS:
-            s, idx = reduce_product(indices(a) + indices(b))
-            sign[a, b] = s
-            result[a, b] = mask_of(idx)
-    for arr in (sign, result):
-        arr.setflags(write=False)
-    return CliffordTable(sign=sign, result=result)
-
-
-TABLE = build_table()
+# SIGN[a, b]: the sign of blade(a) * blade(b) = SIGN[a, b] * blade(a ^ b),
+# by sequence reduction of the two index tuples.
+SIGN = np.array([[reduce_product(indices(a) + indices(b))[0] for b in ALL_MASKS]
+                 for a in ALL_MASKS], dtype=np.int8)
+SIGN.setflags(write=False)
 
 
 # Left multiplication by each generator as a signed gather of blade
 # coefficients: (e_mu w)[o] = GEN_SIGN[mu, o] * w[GEN_SRC[mu, o]], where
 # GEN_SRC[mu, o] = o ^ (1 << mu) is the one blade that e_mu maps onto o.
 GEN_SRC = np.array([[o ^ (1 << mu) for o in ALL_MASKS] for mu in AXES])
-GEN_SIGN = TABLE.sign[[[1 << mu] for mu in AXES], GEN_SRC]
+GEN_SIGN = SIGN[[[1 << mu] for mu in AXES], GEN_SRC]
 GEN_SRC.setflags(write=False)
 GEN_SIGN.setflags(write=False)

@@ -222,11 +222,10 @@ def _hestenes_gather() -> tuple[np.ndarray, np.ndarray]:
     because e0 e0 = 1: the generator gather followed by right multiplication
     with the single blade e1 e2 e0.
     """
-    s12, m12 = blades.TABLE.mul_masks(1 << 1, 1 << 2)
-    s120, m120 = blades.TABLE.mul_masks(m12, 1 << 0)
-    # blade of (d_c + delta_c) omega that e1 e2 e0 carries onto each rhs blade
-    pre = np.array(HESTENES_EQUATION_BLADES) ^ m120
-    sign = -s12 * s120 * blades.TABLE.sign[pre, m120] * blades.GEN_SIGN[:, pre]
+    sign_120 = blades.SIGN[blades.E1, blades.E2] * blades.SIGN[blades.E12, blades.E0]
+    # blade of (d_c + delta_c) omega that e1 e2 e0 = sign_120 e012 carries onto each rhs blade
+    pre = np.array(HESTENES_EQUATION_BLADES) ^ blades.E012
+    sign = -sign_120 * blades.SIGN[pre, blades.E012] * blades.GEN_SIGN[:, pre]
     return sign, blades.GEN_SRC[:, pre]
 
 

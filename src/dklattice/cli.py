@@ -355,7 +355,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # overflow and invalid values show as inf and nan in the report, not
+        # as numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,19 +156,16 @@ def max_abs(omega: FormField) -> float:
 
 
 def rms(omega: FormField) -> float:
-    """Root mean square |coefficient|, over pieces of _CHUNK as in max_abs.  Only
-    where the plain sum of squares overflows are the moduli divided by a finite
-    max_abs first, so every other result keeps the plain sum's bits."""
+    """Root mean square |coefficient|, over pieces of _CHUNK as in max_abs.  The
+    moduli are first divided by the power of two 2^(e-1) with max_abs in
+    [2^(e-1), 2^e), which leaves them below 2, so at any finite scale no square
+    overflows or goes subnormal.  That division is exact, so the result has
+    the plain sum's bits wherever the plain sum is right."""
     flat = omega.coeffs.reshape(-1)
-    def mean_square(scale: float) -> float:
-        with np.errstate(over="ignore"):
-            return sum(float(np.sum((np.abs(flat[start:start + _CHUNK]) / scale) ** 2))
-                       for start in range(0, flat.size, _CHUNK)) / flat.size
-
-    scale, mean = 1.0, mean_square(1.0)
-    if mean == np.inf and np.isfinite(scale := max_abs(omega)):
-        mean = mean_square(scale)
-    return scale * float(np.sqrt(mean))
+    scale = float(np.ldexp(1.0, np.frexp(max_abs(omega))[1] - 1))
+    total = sum(float(np.sum((np.abs(flat[start:start + _CHUNK]) / scale) ** 2))
+                for start in range(0, flat.size, _CHUNK))
+    return scale * float(np.sqrt(total / flat.size))
 
 
 def plane_wave(dims: LatticeDims, p, amplitude) -> FormField:

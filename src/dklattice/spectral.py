@@ -17,6 +17,7 @@ which are 8 columns S e_B of S itself.  No eigensolver is used.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -183,14 +184,16 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
 
     S(p)^2 = s(p) 1 gives (i S - m)^-1 = (i S + m) / (-s - m^2): the source
     is transformed, divided by that scalar momentum by momentum, transformed
-    back, and i (d_c + delta_c) + m is applied in real space.  The block
-    eigenvalues are +-i sqrt(s(p)), exactly 0 on the light cone;
-    SingularBlockError is raised when the nearer one lies within
-    1e-12 max(1, |m|) of m.
+    back, and i (d_c + delta_c) + m is applied in real space.  Where m^2
+    overflows, |s/m^2| < 1e-307 is far below rounding, so -s - m^2 is -m^2
+    and omega = h + i (d_c + delta_c) h / m with h = -source / m, formed in
+    real space with no transform.  The block eigenvalues are +-i sqrt(s(p)),
+    exactly 0 on the light cone; SingularBlockError is raised when the
+    nearer one lies within 1e-12 max(1, |m|) of m.
 
     One field-sized array is made besides the source: the transforms and
-    the divide run in place in a work array g, and d_plus_delta then writes
-    i (d_c + delta_c) g + m g back over g one site slab at a time, once the
+    the divide (or h) run in place in a work array g, and d_plus_delta then
+    writes i (d_c + delta_c) g + m g back over g one site slab at a time, once the
     stencil has read the slab's rows (it keeps a copy of row 0 for the
     periodic wrap).  g is returned.
     """
@@ -201,16 +204,29 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     if distance <= 1e-12 * max(1.0, abs(mass)):
         raise SingularBlockError(momentum=p, eigenvalue=eigenvalue, mass=mass)
     del root  # grid-sized, and of no use from here on
-    np.subtract(np.negative(s, out=s), mass * mass, out=s)  # -s - m^2, in place of s
     work = np.empty_like(source.coeffs)
-    np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3), out=work)
-    work /= s[..., None]
-    del s
-    np.fft.ifftn(work, axes=(0, 1, 2, 3), out=work)
+    large = not np.isfinite(mass * mass)
+    if large:
+        # a divide by m goes through m 2^-e, whose parts are below 1: numpy's
+        # complex divide by m itself gives 0 when both parts near the largest double
+        unit = 2.0 ** -math.frexp(max(abs(mass.real), abs(mass.imag)))[1]
+        scaled = mass * unit
+        np.divide(source.coeffs, -scaled, out=work)
+        work *= unit  # h = -source / m
+    else:
+        np.subtract(np.negative(s, out=s), mass * mass, out=s)  # -s - m^2, in place of s
+        np.fft.fftn(source.coeffs, axes=(0, 1, 2, 3), out=work)
+        work /= s[..., None]
+        del s
+        np.fft.ifftn(work, axes=(0, 1, 2, 3), out=work)
 
     def store(rows, grad, spare):
         grad *= 1j
-        work[rows] *= mass
+        if large:
+            grad /= scaled
+            grad *= unit  # h + i grad / m
+        else:
+            work[rows] *= mass
         work[rows] += grad  # m g + i grad, the same sum as i grad + m g
 
     # a read-only view of g, whose rows d_plus_delta reads before store overwrites them

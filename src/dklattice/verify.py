@@ -119,51 +119,39 @@ def blade_product_oracle(a, b) -> tuple:
 def check_clifford() -> Verification:
     """Exhaustive blade-product checks: rules, oracle, associativity.
 
-    Each key counts the violating entries of one array expression over the
-    blade pairs or triples of np.indices, read from blades.TABLE.
+    blade(a) * blade(b) = SIGN[a, b] * blade(a ^ b), so each key counts the
+    entries of blades.SIGN, over the blade pairs or triples of np.indices,
+    that break one rule.
     """
     ver = Verification()
-    sign, result = blades.TABLE.sign.astype(np.int64), blades.TABLE.result
-    masks = np.arange(blades.NUM_BLADES)
+    sign = blades.SIGN.astype(np.int64)
     a, b = np.indices(sign.shape)
+    ver.add("clifford_oracle_mismatches", np.sum(sign != blade_product_oracle(a, b)[0]), 0)
+    ver.add("clifford_rule1_violations",
+            np.sum(sign[blades.X] != 1) + np.sum(sign[:, blades.X] != 1), 0)
 
-    oracle_sign, oracle_result = blade_product_oracle(a, b)
-    ver.add("clifford_oracle_mismatches",
-            np.sum((sign != oracle_sign) | (result != oracle_result)), 0)
-
-    rule1 = np.sum((sign[blades.X] != 1) | (result[blades.X] != masks))
-    rule1 += np.sum((sign[:, blades.X] != 1) | (result[:, blades.X] != masks))
-    ver.add("clifford_rule1_violations", rule1, 0)
-
-    # Products e_mu e_nu of two generators, [mu, nu].
+    # Products e_mu e_nu of two generators, [mu, nu]: e_mu e_mu = g_mumu x,
+    # and e_mu e_nu = -e_nu e_mu for mu != nu, both on blade e_mu ^ e_nu.
     gen = 1 << np.array(blades.AXES)
-    gen_sign, gen_result = sign[np.ix_(gen, gen)], result[np.ix_(gen, gen)]
+    gen_sign = sign[np.ix_(gen, gen)]
     metric = np.array(blades.METRIC)
     off = ~np.eye(len(gen), dtype=bool)
-    rule2 = np.sum((np.diagonal(gen_sign) != metric) | (np.diagonal(gen_result) != blades.X))
-    rule2 += np.sum(((gen_result != gen_result.T) | (gen_sign != -gen_sign.T)) & off)
+    rule2 = np.sum(np.diagonal(gen_sign) != metric) + np.sum((gen_sign != -gen_sign.T) & off)
     ver.add("clifford_rule2_violations", rule2, 0)
 
     # x e_mu1 e_mu2 ... = e_mu1mu2... for ascending mu, one generator at a time:
     # blade m times e_mu is +e_(m, mu) wherever every generator of m is below mu.
     m, mu = np.indices((blades.NUM_BLADES, len(gen)))
-    rule3 = (sign[m, gen[mu]] != 1) | (result[m, gen[mu]] != m | gen[mu])
-    ver.add("clifford_rule3_violations", np.sum(rule3 & (m < gen[mu])), 0)
+    ver.add("clifford_rule3_violations", np.sum((sign[m, gen[mu]] != 1) & (m < gen[mu])), 0)
 
-    # e_mu e_nu + e_nu e_mu - 2 g_mumu delta_munu x, with each product as a
-    # signed unit 16-vector.
-    unit = np.eye(blades.NUM_BLADES, dtype=np.int64)
-    total = gen_sign[..., None] * unit[gen_result] + gen_sign.T[..., None] * unit[gen_result.T]
-    total[..., blades.X] -= 2 * np.diag(metric)
-    ver.add("clifford_anticommutator_violations", np.sum(total.any(axis=2)), 0)
+    # e_mu e_nu + e_nu e_mu - 2 g_mumu delta_munu x, all on blade e_mu ^ e_nu.
+    ver.add("clifford_anticommutator_violations",
+            np.sum(gen_sign + gen_sign.T != 2 * np.diag(metric)), 0)
 
-    # (a b) c = a (b c) over all triples of blades.
+    # (a b) c = a (b c) over all triples of blades; both sides land on a ^ b ^ c.
     a, b, c = np.indices((blades.NUM_BLADES,) * 3)
-    ab, bc = result[a, b], result[b, c]
-    left = sign[a, b] * sign[ab, c], result[ab, c]
-    right = sign[b, c] * sign[a, bc], result[a, bc]
     ver.add("clifford_associativity_violations",
-            np.sum((left[0] != right[0]) | (left[1] != right[1])), 0)
+            np.sum(sign[a, b] * sign[a ^ b, c] != sign[b, c] * sign[a, b ^ c]), 0)
     return ver
 
 
@@ -189,7 +177,8 @@ def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
     ver = Verification()
     devs = (rel_error(max_abs(d_plus_delta(omega) - d_plus_delta_via_clifford(omega)),
                       max_abs(omega)) for omega in _fields(dims, trials, seed))
-    ver.add("prop1_max_rel_dev", worst(devs), 1e-13)
+    # bound 0: both routes add the same exact +-1 single-blade terms in the same axis order
+    ver.add("prop1_max_rel_dev", worst(devs), 0)
     integer = _integer_field(dims, seed)
     ver.add("prop1_integer_max_abs",
             max_abs(d_plus_delta(integer) - d_plus_delta_via_clifford(integer)), 0)
@@ -198,7 +187,9 @@ def check_prop1(dims: LatticeDims, trials: int = 100, seed: int = 0) -> Verifica
 
 
 def check_prop2() -> Verification:
-    """Projector idempotence, commutation, and absorption, exactly."""
+    """Projector idempotence, commutation, and absorption, exactly: constant
+    forms are dyadic and SIGN is +-1, so every product is exact and each
+    bound is 0."""
     ver = Verification()
     e1e2 = ConstantForm.e(1) * ConstantForm.e(2)  # the product, so E12 is not taken on trust
 
@@ -206,19 +197,19 @@ def check_prop2() -> Verification:
         return float(np.max(np.abs(lhs.vector - rhs.vector)))
 
     idem = worst(dev(projector(tag) * projector(tag), projector(tag)) for tag in PROJECTOR_TAGS)
-    ver.add("prop2_idempotence_dev", idem, 1e-15)
+    ver.add("prop2_idempotence_dev", idem, 0)
 
     # The "0" and "12" factors commute with each other, and each with its e0 or e1 e2.
     pairs = [(projector(s0 + "0"), projector(s12 + "12")) for s0 in "+-" for s12 in "+-"]
     pairs += [(projector("+0"), E0), (projector("-0"), E0),
               (projector("+12"), e1e2), (projector("-12"), e1e2)]
-    ver.add("prop2_commutation_dev", worst(dev(p * q, q * p) for p, q in pairs), 1e-15)
+    ver.add("prop2_commutation_dev", worst(dev(p * q, q * p) for p, q in pairs), 0)
 
     # P e0 (+-1) = P for P = (x +- e0)/2, and P e1 e2 (+-i) = P for P = (x +- i e1 e2)/2.
     absorbing = ((projector("+0"), E0, 1), (projector("-0"), E0, -1),
                  (projector("+12"), e1e2, 1j), (projector("-12"), e1e2, -1j))
     absorb = worst(dev(p, (p * c).scaled(factor)) for p, c, factor in absorbing)
-    ver.add("prop2_absorption_dev", absorb, 1e-15)
+    ver.add("prop2_absorption_dev", absorb, 0)
     return ver
 
 
@@ -317,8 +308,9 @@ def check_prop5(dims: LatticeDims, seed: int = 0) -> Verification:
     odd_dev = worst(max_abs(odd_part(q)) for q in members)
     imag_dev = worst(np.max(np.abs(q.coeffs.imag)) for q in members)
     res_dev = worst(max_abs(hestenes_residual(q, params)) for q in members)
-    ver.add("prop5_max_rel_odd", rel_error(odd_dev, scale), 1e-14)
-    ver.add("prop5_max_rel_imag", rel_error(imag_dev, scale), 1e-14)
+    # bound 0: the members are even parts of real fields
+    ver.add("prop5_max_rel_odd", rel_error(odd_dev, scale), 0)
+    ver.add("prop5_max_rel_imag", rel_error(imag_dev, scale), 0)
     ver.add("prop5_residual_mass0", res_dev, 0.0)
     ver.add("prop5_max_rel_route_dev", rel_error(route_deviation, scale),
             QUADRUPLE_ROUTE_BOUND)

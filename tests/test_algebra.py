@@ -8,9 +8,9 @@ import pytest
 from dklattice import blades
 from dklattice.algebra import (DYADIC_BITS, ConstantForm, PROJECTOR_TAGS, clifford_mul,
                                is_constant, left_mul, projector, right_mul)
-from dklattice.blades import (ALL_MASKS, TABLE, E0, E01, E012, E0123, E02,
+from dklattice.blades import (ALL_MASKS, SIGN, E0, E01, E012, E0123, E02,
                               E03, E1, E12, E123, E13, E2, E23, E3, X,
-                              blade_name, grade, reduce_product)
+                              blade_name, grade, indices, reduce_product)
 from dklattice.fields import FormField, constant_field, max_abs, random_field
 from dklattice.lattice import LatticeDims
 from dklattice.verify import blade_product_oracle
@@ -43,7 +43,7 @@ HAND_PRODUCTS = [
 
 @pytest.mark.parametrize("a, b, sign, result", HAND_PRODUCTS)
 def test_hand_products(a, b, sign, result):
-    assert TABLE.mul_masks(a, b) == (sign, result)
+    assert (SIGN[a, b], a ^ b) == (sign, result)
 
 
 @pytest.mark.parametrize("a, b, sign, result", HAND_PRODUCTS)
@@ -54,7 +54,7 @@ def test_oracle_matches_hand_products(a, b, sign, result):
 def test_table_matches_oracle_exhaustively():
     for a in ALL_MASKS:
         for b in ALL_MASKS:
-            assert TABLE.mul_masks(a, b) == blade_product_oracle(a, b)
+            assert (SIGN[a, b], a ^ b) == blade_product_oracle(a, b)
 
 
 def test_field_products_match_oracle_exhaustively():
@@ -77,12 +77,8 @@ def test_field_products_match_oracle_exhaustively():
 def test_associativity_exhaustive():
     for a in ALL_MASKS:
         for b in ALL_MASKS:
-            s_ab, m_ab = TABLE.mul_masks(a, b)
             for c in ALL_MASKS:
-                s_l, m_l = TABLE.mul_masks(m_ab, c)
-                s_bc, m_bc = TABLE.mul_masks(b, c)
-                s_r, m_r = TABLE.mul_masks(a, m_bc)
-                assert (s_ab * s_l, m_l) == (s_bc * s_r, m_r)
+                assert SIGN[a, b] * SIGN[a ^ b, c] == SIGN[b, c] * SIGN[a, b ^ c]
 
 
 def test_reduce_product_examples():
@@ -92,6 +88,14 @@ def test_reduce_product_examples():
     assert reduce_product((1, 1)) == (-1, ())
     assert reduce_product((1, 2, 1, 2)) == (-1, ())
     assert reduce_product((3, 2, 1, 0)) == (1, (0, 1, 2, 3))  # 6 swaps
+
+
+def test_reduce_product_lands_on_the_symmetric_difference():
+    # what lets one sign table stand for every product: the generators of
+    # blade(a) * blade(b) are those of a or b but not both
+    for a in ALL_MASKS:
+        for b in ALL_MASKS:
+            assert reduce_product(indices(a) + indices(b))[1] == indices(a ^ b)
 
 
 def test_blade_names():
@@ -109,7 +113,7 @@ def test_product_grade_support():
     # |r - s| and r + s bound the grades a blade product can reach
     for a in ALL_MASKS:
         for b in ALL_MASKS:
-            _, m = TABLE.mul_masks(a, b)
+            m = a ^ b
             lo, hi = abs(grade(a) - grade(b)), grade(a) + grade(b)
             assert lo <= grade(m) <= min(hi, 4)
             assert grade(m) % 2 == (grade(a) + grade(b)) % 2

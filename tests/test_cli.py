@@ -165,10 +165,10 @@ def test_residual_reports_a_nan_past_the_first_piece_and_fails(eq, tmp_path, cap
     coeffs[5, 5, 5, :, 0] = 1.5e308 * np.array([1, -1, 1, -1, 1, -1])
     huge = tmp_path / "huge.json"
     save_field(FormField(dims, coeffs), huge)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli("residual", eq, "-i", str(huge), "--mass", "0,0") == 1
-    out = capsys.readouterr().out.splitlines()
-    assert {"max_abs=nan", "rel=nan", "status=fail"} <= set(out)
+    assert run_cli("residual", eq, "-i", str(huge), "--mass", "0,0") == 1
+    captured = capsys.readouterr()
+    assert {"max_abs=nan", "rel=nan", "status=fail"} <= set(captured.out.splitlines())
+    assert captured.err == ""
 
 
 def test_residual_rms_of_a_huge_field_is_finite(tmp_path, capsys):
@@ -180,6 +180,35 @@ def test_residual_rms_of_a_huge_field_is_finite(tmp_path, capsys):
     captured = capsys.readouterr()
     assert {"max_abs=4e+200", "rms=1e+200"} <= set(captured.out.splitlines())
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # the residual is minus the field: one blade of 1e-200 among 16 at every site
+    (("residual", "dk", "-i", "{tiny}", "--mass", "1,0"),
+     {"max_abs=1e-200", "rms=2.5e-201", "status=fail"}),
+    # m omega overflows: the residual really is infinite
+    (("residual", "dk", "-i", "{noise}", "--mass", "1e308,1e308"),
+     {"max_abs=inf", "rms=inf", "status=fail"}),
+    (("residual", "hestenes", "-i", "{noise}", "--mass", "1e308,1e308"),
+     {"max_abs=inf", "rms=inf", "status=fail"}),
+    # m^2 overflows, but the solution, about -source / m, is finite
+    (("solve", "-i", "{noise}", "--mass", "1e160,0", "-o", "{out}"), {"status=pass"}),
+    (("solve", "-i", "{noise}", "--mass", "1e308,1e308", "-o", "{out}"), {"status=pass"}),
+])
+def test_every_finite_scale_reports_without_numpy_warnings(argv, expected, tmp_path, capsys):
+    files = {name: tmp_path / f"{name}.json" for name in ("tiny", "noise", "out")}
+    run_cli("gen", "constant", "--dims", "2,2,2,2", "--amp", "x=1e-200,0",
+            "-o", str(files["tiny"]))
+    run_cli("gen", "random", "--dims", "2,2,2,2", "-o", str(files["noise"]))
+    capsys.readouterr()
+    code = run_cli(*(arg.format(**files) for arg in argv))
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert captured.err == ""
+    assert expected <= set(out)
+    assert code == (0 if "status=pass" in expected else 1)
+    if argv[0] == "solve":
+        assert float(out[0].removeprefix("residual_rel=")) <= 1e-11
 
 
 def test_residual_hestenes_variants(tmp_path):

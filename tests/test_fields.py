@@ -30,7 +30,10 @@ from dklattice.fields import (Equation, EquationParams, FieldFormatError,
                               even_part, load_field, loads_field, max_abs,
                               odd_part, plane_wave, random_field, rms,
                               save_field)
+from dklattice.calculus import d_plus_delta
 from dklattice.lattice import LatticeDims, site_iter
+from dklattice.spectral import propagator_solve
+from dklattice.transfer import decompose, hestenes_quadruple
 
 DIMS = LatticeDims(3, 3, 3, 3)
 SMALL = LatticeDims(2, 2, 2, 2)
@@ -97,6 +100,28 @@ def test_rms_and_max_abs():
     assert max_abs(one) == 5.0
     # one blade of 16 carries all the weight
     assert rms(one) == pytest.approx(5.0 / 4.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4, 4), (2, 3, 1, 4), (5, 3, 6, 2)])
+def test_kernels_commute_with_powers_of_two(shape):
+    # every kernel is linear or a norm, and times 2^k is exact while values
+    # stay normal, so on 2^k f each gives 2^k times its result on f, bit for
+    # bit, also where the squares of 2^k f overflow or go subnormal
+    f = random_field(LatticeDims(*shape), 1)
+    kernels = {
+        "d_plus_delta": lambda g: d_plus_delta(g).coeffs,
+        "propagator_solve": lambda g: propagator_solve(g, 1.5).coeffs,
+        "decompose": lambda g: np.stack([part.coeffs for part in decompose(g).values()]),
+        "hestenes_quadruple": lambda g: np.stack([q.coeffs for q in hestenes_quadruple(g)[0]]),
+        "quadruple_route_deviation": lambda g: hestenes_quadruple(g)[1],
+        "max_abs": max_abs,
+        "rms": rms,
+    }
+    for k in (-900, -1, 1, 900):
+        scaled = f * 2.0 ** k
+        for name, kernel in kernels.items():
+            expected = np.asarray(kernel(f)) * 2.0 ** k
+            assert np.asarray(kernel(scaled)).tobytes() == expected.tobytes(), (name, k)
 
 
 def test_plane_wave_zero_momentum_is_constant():

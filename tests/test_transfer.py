@@ -185,7 +185,7 @@ def test_independence_detects_collapse():
 
 
 def test_import_time_blade_constants_equal_their_products():
-    # built from blades.TABLE at import, bit-equal to the Clifford products
+    # built from blades.SIGN at import, bit-equal to the Clifford products
     e0, e1, e2 = (ConstantForm.e(mu) for mu in (0, 1, 2))
     for constant, product in ((algebra.E12, e1 * e2), (algebra.E012, e0 * (e1 * e2)),
                               (algebra.E0, e0)):
