@@ -16,8 +16,8 @@ then a count, and exits 1 if any invocation differs in any of these.  The
 catalogue covers every verb, checks that pass (exit 0) and fail (exit 1),
 errors (exit 2), a light-cone and a complex-mass plane wave, an 8,8,8,16
 field of 2^18 numbers, which the field codec saves and loads in two
-processes, and values far from 1: a residual of size 1e-200, and masses
-whose square overflows.  The script imports only the standard library.
+processes, and values far from 1: a residual of size 1e-200, masses whose
+square overflows and one whose modulus does.  The script imports only the standard library.
 """
 
 from __future__ import annotations
@@ -97,6 +97,13 @@ CATALOGUE = (
     ("gen", "random", "--dims", "2,2,2,2", "-o", "small.json"),
     ("solve", "-i", "small.json", "--mass", "1e160,0", "-o", "huge_sol.json"),
     ("solve", "-i", "noise.json", "--mass", "1e308,1e308", "-o", "huger_sol.json"),
+    # a mass whose modulus is past the largest double
+    ("solve", "-i", "noise.json", "--mass", "1.7e308,1.7e308", "-o", "hugest_sol.json"),
+    ("residual", "dk", "-i", "noise.json", "--mass", "1.7e308,1.7e308"),
+    # the verbs that work a site slab at a time, on a field of eight slabs
+    ("apply", "hestenes", "-i", "big.json", "-o", "big_hestenes.json"),
+    ("residual", "hestenes", "-i", "big.json", "--mass", "1,0"),
+    ("decompose", "-i", "big.json", "--out-prefix", "bparts"),
 )
 
 

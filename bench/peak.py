@@ -5,15 +5,22 @@ Usage:
 
 BEFORE_SRC and AFTER_SRC are the src/ directories of two checkouts.  In a
 temporary directory the script writes a 16^4 random field (seed 1) with the
-after tree's `gen random`, then runs three rows
+after tree's `gen random`, then runs seven rows, each
+`python3 -m dklattice ARGS`:
 
-    solve:  python3 -m dklattice solve -i src.json --mass 1,0 -o out.json
-    gen:    python3 -m dklattice gen random --dims 16,16,16,16 --seed 1 -o out.json
-    verify: python3 -m dklattice verify all --dims 3,3,3,3 --trials 20
+    solve:             solve -i src.json --mass 1,0 -o out.json
+    gen:               gen random --dims 16,16,16,16 --seed 1 -o out.json
+    verify:            verify all --dims 3,3,3,3 --trials 20
+    apply_dk:          apply dk -i src.json -o out.json
+    residual_dk:       residual dk -i src.json --mass 1,0
+    residual_hestenes: residual hestenes -i src.json --mass 1,0
+    decompose:         decompose -i src.json --out-prefix out
 
 from each tree in turn, N pairs (default 5, at least 2 for the
 quartiles), the before tree first in even
-pairs and the after tree first in odd ones.  Each run is a child process
+pairs and the after tree first in odd ones.  The two residual rows exit 1,
+as a random field solves neither equation; every other row exits 0, and
+any other exit code stops the script.  Each run is a child process
 of this script, and its peak RSS (ru_maxrss) and wall time come from
 os.wait4 on that child alone.  The script imports only the standard
 library, so it stays small: a child started by vfork and exec inherits its
@@ -23,8 +30,8 @@ the children it reaped, so the load's parsing child and the save's
 formatting child are counted.
 
 It writes OUT_PREFIX_before.json and OUT_PREFIX_after.json with one entry
-per row under "rows": every run (peak MiB, wall s, SHA-256 of the file it
-wrote, if any, and of stdout), and the median and quartiles of both
+per row under "rows": every run (peak MiB, wall s, SHA-256 of each file it
+wrote, by name, and of stdout), and the median and quartiles of both
 metrics; and a host/Python context.  Equal digests across the two files
 show that the trees wrote the same bytes.
 """
@@ -50,11 +57,16 @@ MASS = "1,0"
 
 
 def rows() -> dict:
-    """The CLI arguments of each row; solve reads the field made first."""
+    """The exit code and CLI arguments of each row; the verbs with an input
+    read the field made first."""
     return {
-        "solve": ("solve", "-i", "src.json", "--mass", MASS, "-o", "out.json"),
-        "gen": ("gen", "random", "--dims", DIMS, "--seed", str(SEED), "-o", "out.json"),
-        "verify": ("verify", "all", "--dims", VERIFY_DIMS, "--trials", "20"),
+        "solve": (0, ("solve", "-i", "src.json", "--mass", MASS, "-o", "out.json")),
+        "gen": (0, ("gen", "random", "--dims", DIMS, "--seed", str(SEED), "-o", "out.json")),
+        "verify": (0, ("verify", "all", "--dims", VERIFY_DIMS, "--trials", "20")),
+        "apply_dk": (0, ("apply", "dk", "-i", "src.json", "-o", "out.json")),
+        "residual_dk": (1, ("residual", "dk", "-i", "src.json", "--mass", MASS)),
+        "residual_hestenes": (1, ("residual", "hestenes", "-i", "src.json", "--mass", MASS)),
+        "decompose": (0, ("decompose", "-i", "src.json", "--out-prefix", "out")),
     }
 
 
@@ -79,8 +91,9 @@ def context() -> dict:
     }
 
 
-def run_cli(src: Path, work: Path, *args) -> dict:
-    """Run the CLI of the tree at src in work; its wait4 peak, wall time and stdout."""
+def run_cli(src: Path, work: Path, *args, expect: int = 0) -> dict:
+    """Run the CLI of the tree at src in work, which must exit with expect;
+    its wait4 peak, wall time and stdout."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with open(work / "stdout", "wb") as out:
         start = time.perf_counter()
@@ -89,22 +102,25 @@ def run_cli(src: Path, work: Path, *args) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
+    if proc.returncode != expect:
         raise RuntimeError(f"dklattice {' '.join(args)} exited {proc.returncode}")
     return {"peak_mib": usage.ru_maxrss / 1024.0, "wall_s": wall,
             "stdout": (work / "stdout").read_bytes()}
 
 
-def file_sha256(path: Path):
-    """SHA-256 of a file, or None if there is none.  The file is read in
-    blocks, so this script's own high-water RSS stays below its children's."""
-    if not path.exists():
-        return None
+def file_sha256(path: Path) -> str:
+    """SHA-256 of a file, read in blocks, so that this script's own
+    high-water RSS stays below its children's."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def outputs(work: Path) -> list:
+    """The files in work that a run wrote: all but the input and stdout."""
+    return [path for path in sorted(work.iterdir()) if path.name not in ("src.json", "stdout")]
 
 
 def summary(values: list) -> dict:
@@ -130,16 +146,17 @@ def main(argv=None) -> int:
                 "-o", "src.json")
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-            for row, command in commands.items():
+            for row, (expect, command) in commands.items():
                 for name in order:
-                    out = work / "out.json"
-                    out.unlink(missing_ok=True)
-                    run = run_cli(trees[name], work, *command)
+                    for path in outputs(work):
+                        path.unlink()
+                    run = run_cli(trees[name], work, *command, expect=expect)
                     runs[name][row].append({
                         "pair": pair,
                         "peak_mib": run["peak_mib"],
                         "wall_s": run["wall_s"],
-                        "file_sha256": file_sha256(out),
+                        "files_sha256": {path.name: file_sha256(path)
+                                         for path in outputs(work)},
                         "stdout_sha256": hashlib.sha256(run["stdout"]).hexdigest(),
                     })
                     print(f"pair {pair} {row} {name}: peak {run['peak_mib']:.2f} MiB, "
@@ -150,7 +167,7 @@ def main(argv=None) -> int:
             "tree": name,
             "pairs": args.pairs,
             "rows": {row: {
-                "command": " ".join(commands[row]).replace(
+                "command": " ".join(commands[row][1]).replace(
                     "src.json", f"<gen random --dims {DIMS} --seed {SEED}>"),
                 "peak_mib": summary([r["peak_mib"] for r in records]),
                 "wall_s": summary([r["wall_s"] for r in records]),

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import blades
-from .algebra import E0, E12, ConstantForm, left_mul, right_mul
+from .algebra import E0, E12, ConstantForm, left_mul, right_mul_matrix
 from .fields import (Equation, EquationParams, FormField, _adopt, max_abs, worst)
 from .lattice import delta_mu
 
@@ -151,8 +151,15 @@ def d_plus_delta_via_clifford(omega: FormField) -> FormField:
 
 
 def dk_apply(omega: FormField) -> FormField:
-    """Left side of the lattice Dirac-Kahler equation: i (d_c + delta_c)."""
-    return 1j * d_plus_delta(omega)
+    """Left side of the lattice Dirac-Kahler equation: i (d_c + delta_c),
+    written a site slab at a time into one new array."""
+    out = np.empty_like(omega.coeffs)
+
+    def store(rows, grad, spare):
+        np.multiply(grad, 1j, out=out[rows])
+
+    d_plus_delta(omega, out=store)
+    return _adopt(omega.dims, out)
 
 
 def dk_residual(omega: FormField, params: EquationParams) -> FormField:
@@ -187,10 +194,32 @@ def solve_residual(solution: FormField, mass: complex, source: FormField) -> flo
     return worst(slab_maxima)
 
 
+def _hestenes_left(omega: FormField, factor: complex | None) -> FormField:
+    """-(d_c + delta_c) omega e1 e2, minus factor * (omega e0) unless factor
+    is None, written a site slab at a time into one new array.  Each slab
+    takes the ufuncs and product matrices of right_mul and the FormField
+    operators, and a row of a matmul does not depend on the rows beside it,
+    so the result is the whole-field composition's, bit for bit."""
+    right_e12, right_e0 = right_mul_matrix(E12), right_mul_matrix(E0)
+    out = np.empty_like(omega.coeffs)
+
+    def store(rows, grad, spare):
+        lhs = out[rows].reshape(-1, blades.NUM_BLADES)
+        np.matmul(grad.reshape(-1, blades.NUM_BLADES), right_e12, out=lhs)
+        np.negative(lhs, out=lhs)
+        if factor is not None:
+            rhs = spare.reshape(-1, blades.NUM_BLADES)
+            np.matmul(omega.coeffs[rows].reshape(-1, blades.NUM_BLADES), right_e0, out=rhs)
+            rhs *= factor
+            lhs -= rhs
+
+    d_plus_delta(omega, out=store)
+    return _adopt(omega.dims, out)
+
+
 def hestenes_apply(omega: FormField) -> FormField:
     """Left side of the lattice Hestenes equation: -(d_c + delta_c) omega e1 e2."""
-    grad = d_plus_delta(omega)
-    return -right_mul(grad, E12)
+    return _hestenes_left(omega, None)
 
 
 def _hestenes_sign(equation: Equation) -> float:
@@ -203,9 +232,7 @@ def _hestenes_sign(equation: Equation) -> float:
 
 def hestenes_residual(omega: FormField, params: EquationParams) -> FormField:
     """-(d_c + delta_c) omega e1 e2 - s m omega e0, with s = -1 when flipped."""
-    s = _hestenes_sign(params.equation)
-    rhs = right_mul(omega, E0)
-    return hestenes_apply(omega) - (s * params.mass) * rhs
+    return _hestenes_left(omega, _hestenes_sign(params.equation) * params.mass)
 
 
 # The eight componentwise Hestenes equations for an even-grade field.

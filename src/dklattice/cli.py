@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .algebra import projector, right_mul
 from .blades import MASK_BY_NAME, NUM_BLADES, blade_name
 from .calculus import (d_c, delta_c, dk_apply, dk_residual, hestenes_apply,
                        hestenes_residual, solve_residual)
@@ -22,10 +23,10 @@ from .fields import (Equation, EquationParams, atomic_write_text,
                      constant_field, dumps_field, load_field, max_abs,
                      plane_wave, random_field, rms, save_field)
 from .lattice import LatticeDims, site_iter
-from .spectral import (eigen_solve, format_complex, propagator_solve,
+from .spectral import (eigen_solve, format_complex, mass_unit, propagator_solve,
                        write_spectrum_csv)
-from .transfer import (decompose, hestenes_quadruple, sum_parts, tag_label,
-                       verify_quadruple_independence)
+from .transfer import (DECOMPOSITION_TAGS, hestenes_quadruple, reconstruction_deviation,
+                       tag_label, verify_quadruple_independence)
 from .verify import (CHECK_NAMES, QUADRUPLE_ROUTE_BOUND, Verification, rel_error,
                      run_checks)
 
@@ -184,7 +185,9 @@ def _cmd_residual(args) -> int:
     else:
         residual = hestenes_residual(omega, params)
     dev = max_abs(residual)
-    scale = max_abs(omega) * max(1.0, abs(params.mass))
+    # max_abs(omega) max(1, |m|), through |m 2^-e|: abs(m) raises past the largest double
+    unit = mass_unit(params.mass)
+    scale = max_abs(omega) * max(unit, abs(params.mass * unit)) / unit
     report = Verification()
     report.add("max_abs", dev)
     report.add("rms", rms(residual))
@@ -215,10 +218,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     omega = load_field(args.input)
-    parts = decompose(omega)
-    for tag, part in parts.items():
-        save_field(part, f"{args.out_prefix}.{tag_label(tag)}.json")
-    dev = max_abs(sum_parts(parts) - omega)
+    for tag in DECOMPOSITION_TAGS:  # one part at a time, so that two fields are held
+        save_field(right_mul(omega, projector(tag)), f"{args.out_prefix}.{tag_label(tag)}.json")
+    dev = reconstruction_deviation(omega)
     report = Verification()
     report.add("reconstruction_rel", rel_error(dev, max_abs(omega)), args.tol)
     return _report(report)

@@ -29,11 +29,9 @@ import contextlib
 import errno
 import functools
 import itertools
-import json
 import mmap
 import os
 import re
-import signal
 import struct
 import tempfile
 import threading
@@ -293,6 +291,8 @@ class _Child:
     def __exit__(self, *exc_info):
         try:
             if self.status is None:
+                import signal  # here, as only this path needs it
+
                 os.kill(self.pid, signal.SIGKILL)
                 self.reap()
         finally:
@@ -585,6 +585,8 @@ def loads_field(text: str | bytes | mmap.mmap) -> FormField:
                                        offset=exc.start) from exc
     if field is not None:
         return field
+    import json  # here, as orjson is, so that a field on the fast path does not load it
+
     try:
         doc = json.loads(text, parse_int=_exact_int)
     except json.JSONDecodeError as exc:

@@ -16,7 +16,6 @@ which are 8 columns S e_B of S itself.  No eigensolver is used.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -179,6 +178,14 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g},{z.imag:.17g}"
 
 
+def mass_unit(mass: complex) -> float:
+    """2^-e for the exponent e of the larger part of mass, or 1 where e < 1:
+    abs(mass 2^-e) cannot overflow, where abs(mass) raises OverflowError,
+    and scaling by 2^-e is exact, so a test or product on scaled values has
+    the unscaled bits wherever those are finite and normal."""
+    return 2.0 ** -max(0, math.frexp(max(abs(mass.real), abs(mass.imag)))[1])
+
+
 def propagator_solve(source: FormField, mass: complex) -> FormField:
     """Solve (i (d_c + delta_c) - m) omega = source in closed form.
 
@@ -199,18 +206,19 @@ def propagator_solve(source: FormField, mass: complex) -> FormField:
     """
     mass = complex(mass)
     dims = source.dims
+    unit = mass_unit(mass)
+    scaled = mass * unit
     s, root = _roots(_grid_z(dims))
-    distance, p, eigenvalue = _nearest_eigenvalue(root, mass)
-    if distance <= 1e-12 * max(1.0, abs(mass)):
-        raise SingularBlockError(momentum=p, eigenvalue=eigenvalue, mass=mass)
+    root *= unit  # the singular test on m 2^-e, which decides as the one on m
+    distance, p, eigenvalue = _nearest_eigenvalue(root, scaled)
+    if distance <= 1e-12 * max(unit, abs(scaled)):
+        raise SingularBlockError(momentum=p, eigenvalue=eigenvalue / unit, mass=mass)
     del root  # grid-sized, and of no use from here on
     work = np.empty_like(source.coeffs)
     large = not np.isfinite(mass * mass)
     if large:
-        # a divide by m goes through m 2^-e, whose parts are below 1: numpy's
-        # complex divide by m itself gives 0 when both parts near the largest double
-        unit = 2.0 ** -math.frexp(max(abs(mass.real), abs(mass.imag)))[1]
-        scaled = mass * unit
+        # a divide by m goes through m 2^-e: numpy's complex divide by m
+        # itself gives 0 when both parts near the largest double
         np.divide(source.coeffs, -scaled, out=work)
         work *= unit  # h = -source / m
     else:
@@ -250,6 +258,8 @@ def spectrum_rows(dims: LatticeDims, momenta):
 
 def write_spectrum_csv(fh, dims: LatticeDims, momenta) -> None:
     """Write the spectrum as CSV with a header row."""
+    import csv  # here, not at the top, so that no other verb loads it
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["p0", "p1", "p2", "p3", "re_lambda", "im_lambda"])
     for p0, p1, p2, p3, re_l, im_l in spectrum_rows(dims, momenta):

@@ -4,7 +4,8 @@ Right-multiplying a solution of the massive Dirac-Kahler equation by the
 four compound projectors splits it into parts that solve the Hestenes
 equation (tags "++" and "--") or its sign-flipped variant ("-+" and "+-").
 decompose returns the parts as a dict keyed by tag, in DECOMPOSITION_TAGS
-order, and sum_parts adds them back up.  From one solution omega a
+order, sum_parts adds them back up, and reconstruction_deviation measures
+that sum against omega.  From one solution omega a
 quadruple of real even Hestenes fields is built out of its real companion
 (Re omega) e0 - (Im omega) e1 e2, in two independent ways that must agree
 to rounding; hestenes_quadruple returns the four members as a tuple,
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import E0, E12, E012, projector, right_mul
-from .calculus import dk_residual, hestenes_residual
+from . import blades
+from .algebra import E0, E12, E012, projector, right_mul, right_mul_matrix
+from .calculus import dk_residual, hestenes_residual, site_slabs
 from .fields import (Equation, EquationParams, FormField, _adopt, even_part,
                      max_abs, odd_part, worst)
 
@@ -35,6 +37,20 @@ def sum_parts(parts: dict):
     added in DECOMPOSITION_TAGS order: ((pp + mp) + pm) + mm."""
     pp, mp, pm, mm = (parts[tag] for tag in DECOMPOSITION_TAGS)
     return pp + mp + pm + mm
+
+
+def reconstruction_deviation(omega: FormField) -> float:
+    """max_abs(sum_parts(decompose(omega)) - omega), NaN if any slab holds
+    NaN, one site slab at a time, so that no whole part or sum is made.  A
+    row of a matmul does not depend on the rows beside it, so each slab's
+    parts are those of decompose, bit for bit."""
+    matrices = [right_mul_matrix(projector(tag)) for tag in DECOMPOSITION_TAGS]
+    slab_maxima = []
+    for rows in site_slabs(omega.coeffs):
+        flat = omega.coeffs[rows].reshape(-1, blades.NUM_BLADES)
+        total = sum_parts({tag: flat @ m for tag, m in zip(DECOMPOSITION_TAGS, matrices)})
+        slab_maxima.append(np.max(np.abs(total - flat)))
+    return worst(slab_maxima)
 
 
 def _re_im(omega: FormField) -> tuple[FormField, FormField]:

@@ -99,15 +99,20 @@ def test_peak_rows_at_2_4(bench, tmp_path, monkeypatch):
     assert peak.main([src, src, str(tmp_path / "peak"), "--pairs", "2"]) == 0
     before, after = (json.loads((tmp_path / f"peak_{name}.json").read_text(encoding="ascii"))
                      for name in ("before", "after"))
-    assert set(after["rows"]) == {"solve", "gen", "verify"}
+    assert set(after["rows"]) == {"solve", "gen", "verify", "apply_dk", "residual_dk",
+                                  "residual_hestenes", "decompose"}
     for row, result in after["rows"].items():
         assert [r["pair"] for r in result["runs"]] == [0, 1], row
         assert result["peak_mib"]["median"] > 0 and result["wall_s"]["median"] > 0
         # one tree against itself writes the same bytes
-        digests = {(r["file_sha256"], r["stdout_sha256"])
+        digests = {(json.dumps(r["files_sha256"], sort_keys=True), r["stdout_sha256"])
                    for r in before["rows"][row]["runs"] + result["runs"]}
         assert len(digests) == 1, row
-    assert after["rows"]["verify"]["runs"][0]["file_sha256"] is None
+    written = {row: sorted(result["runs"][0]["files_sha256"])
+               for row, result in after["rows"].items()}
+    assert written["verify"] == written["residual_dk"] == []
+    assert written["apply_dk"] == ["out.json"]
+    assert written["decompose"] == ["out.mm.json", "out.mp.json", "out.pm.json", "out.pp.json"]
     assert after["rows"]["gen"]["command"] == "gen random --dims 2,2,2,2 --seed 1 -o out.json"
     # quartiles need two runs of each tree, so one pair is refused before any run
     with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dklattice import calculus
+from dklattice import algebra, calculus
 from dklattice.algebra import ConstantForm, right_mul
 from dklattice.blades import (E0, E01, E012, E0123, E02, E03, E1, E12, E123,
                               E13, E2, E23, E3, GEN_SIGN, GEN_SRC, GRADES, ODD_BLADES, X)
@@ -236,16 +236,58 @@ def test_dk_residual_equals_whole_field_composition(slab_bytes, monkeypatch):
     assert dk_residual(f, params).coeffs.tobytes() == expected.coeffs.tobytes()
 
 
-def test_d_plus_delta_peak_memory_at_8_4():
-    f = random_field(LatticeDims(8, 8, 8, 8), 32)
-    d_plus_delta(f)
+def _whole_field_compositions(f):
+    """dk_apply, hestenes_apply and hestenes_residual (plain and flipped at a
+    complex mass) as whole-field operators on whole-field results."""
+    grad = d_plus_delta(f)
+    left = -right_mul(grad, algebra.E12)
+    mass = 0.75 - 0.25j
+    return {
+        "dk_apply": (lambda: dk_apply(f), 1j * grad),
+        "hestenes_apply": (lambda: hestenes_apply(f), left),
+        "hestenes_residual": (
+            lambda: hestenes_residual(f, EquationParams(mass, Equation.HESTENES)),
+            left - (1.0 * mass) * right_mul(f, algebra.E0)),
+        "hestenes_residual_flipped": (
+            lambda: hestenes_residual(f, EquationParams(mass, Equation.HESTENES_FLIPPED)),
+            left - (-1.0 * mass) * right_mul(f, algebra.E0)),
+    }
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3, 2), (6, 5, 4, 3), (8, 8, 8, 8)])
+@pytest.mark.parametrize("slab_bytes", [None, 1])
+def test_slab_operators_equal_whole_field_composition(shape, slab_bytes, monkeypatch):
+    f = random_field(LatticeDims(*shape), 35)
+    expected = _whole_field_compositions(f)
+    if slab_bytes is not None:  # one site row per slab
+        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+    for name, (slab_form, whole) in expected.items():
+        assert slab_form().coeffs.tobytes() == whole.coeffs.tobytes(), name
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # a first call, so that only the call's own arrays count
     tracemalloc.start()
     try:
-        d_plus_delta(f)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * f.coeffs.nbytes
+
+
+def test_d_plus_delta_peak_memory_at_8_4():
+    f = random_field(LatticeDims(8, 8, 8, 8), 32)
+    assert _peak_bytes(lambda: d_plus_delta(f)) <= 1.5 * f.coeffs.nbytes
+
+
+@pytest.mark.parametrize("operator", ["dk_apply", "hestenes_apply", "hestenes_residual"])
+def test_slab_operator_peak_memory_at_8_4(operator):
+    # one output field and slab buffers: no whole (d_c + delta_c) omega or product
+    f = random_field(LatticeDims(8, 8, 8, 8), 32)
+    params = EquationParams(0.75 - 0.25j, Equation.HESTENES)
+    call = {"dk_apply": lambda: dk_apply(f), "hestenes_apply": lambda: hestenes_apply(f),
+            "hestenes_residual": lambda: hestenes_residual(f, params)}[operator]
+    assert _peak_bytes(call) <= 1.5 * f.coeffs.nbytes
 
 
 def test_solve_residual_keeps_a_nan_in_the_last_slab():

@@ -194,6 +194,11 @@ def test_residual_rms_of_a_huge_field_is_finite(tmp_path, capsys):
     # m^2 overflows, but the solution, about -source / m, is finite
     (("solve", "-i", "{noise}", "--mass", "1e160,0", "-o", "{out}"), {"status=pass"}),
     (("solve", "-i", "{noise}", "--mass", "1e308,1e308", "-o", "{out}"), {"status=pass"}),
+    # |m| itself is past the largest double, so the singular test and the
+    # residual's scale go through m 2^-e
+    (("residual", "dk", "-i", "{noise}", "--mass", "1.7e308,1.7e308"),
+     {"max_abs=inf", "rms=inf", "scale=inf", "status=fail"}),
+    (("solve", "-i", "{noise}", "--mass", "1.7e308,1.7e308", "-o", "{out}"), {"status=pass"}),
 ])
 def test_every_finite_scale_reports_without_numpy_warnings(argv, expected, tmp_path, capsys):
     files = {name: tmp_path / f"{name}.json" for name in ("tiny", "noise", "out")}

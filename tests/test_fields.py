@@ -678,13 +678,14 @@ def serial_loads(monkeypatch, text):
 def _json_calls(monkeypatch):
     """The texts the serial json parser is handed, in order."""
     calls = []
-    real_loads = fields.json.loads
+    real_loads = json.loads
 
     def loads(text, **kwargs):
         calls.append(text)
         return real_loads(text, **kwargs)
 
-    monkeypatch.setattr(fields.json, "loads", loads)
+    # loads_field imports json where it parses, so the module's own loads is patched
+    monkeypatch.setattr(json, "loads", loads)
     return calls
 
 

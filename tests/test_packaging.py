@@ -48,19 +48,31 @@ def test_cli_import_loads_no_exact_arithmetic_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_random_draws_load_no_numpy_random_or_openssl(tmp_path):
-    # the random fields come from SplitMix64 on uint64 arrays, so neither
-    # verify nor gen random imports numpy.random and its secrets and hashlib
+def _loaded_by_verify_and_gen(tmp_path, names: set) -> str:
+    """Which of names a fresh process has loaded after `verify all` at 2^4
+    and `gen random`, as the printed sorted list."""
     code = ("import contextlib, io, sys; from dklattice.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['verify', 'all', '--dims', '2,2,2,2', '--trials', '1']) == 0\n"
             "    assert main(['gen', 'random', '--dims', '2,2,2,2', '-o', 'r.json']) == 0\n"
-            "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))")
+            f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
     assert (tmp_path / "r.json").exists()
+    return out.stdout.strip()
+
+
+def test_random_draws_load_no_numpy_random_or_openssl(tmp_path):
+    # the random fields come from SplitMix64 on uint64 arrays, so neither
+    # verify nor gen random imports numpy.random and its secrets and hashlib
+    assert _loaded_by_verify_and_gen(tmp_path, {"numpy.random", "secrets", "_hashlib"}) == "[]"
+
+
+def test_verify_and_gen_load_no_json_csv_or_signal(tmp_path):
+    # json parses only fields off the orjson path, csv writes only the
+    # spectrum and signal only kills a codec child on a failed save or load
+    assert _loaded_by_verify_and_gen(tmp_path, {"json", "csv", "signal"}) == "[]"
 
 
 ROOT_NAMES = {"LatticeDims", "EquationParams", "dk_residual", "eigen_solve", "plane_wave",

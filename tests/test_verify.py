@@ -377,10 +377,10 @@ def test_dk_matrix_oracle_matches_operator_without_the_table(shape, monkeypatch)
 def _flip_one_stencil_sign(monkeypatch):
     real_stencil = calculus._stencil
 
-    def flipped(coeffs, sign, src):
+    def flipped(coeffs, sign, src, out=None):
         sign = sign.copy()
         sign[2, 5] = -sign[2, 5]
-        return real_stencil(coeffs, sign, src)
+        return real_stencil(coeffs, sign, src, out)
 
     monkeypatch.setattr(calculus, "_stencil", flipped)
 
