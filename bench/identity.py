@@ -17,7 +17,8 @@ catalogue covers every verb, checks that pass (exit 0) and fail (exit 1),
 errors (exit 2), a light-cone and a complex-mass plane wave, an 8,8,8,16
 field of 2^18 numbers, which the field codec saves and loads in two
 processes, and values far from 1: a residual of size 1e-200, masses whose
-square overflows and one whose modulus does.  The script imports only the standard library.
+square overflows and one whose modulus does, and the quadruple of a zero
+field and of one near 1e300.  The script imports only the standard library.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ CATALOGUE = (
     ("apply", "hestenes", "-i", "big.json", "-o", "big_hestenes.json"),
     ("residual", "hestenes", "-i", "big.json", "--mass", "1,0"),
     ("decompose", "-i", "big.json", "--out-prefix", "bparts"),
+    # the quadruple's rank on a zero field and on one near the largest double
+    ("gen", "constant", "--dims", "2,2,2,2", "--amp", "x=0,0", "-o", "zero.json"),
+    ("quadruple", "-i", "zero.json", "--out-prefix", "zquad"),
+    ("gen", "constant", "--dims", "2,2,2,2", "--amp", "x=1e300,0", "--amp", "e0=0,3e299",
+     "--amp", "e12=-2e300,1e300", "-o", "huge.json"),
+    ("quadruple", "-i", "huge.json", "--out-prefix", "hquad"),
 )
 
 

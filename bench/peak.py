@@ -5,7 +5,7 @@ Usage:
 
 BEFORE_SRC and AFTER_SRC are the src/ directories of two checkouts.  In a
 temporary directory the script writes a 16^4 random field (seed 1) with the
-after tree's `gen random`, then runs seven rows, each
+after tree's `gen random`, then runs nine rows, each
 `python3 -m dklattice ARGS`:
 
     solve:             solve -i src.json --mass 1,0 -o out.json
@@ -15,11 +15,14 @@ after tree's `gen random`, then runs seven rows, each
     residual_dk:       residual dk -i src.json --mass 1,0
     residual_hestenes: residual hestenes -i src.json --mass 1,0
     decompose:         decompose -i src.json --out-prefix out
+    quadruple:         quadruple -i src.json --mass 1,0 --out-prefix out
+    verify_large:      verify all --dims 8,8,8,8 --trials 1
 
 from each tree in turn, N pairs (default 5, at least 2 for the
 quartiles), the before tree first in even
-pairs and the after tree first in odd ones.  The two residual rows exit 1,
-as a random field solves neither equation; every other row exits 0, and
+pairs and the after tree first in odd ones.  The two residual rows and the
+quadruple row exit 1, as a random field solves none of their equations;
+every other row exits 0, and
 any other exit code stops the script.  Each run is a child process
 of this script, and its peak RSS (ru_maxrss) and wall time come from
 os.wait4 on that child alone.  The script imports only the standard
@@ -52,6 +55,7 @@ from pathlib import Path
 
 DIMS = "16,16,16,16"
 VERIFY_DIMS = "3,3,3,3"
+LARGE_VERIFY_DIMS = "8,8,8,8"
 SEED = 1
 MASS = "1,0"
 
@@ -67,6 +71,8 @@ def rows() -> dict:
         "residual_dk": (1, ("residual", "dk", "-i", "src.json", "--mass", MASS)),
         "residual_hestenes": (1, ("residual", "hestenes", "-i", "src.json", "--mass", MASS)),
         "decompose": (0, ("decompose", "-i", "src.json", "--out-prefix", "out")),
+        "quadruple": (1, ("quadruple", "-i", "src.json", "--mass", MASS, "--out-prefix", "out")),
+        "verify_large": (0, ("verify", "all", "--dims", LARGE_VERIFY_DIMS, "--trials", "1")),
     }
 
 

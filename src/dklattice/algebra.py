@@ -20,6 +20,21 @@ from .blades import SIGN
 from .fields import FormField, _adopt, constant_field
 from .lattice import LatticeDims
 
+# Field kernels work in site slabs along axis 0 of about this many bytes, so
+# their temporaries stay in cache instead of growing with the field.  At 8^4
+# a slab is one site row: 1 MiB slabs there held the whole field and took
+# twice as long, and from 16^4 up a slab is one row either way.
+SLAB_BYTES = 1 << 17
+
+
+def site_slabs(coeffs: np.ndarray):
+    """Slices of axis 0 that cut coeffs into slabs of about SLAB_BYTES,
+    at least one site row each."""
+    n0 = coeffs.shape[0]
+    rows = max(1, SLAB_BYTES // coeffs[0].nbytes)
+    return [slice(start, min(start + rows, n0)) for start in range(0, n0, rows)]
+
+
 # Parts of constant forms are k / 2^DYADIC_BITS with integer |k| < 4^DYADIC_BITS:
 # a blade coefficient of their product sums 32 terms of 48 bits, exact in float64.
 DYADIC_BITS = 12
@@ -150,9 +165,13 @@ def _gather_matrix(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _gather_mul(a: FormField, matrix: np.ndarray) -> FormField:
-    """a times a 16 x 16 product matrix at every site, as one matmul."""
-    flat = a.coeffs.reshape(-1, blades.NUM_BLADES) @ matrix
-    return _adopt(a.dims, flat.reshape(a.coeffs.shape))
+    """a times a 16 x 16 product matrix at every site, one matmul per site slab,
+    which OpenBLAS runs on one thread; rows do not interact, so the bits match."""
+    out = np.empty_like(a.coeffs)
+    for rows in site_slabs(a.coeffs):
+        np.matmul(a.coeffs[rows].reshape(-1, blades.NUM_BLADES), matrix,
+                  out=out[rows].reshape(-1, blades.NUM_BLADES))
+    return _adopt(a.dims, out)
 
 
 def right_mul_matrix(c: ConstantForm) -> np.ndarray:
@@ -166,14 +185,14 @@ def right_mul_matrix(c: ConstantForm) -> np.ndarray:
 def right_mul(a: FormField, c: ConstantForm) -> FormField:
     """Clifford product a * c with a constant right factor.
 
-    One (V, 16) @ (16, 16) matmul with right_mul_matrix(c).  Multiplication
-    by a single blade is a signed permutation of components with no rounding.
+    A (V, 16) @ (16, 16) matmul by right_mul_matrix(c), in site slabs.
+    Multiplication by a single blade is a signed permutation, with no rounding.
     """
     return _gather_mul(a, right_mul_matrix(c))
 
 
 def left_mul(c: ConstantForm, a: FormField) -> FormField:
-    """Clifford product c * a with a constant left factor, as one matmul."""
+    """Clifford product c * a with a constant left factor, as a matmul."""
     return _gather_mul(a, _gather_matrix(_B, c.vector[_A]))
 
 

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import blades
-from .algebra import E0, E12, ConstantForm, left_mul, right_mul_matrix
+from .algebra import E0, E12, ConstantForm, left_mul, right_mul_matrix, site_slabs
 from .fields import (Equation, EquationParams, FormField, _adopt, max_abs, worst)
 from .lattice import delta_mu
 
@@ -31,20 +31,6 @@ from .lattice import delta_mu
 _RAISES = blades.GRADES[blades.GEN_SRC] < blades.GRADES
 D_SIGN = np.where(_RAISES, blades.GEN_SIGN, 0)
 DELTA_SIGN = np.where(_RAISES, 0, blades.GEN_SIGN)
-
-# Field kernels work in site slabs along axis 0 of about this many bytes, so
-# their temporaries stay in cache instead of growing with the field.  At 8^4
-# a slab is one site row: 1 MiB slabs there held the whole field and took
-# twice as long, and from 16^4 up a slab is one row either way.
-SLAB_BYTES = 1 << 17
-
-
-def site_slabs(coeffs: np.ndarray):
-    """Slices of axis 0 that cut coeffs into slabs of about SLAB_BYTES,
-    at least one site row each."""
-    n0 = coeffs.shape[0]
-    rows = max(1, SLAB_BYTES // coeffs[0].nbytes)
-    return [slice(start, min(start + rows, n0)) for start in range(0, n0, rows)]
 
 
 def _stencil(coeffs: np.ndarray, sign: np.ndarray, src: np.ndarray, out=None):

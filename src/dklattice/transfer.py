@@ -14,11 +14,14 @@ together with the largest difference between the two routes.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from . import blades
-from .algebra import E0, E12, E012, projector, right_mul, right_mul_matrix
-from .calculus import dk_residual, hestenes_residual, site_slabs
+from .algebra import E0, E12, E012, projector, right_mul, right_mul_matrix, site_slabs
+from .calculus import dk_residual, hestenes_residual
 from .fields import (Equation, EquationParams, FormField, _adopt, even_part,
                      max_abs, odd_part, worst)
 
@@ -41,9 +44,8 @@ def sum_parts(parts: dict):
 
 def reconstruction_deviation(omega: FormField) -> float:
     """max_abs(sum_parts(decompose(omega)) - omega), NaN if any slab holds
-    NaN, one site slab at a time, so that no whole part or sum is made.  A
-    row of a matmul does not depend on the rows beside it, so each slab's
-    parts are those of decompose, bit for bit."""
+    NaN, one site slab at a time, so that no whole part or sum is made; the
+    slabs' parts are those of decompose, bit for bit, as in algebra._gather_mul."""
     matrices = [right_mul_matrix(projector(tag)) for tag in DECOMPOSITION_TAGS]
     slab_maxima = []
     for rows in site_slabs(omega.coeffs):
@@ -141,13 +143,30 @@ RANK_THRESHOLD_RATIO = 1e-10
 def verify_quadruple_independence(members) -> tuple[int, tuple, float]:
     """The numerical rank of the stacked members of a quadruple.
 
-    Returns (rank, singular_values, threshold).  Rows are the flattened
-    coefficient arrays; singular values below threshold, RANK_THRESHOLD_RATIO
-    times the largest, count as zero.  All-zero input has rank 0.
+    Returns (rank, singular_values, threshold).  Rows are the members' real
+    even coefficients over a power of two, as in fields.rms, so that no dot
+    product overflows or underflows.  One-sided Jacobi (Hestenes 1958) rotates
+    each pair of rows orthogonal to within eps, in at most 30 sweeps as LAPACK's
+    dgesvj, and the row norms are the singular values; those below threshold,
+    RANK_THRESHOLD_RATIO times the largest, count as zero.  ValueError if a
+    member has a nonzero imaginary or odd-blade coefficient.
     """
-    matrix = np.stack([f.coeffs.ravel() for f in members])
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    top = float(singular[0])
-    threshold = RANK_THRESHOLD_RATIO * top
-    rank = 0 if top == 0.0 else int(np.sum(singular > threshold))
-    return rank, tuple(float(s) for s in singular), threshold
+    if any(m.coeffs.imag.any() or m.coeffs[..., blades.ODD_BLADES].any() for m in members):
+        raise ValueError("quadruple members must be real and even")
+    scale = np.ldexp(1.0, np.frexp(worst(map(max_abs, members)))[1] - 1)
+    rows = np.array([m.coeffs.real[..., blades.EVEN_BLADES].ravel() / scale for m in members])
+    for _ in range(30):
+        rotated = False
+        for a, b in itertools.combinations(rows, 2):
+            alpha, beta, gamma = float(a @ a), float(b @ b), float(a @ b)
+            if abs(gamma) > math.ulp(1.0) * math.sqrt(alpha) * math.sqrt(beta):
+                zeta = (beta - alpha) / (2.0 * gamma)  # cot of twice the angle
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                a[:], b[:] = c * a - c * t * b, c * t * a + c * b
+                rotated = True
+        if not rotated:
+            break
+    singular = np.sort(np.sqrt(np.einsum("ij,ij->i", rows, rows)))[::-1] * scale
+    threshold = RANK_THRESHOLD_RATIO * float(singular[0])
+    return int(np.sum(singular > threshold)), tuple(singular.tolist()), threshold

@@ -375,22 +375,25 @@ def check_componentwise(dims: LatticeDims, trials: int = 100, seed: int = 0) -> 
     return ver
 
 
+def _dk_oracle_rows(dims: LatticeDims):
+    """The matrix of dk_apply, sum_mu i (T_mu - 1) kron L_mu, one site's 16 rows
+    at a time, without the blade table: T_mu shifts sites forward (lattice.shift)
+    and L_mu, left multiplication by e_mu, comes from blade_product_oracle."""
+    n, axes = blades.NUM_BLADES, np.array(blades.AXES)[:, None]
+    sign, mask = blade_product_oracle(1 << axes, np.arange(n))
+    lefts = np.zeros((len(axes), n, n), dtype=np.complex128)
+    lefts[axes, mask, np.arange(n)] = 1j * sign
+    for k, site in enumerate(site_iter(dims)):
+        rows = np.zeros((n, dims.volume, n), dtype=np.complex128)
+        for mu in blades.AXES:
+            rows[:, np.ravel_multi_index(shift(site, mu, dims), dims.shape)] += lefts[mu]
+            rows[:, k] -= lefts[mu]
+        yield rows.reshape(n, dims.volume * n)
+
+
 def dk_matrix_oracle(dims: LatticeDims) -> np.ndarray:
-    """The matrix of dk_apply, sum_mu i (T_mu - 1) kron L_mu, built without the
-    blade table: T_mu shifts sites forward (lattice.shift), and L_mu is left
-    multiplication by e_mu, read from blade_product_oracle.  Each block
-    (T_mu - 1)[k, j] i L_mu is added in place, so no Kronecker temporary of
-    the full size is built."""
-    n = blades.NUM_BLADES
-    blocks = np.zeros((dims.volume, n, dims.volume, n), dtype=np.complex128)
-    for mu in blades.AXES:
-        sign, mask = blade_product_oracle(1 << mu, np.arange(n))
-        left = np.zeros((n, n), dtype=np.complex128)
-        left[mask, np.arange(n)] = 1j * sign
-        for k, site in enumerate(site_iter(dims)):
-            blocks[k, :, np.ravel_multi_index(shift(site, mu, dims), dims.shape)] += left
-            blocks[k, :, k] -= left
-    return blocks.reshape(dims.volume * n, dims.volume * n)
+    """The whole matrix of dk_apply: the row blocks of _dk_oracle_rows."""
+    return np.concatenate(list(_dk_oracle_rows(dims)))
 
 
 def check_matrix_oracle(seed: int = 0) -> Verification:
@@ -398,15 +401,13 @@ def check_matrix_oracle(seed: int = 0) -> Verification:
     applied to 20 random vectors."""
     ver = Verification()
     dims = LatticeDims(2, 2, 2, 2)
-    matrix = dk_matrix_oracle(dims)
-    n = matrix.shape[0]
+    n = dims.volume * blades.NUM_BLADES
     draws = _draws(seed, 0, 40 * n).reshape(20, 2, n)
     draws = (draws[:, 0] + 1j * draws[:, 1]).T
     direct = np.stack([dk_apply(FormField(dims, v.reshape(dims.shape + (16,)))).coeffs.ravel()
                        for v in draws.T], axis=1)
-    # one site's 16 rows at a time: OpenBLAS runs a product this small on one
-    # thread, where the whole one would wake a second thread and its buffers
-    product = np.concatenate([rows @ draws for rows in np.split(matrix, dims.volume)])
+    # one site's rows as they are built: no whole matrix, and one OpenBLAS thread
+    product = np.concatenate([rows @ draws for rows in _dk_oracle_rows(dims)])
     dev = np.max(np.abs(product - direct), axis=0)
     ver.add("matrix_oracle_max_rel_dev",
             worst(map(rel_error, dev, np.max(np.abs(draws), axis=0))), 1e-13)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dklattice import blades
+from dklattice import algebra, blades
 from dklattice.algebra import (DYADIC_BITS, ConstantForm, PROJECTOR_TAGS, clifford_mul,
-                               is_constant, left_mul, projector, right_mul)
+                               is_constant, left_mul, projector, right_mul, right_mul_matrix)
 from dklattice.blades import (ALL_MASKS, SIGN, E0, E01, E012, E0123, E02,
                               E03, E1, E12, E123, E13, E2, E23, E3, X,
                               blade_name, grade, indices, reduce_product)
@@ -178,6 +178,21 @@ def test_right_and_left_mul_match_field_product():
     cf = c.as_field(DIMS)
     assert max_abs(right_mul(a, c) - clifford_mul(a, cf)) <= 1e-13 * max_abs(a)
     assert max_abs(left_mul(c, a) - clifford_mul(cf, a)) <= 1e-13 * max_abs(a)
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3, 2), (2, 3, 1, 4), (8, 8, 8, 8)])
+@pytest.mark.parametrize("slab_bytes", [None, 1])
+def test_right_mul_by_slabs_equals_whole_field_matmul(shape, slab_bytes, monkeypatch):
+    # a row of a matmul does not depend on the rows beside it, so the slab
+    # products are the whole (V, 16) @ (16, 16) product, bit for bit
+    a = random_field(LatticeDims(*shape), 36)
+    flat = a.coeffs.reshape(-1, 16)
+    if slab_bytes is not None:  # one site row per slab
+        monkeypatch.setattr(algebra, "SLAB_BYTES", slab_bytes)
+        assert len(algebra.site_slabs(a.coeffs)) == shape[0]
+    for c in (algebra.E0, algebra.E12, algebra.E012) + tuple(map(projector, PROJECTOR_TAGS)):
+        whole = flat @ right_mul_matrix(c)
+        assert right_mul(a, c).coeffs.reshape(-1, 16).tobytes() == whole.tobytes()
 
 
 def test_constant_form_arithmetic_exact():

@@ -95,12 +95,14 @@ def test_peak_rows_at_2_4(bench, tmp_path, monkeypatch):
     peak = bench("peak")
     monkeypatch.setattr(peak, "DIMS", "2,2,2,2")
     monkeypatch.setattr(peak, "VERIFY_DIMS", "2,2,2,2")
+    monkeypatch.setattr(peak, "LARGE_VERIFY_DIMS", "2,2,2,2")
     src = str(BENCH.parent / "src")
     assert peak.main([src, src, str(tmp_path / "peak"), "--pairs", "2"]) == 0
     before, after = (json.loads((tmp_path / f"peak_{name}.json").read_text(encoding="ascii"))
                      for name in ("before", "after"))
     assert set(after["rows"]) == {"solve", "gen", "verify", "apply_dk", "residual_dk",
-                                  "residual_hestenes", "decompose"}
+                                  "residual_hestenes", "decompose", "quadruple",
+                                  "verify_large"}
     for row, result in after["rows"].items():
         assert [r["pair"] for r in result["runs"]] == [0, 1], row
         assert result["peak_mib"]["median"] > 0 and result["wall_s"]["median"] > 0
@@ -110,9 +112,10 @@ def test_peak_rows_at_2_4(bench, tmp_path, monkeypatch):
         assert len(digests) == 1, row
     written = {row: sorted(result["runs"][0]["files_sha256"])
                for row, result in after["rows"].items()}
-    assert written["verify"] == written["residual_dk"] == []
+    assert written["verify"] == written["verify_large"] == written["residual_dk"] == []
     assert written["apply_dk"] == ["out.json"]
     assert written["decompose"] == ["out.mm.json", "out.mp.json", "out.pm.json", "out.pp.json"]
+    assert written["quadruple"] == ["out.q1.json", "out.q2.json", "out.q3.json", "out.q4.json"]
     assert after["rows"]["gen"]["command"] == "gen random --dims 2,2,2,2 --seed 1 -o out.json"
     # quartiles need two runs of each tree, so one pair is refused before any run
     with pytest.raises(SystemExit):

@@ -193,8 +193,8 @@ def test_slab_stencil_equals_whole_field_formula(shape, rows, monkeypatch):
     coeffs.imag[..., 1::3] = 0.0
     f = FormField(dims, coeffs)
     if rows is not None:  # else the module's own slab size
-        monkeypatch.setattr(calculus, "SLAB_BYTES", rows * coeffs[0].nbytes)
-        assert len(calculus.site_slabs(coeffs)) == -(-shape[0] // rows)
+        monkeypatch.setattr(algebra, "SLAB_BYTES", rows * coeffs[0].nbytes)
+        assert len(algebra.site_slabs(coeffs)) == -(-shape[0] // rows)
     for op, sign in ((d_c, D_SIGN), (delta_c, DELTA_SIGN), (d_plus_delta, GEN_SIGN)):
         assert op(f).coeffs.tobytes() == _roll_stencil(coeffs, sign, GEN_SRC).tobytes()
     even = even_part(f)
@@ -214,7 +214,7 @@ def test_d_plus_delta_written_back_in_place(shape, rows, monkeypatch):
     coeffs.real[..., ::3] = -0.0
     expected = _roll_stencil(coeffs, GEN_SIGN, GEN_SRC)
     if rows is not None:  # else the module's own slab size
-        monkeypatch.setattr(calculus, "SLAB_BYTES", rows * coeffs[0].nbytes)
+        monkeypatch.setattr(algebra, "SLAB_BYTES", rows * coeffs[0].nbytes)
     seen = []
 
     def store(slab, grad, spare):
@@ -222,7 +222,7 @@ def test_d_plus_delta_written_back_in_place(shape, rows, monkeypatch):
         coeffs[slab] = grad  # over the rows the stencil has just read
 
     assert d_plus_delta(_adopt(dims, coeffs.view()), out=store) is None
-    assert seen == calculus.site_slabs(coeffs)
+    assert seen == algebra.site_slabs(coeffs)
     assert coeffs.tobytes() == expected.tobytes()
 
 
@@ -232,7 +232,7 @@ def test_dk_residual_equals_whole_field_composition(slab_bytes, monkeypatch):
     params = EquationParams(0.75 - 0.25j)
     expected = dk_apply(f) - params.mass * f
     if slab_bytes is not None:  # one site row per slab
-        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(algebra, "SLAB_BYTES", slab_bytes)
     assert dk_residual(f, params).coeffs.tobytes() == expected.coeffs.tobytes()
 
 
@@ -260,7 +260,7 @@ def test_slab_operators_equal_whole_field_composition(shape, slab_bytes, monkeyp
     f = random_field(LatticeDims(*shape), 35)
     expected = _whole_field_compositions(f)
     if slab_bytes is not None:  # one site row per slab
-        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(algebra, "SLAB_BYTES", slab_bytes)
     for name, (slab_form, whole) in expected.items():
         assert slab_form().coeffs.tobytes() == whole.coeffs.tobytes(), name
 
@@ -293,7 +293,7 @@ def test_slab_operator_peak_memory_at_8_4(operator):
 def test_solve_residual_keeps_a_nan_in_the_last_slab():
     dims = LatticeDims(8, 8, 8, 8)
     source = random_field(dims, 2)
-    assert calculus.SLAB_BYTES < source.coeffs[0].nbytes * dims.n0  # several slabs
+    assert algebra.SLAB_BYTES < source.coeffs[0].nbytes * dims.n0  # several slabs
     coeffs = source.coeffs.copy()
     coeffs[-1, -1, -1, -1, -1] = np.nan
     assert np.isnan(solve_residual(random_field(dims, 1), 1.0, FormField(dims, coeffs)))

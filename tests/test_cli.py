@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dklattice import calculus, verify
+from dklattice import algebra, verify
 from dklattice.algebra import ConstantForm
 from dklattice.calculus import dk_apply, dk_residual, solve_residual
 from dklattice.cli import _join_signed_values, main
@@ -418,7 +418,7 @@ def test_solve_residual_equals_whole_field_residual(shape, slab_bytes, monkeypat
     solution = propagator_solve(source, mass)
     expected = max_abs(dk_residual(solution, EquationParams(mass)) - source)
     if slab_bytes is not None:  # one site row per slab
-        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(algebra, "SLAB_BYTES", slab_bytes)
     assert solve_residual(solution, mass, source) == expected
 
 

@@ -33,7 +33,7 @@ from dklattice.fields import (Equation, EquationParams, FieldFormatError,
 from dklattice.calculus import d_plus_delta
 from dklattice.lattice import LatticeDims, site_iter
 from dklattice.spectral import propagator_solve
-from dklattice.transfer import decompose, hestenes_quadruple
+from dklattice.transfer import decompose, hestenes_quadruple, verify_quadruple_independence
 
 DIMS = LatticeDims(3, 3, 3, 3)
 SMALL = LatticeDims(2, 2, 2, 2)
@@ -116,12 +116,19 @@ def test_kernels_commute_with_powers_of_two(shape):
         "quadruple_route_deviation": lambda g: hestenes_quadruple(g)[1],
         "max_abs": max_abs,
         "rms": rms,
+        # the singular values and the threshold; the rank is checked below
+        "quadruple_independence": lambda g: np.append(*_independence(g)[1:]),
     }
     for k in (-900, -1, 1, 900):
         scaled = f * 2.0 ** k
         for name, kernel in kernels.items():
             expected = np.asarray(kernel(f)) * 2.0 ** k
             assert np.asarray(kernel(scaled)).tobytes() == expected.tobytes(), (name, k)
+        assert _independence(scaled)[0] == _independence(f)[0] == 4, k
+
+
+def _independence(omega):
+    return verify_quadruple_independence(hestenes_quadruple(omega)[0])
 
 
 def test_plane_wave_zero_momentum_is_constant():

@@ -12,13 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dklattice import calculus, spectral
+from dklattice import algebra, spectral
 from dklattice.blades import ALL_MASKS, E0, SIGN
 from dklattice.calculus import d_plus_delta, dk_apply, dk_residual
 from dklattice.fields import (EquationParams, FormField, max_abs, plane_wave,
                               random_field)
 from dklattice.lattice import LatticeDims, site_iter
-from dklattice.verify import check_prop4
+from dklattice.cli import main
+from dklattice.verify import run_checks
 from dklattice.spectral import (IMAGINARY_ULPS, LIGHT_CONE_TOL, SingularBlockError,
                                 _eigen_stack, _eigenvalue_pair, _grid_z, _roots,
                                 _symbol_block, _z as _z_grid,
@@ -228,15 +229,27 @@ def test_light_cone_rows_are_unit_columns_of_the_symbol(shape):
     assert seen > 0
 
 
-def test_eigen_solve_and_prop4_need_no_svd(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
+class _NoLapack:
+    """Stands in for numpy's LAPACK gateway, through which every LAPACK-backed
+    np.linalg function (svd, eig, solve, qr, ...) calls its routine."""
 
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    def __getattr__(self, routine):
+        raise AssertionError(f"LAPACK routine {routine} called")
+
+
+def test_verify_gate_and_quadruple_call_no_lapack(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(np.linalg._linalg, "_umath_linalg", _NoLapack())
+    with pytest.raises(AssertionError, match="LAPACK routine"):
+        np.linalg.svd(np.eye(2))
     values, amps = eigen_solve((2, 2, 1, 3), DIMS4)  # on the light cone
     assert len(values) == 8 and np.all(values == 0)
     assert np.max(np.abs(amps @ build_symbol((2, 2, 1, 3), DIMS4).T)) <= 1e-15
-    assert check_prop4(DIMS3).passed
+    assert run_checks("all", DIMS3).passed
+    wave, prefix = str(tmp_path / "wave.json"), str(tmp_path / "quad")
+    assert main(["gen", "plane-wave", "--dims", "4,4,4,4", "--p", "0,2,0,0",
+                 "--eigen", "15", "-o", wave]) == 0
+    assert main(["quadruple", "-i", wave, "--mass", "2,0", "--out-prefix", prefix]) == 0
+    assert "rank=2\n" in capsys.readouterr().out
 
 
 def test_light_cone_classification_has_a_wide_gap():
@@ -345,7 +358,7 @@ def test_propagator_equals_transform_divide_transform(shape, mass, slab_bytes, m
     g = FormField(dims, np.fft.ifftn(transformed, axes=(0, 1, 2, 3)))
     expected = dk_apply(g) + mass * g
     if slab_bytes is not None:  # one site row per slab
-        monkeypatch.setattr(calculus, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(algebra, "SLAB_BYTES", slab_bytes)
     got = propagator_solve(source, mass)
     assert got.coeffs.tobytes() == expected.coeffs.tobytes()
     assert not got.coeffs.flags.writeable

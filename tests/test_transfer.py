@@ -11,7 +11,7 @@ from dklattice.fields import (Equation, EquationParams, FormField, constant_fiel
                               even_part, max_abs, plane_wave, random_field)
 from dklattice.lattice import LatticeDims
 from dklattice.spectral import eigen_solve
-from dklattice.transfer import (DECOMPOSITION_TAGS, decompose,
+from dklattice.transfer import (DECOMPOSITION_TAGS, RANK_THRESHOLD_RATIO, decompose,
                                 hestenes_quadruple, omega_pm, sum_parts,
                                 verify_prop4, verify_quadruple_independence)
 from dklattice.verify import _integer_field
@@ -182,6 +182,49 @@ def test_independence_detects_collapse():
     f = even_part(FormField(DIMS, random_field(DIMS, 13).coeffs.real.astype(np.complex128)))
     rank, _, _ = verify_quadruple_independence(hestenes_quadruple(f)[0])
     assert rank <= 3
+
+
+def _lapack_independence(members):
+    """The rank rule of verify_quadruple_independence on np.linalg.svd of the
+    stacked complex members, the oracle of the Jacobi values."""
+    singular = np.linalg.svd(np.stack([q.coeffs.ravel() for q in members]), compute_uv=False)
+    top = float(singular[0])
+    rank = 0 if top == 0.0 else int(np.sum(singular > RANK_THRESHOLD_RATIO * top))
+    return rank, singular
+
+
+def _independence_cases():
+    for shape in [(1, 1, 1, 1), (2, 3, 1, 4), (3, 3, 3, 3), (5, 4, 3, 2)]:
+        for seed in (1, 2):
+            yield f"random-{shape}-{seed}", random_field(LatticeDims(*shape), seed)
+    values, amps = eigen_solve((0, 2, 0, 0), DIMS4)  # gen plane-wave --eigen 15
+    yield "plane-wave", plane_wave(DIMS4, (0, 2, 0, 0), amps[15])
+    yield "real-even", even_part(FormField(DIMS, random_field(DIMS, 13).coeffs.real + 0j))
+    yield "zero", ZERO
+
+
+@pytest.mark.parametrize("name, omega", list(_independence_cases()))
+def test_independence_matches_lapack(name, omega):
+    members, _ = hestenes_quadruple(omega)
+    rank, singular_values, threshold = verify_quadruple_independence(members)
+    oracle_rank, oracle = _lapack_independence(members)
+    assert rank == oracle_rank
+    assert {"plane-wave": 2, "zero": 0}.get(name, rank) == rank
+    assert np.max(np.abs(np.array(singular_values) - oracle)) <= 1e-13 * oracle[0]
+    assert threshold == RANK_THRESHOLD_RATIO * singular_values[0]
+
+
+@pytest.mark.parametrize("part", ["odd", "imaginary"])
+def test_independence_refuses_odd_or_imaginary_members(part):
+    members = list(hestenes_quadruple(random_field(DIMS, 14))[0])
+    coeffs = members[2].coeffs.copy()
+    if part == "odd":
+        coeffs[1, 2, 0, 1, ODD_BLADES[3]] = 1e-300
+    else:
+        coeffs[0, 0, 2, 2, 0] += 1e-300j
+    members[2] = FormField(DIMS, coeffs)
+    with pytest.raises(ValueError, match="real and even"):
+        verify_quadruple_independence(members)
 
 
 def test_import_time_blade_constants_equal_their_products():

@@ -363,6 +363,19 @@ def test_check_matrix_oracle():
     assert ("matrix_oracle_dimension", "256") in ver.info
 
 
+def test_check_matrix_oracle_peak_memory():
+    # the 256 x 256 complex oracle is 1 MiB; its row blocks are built and
+    # multiplied one site at a time, so the check never holds it whole
+    check_matrix_oracle()
+    tracemalloc.start()
+    try:
+        check_matrix_oracle()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 19
+
+
 @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 1, 4)])
 def test_dk_matrix_oracle_matches_operator_without_the_table(shape, monkeypatch):
     dims = LatticeDims(*shape)
