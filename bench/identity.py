@@ -18,7 +18,8 @@ errors (exit 2), a light-cone and a complex-mass plane wave, an 8,8,8,16
 field of 2^18 numbers, which the field codec saves and loads in two
 processes, and values far from 1: a residual of size 1e-200, masses whose
 square overflows and one whose modulus does, and the quadruple of a zero
-field and of one near 1e300.  The script imports only the standard library.
+field, of one near 1e300, of the 1e-200 one and of the 8,8,8,16 one.  The
+script imports only the standard library.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ CATALOGUE = (
     ("gen", "constant", "--dims", "2,2,2,2", "--amp", "x=1e300,0", "--amp", "e0=0,3e299",
      "--amp", "e12=-2e300,1e300", "-o", "huge.json"),
     ("quadruple", "-i", "huge.json", "--out-prefix", "hquad"),
+    # the quadruple one site slab at a time, and its residuals relative to a tiny field
+    ("quadruple", "-i", "big.json", "--mass", "1,0", "--out-prefix", "bquad"),
+    ("quadruple", "-i", "tiny.json", "--mass", "1,0", "--out-prefix", "tquad"),
 )
 
 

@@ -5,7 +5,7 @@ Usage:
 
 BEFORE_SRC and AFTER_SRC are the src/ directories of two checkouts.  In a
 temporary directory the script writes a 16^4 random field (seed 1) with the
-after tree's `gen random`, then runs nine rows, each
+after tree's `gen random`, then runs ten rows, each
 `python3 -m dklattice ARGS`:
 
     solve:             solve -i src.json --mass 1,0 -o out.json
@@ -17,6 +17,7 @@ after tree's `gen random`, then runs nine rows, each
     decompose:         decompose -i src.json --out-prefix out
     quadruple:         quadruple -i src.json --mass 1,0 --out-prefix out
     verify_large:      verify all --dims 8,8,8,8 --trials 1
+    verify_16:         verify all --dims 16,16,16,16 --trials 1
 
 from each tree in turn, N pairs (default 5, at least 2 for the
 quartiles), the before tree first in even
@@ -73,6 +74,7 @@ def rows() -> dict:
         "decompose": (0, ("decompose", "-i", "src.json", "--out-prefix", "out")),
         "quadruple": (1, ("quadruple", "-i", "src.json", "--mass", MASS, "--out-prefix", "out")),
         "verify_large": (0, ("verify", "all", "--dims", LARGE_VERIFY_DIMS, "--trials", "1")),
+        "verify_16": (0, ("verify", "all", "--dims", DIMS, "--trials", "1")),
     }
 
 

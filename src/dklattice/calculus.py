@@ -262,7 +262,7 @@ def hestenes_residual_componentwise(omega: FormField, params: EquationParams) ->
     s = _hestenes_sign(params.equation)
     coeffs = omega.coeffs
     odd = np.max(np.abs(coeffs[..., list(blades.ODD_BLADES)]))
-    if odd > ODD_WARN_RATIO * max(max_abs(omega), 1.0):
+    if odd > ODD_WARN_RATIO * max_abs(omega):
         warnings.warn(f"odd-grade content of size {odd:.3e} is ignored by the "
                       "componentwise Hestenes equations", stacklevel=2)
     rhs_blades = list(HESTENES_EQUATION_BLADES)

@@ -241,10 +241,10 @@ def _cmd_quadruple(args) -> int:
         report.add(f"sigma_{i}", s)
     if args.mass.imag == 0.0:
         params = EquationParams(args.mass, Equation.HESTENES)
-        res_scale = max(scale, 1.0) * max(1.0, abs(args.mass))
+        res_scale = scale * max(1.0, abs(args.mass))  # residual's scale; a real m's abs is finite
         for i, member in enumerate(members, start=1):
-            report.add(f"residual_q{i}", max_abs(hestenes_residual(member, params)) / res_scale,
-                       args.tol)
+            report.add(f"residual_q{i}",
+                       rel_error(max_abs(hestenes_residual(member, params)), res_scale), args.tol)
     else:
         # Individual members only satisfy the componentwise equations for
         # real mass; for complex mass just the construction is checked.

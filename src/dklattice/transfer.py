@@ -8,8 +8,9 @@ order, sum_parts adds them back up, and reconstruction_deviation measures
 that sum against omega.  From one solution omega a
 quadruple of real even Hestenes fields is built out of its real companion
 (Re omega) e0 - (Im omega) e1 e2, in two independent ways that must agree
-to rounding; hestenes_quadruple returns the four members as a tuple,
-together with the largest difference between the two routes.
+to rounding, both in one pass over site slabs; hestenes_quadruple returns
+the four members as a tuple, together with the largest difference between
+the two routes.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from . import blades
 from .algebra import E0, E12, E012, projector, right_mul, right_mul_matrix, site_slabs
 from .calculus import dk_residual, hestenes_residual
-from .fields import (Equation, EquationParams, FormField, _adopt, even_part,
-                     max_abs, odd_part, worst)
+from .fields import Equation, EquationParams, FormField, _adopt, max_abs, worst
 
 # Decomposition order of the compound projector tags.
 DECOMPOSITION_TAGS = ("++", "-+", "+-", "--")
@@ -55,55 +55,37 @@ def reconstruction_deviation(omega: FormField) -> float:
     return worst(slab_maxima)
 
 
-def _re_im(omega: FormField) -> tuple[FormField, FormField]:
-    return _adopt(omega.dims, omega.coeffs.real), _adopt(omega.dims, omega.coeffs.imag)
-
-
-def omega_pm(omega: FormField, sign: str) -> FormField:
-    """The real companion fields of omega.
-
-    With overall sign s = +-1 this is
-    s/2 (omega + conj) e0 + s i/2 (omega - conj) e1 e2,
-    that is s ((Re omega) e0 - (Im omega) e1 e2), which is real-valued for
-    any omega; "-" is the negative of "+".
-    """
-    if sign not in ("+", "-"):
-        raise ValueError(f'sign must be "+" or "-", got {sign!r}')
-    s = 1.0 if sign == "+" else -1.0
-    re, im = _re_im(omega)
-    # s * rather than a negation, which would flip the sign of each zero
-    return s * (right_mul(re, E0) - right_mul(im, E12))
-
-
-def _quadruple_direct(omega: FormField):
-    plus = omega_pm(omega, "+")
-    return (even_part(plus),) + tuple(even_part(right_mul(plus, c)) for c in (E0, E12, E012))
-
-
-def _quadruple_closed_form(omega: FormField):
-    """The four members as signed sums of the even and odd parts of Re omega
-    and Im omega, one member at a time."""
-    # Re omega and Im omega go as soon as both are split
-    re_ev, re_od, im_ev, im_od = (part(f) for f in _re_im(omega) for part in (even_part, odd_part))
-    yield right_mul(re_od, E0) - right_mul(im_ev, E12)
-    yield re_ev - right_mul(im_od, E012)
-    yield right_mul(re_od, E012) + im_ev
-    yield right_mul(re_ev, E12) + right_mul(im_od, E0)
-
-
 def hestenes_quadruple(omega: FormField) -> tuple[tuple, float]:
     """Build the four even real companion fields of omega.
 
     Returns (members, route_deviation).  members are the even parts of
-    omega_plus times 1, e0, e1 e2 and e0 e1 e2, in that order, from the
-    direct route; the closed-form route is compared with it one member at a
-    time, and route_deviation is the largest absolute difference between
-    the two.  verify.QUADRUPLE_ROUTE_BOUND bounds it relative to
-    max_abs(omega).
+    omega_plus = (Re omega) e0 - (Im omega) e1 e2 times 1, e0, e1 e2 and
+    e0 e1 e2, in that order, from the direct route.  The closed-form route
+    builds them as signed sums of the even and odd parts of Re omega and
+    Im omega, and route_deviation is the largest absolute difference
+    between the two.  Both run one site slab at a time, through the matrices
+    of right_mul, so the members are those of the whole-field products bit
+    for bit.  verify.QUADRUPLE_ROUTE_BOUND bounds route_deviation relative
+    to max_abs(omega).
     """
-    direct = _quadruple_direct(omega)
-    deviation = worst(max_abs(a - b) for a, b in zip(direct, _quadruple_closed_form(omega)))
-    return direct, deviation
+    e0, e12, e012 = (right_mul_matrix(c) for c in (E0, E12, E012))
+    even, odd = blades.GRADES % 2 == 0, blades.GRADES % 2 == 1
+    members = tuple(np.empty_like(omega.coeffs) for _ in range(4))
+    slab_maxima = []
+    for rows in site_slabs(omega.coeffs):
+        flat = omega.coeffs[rows].reshape(-1, blades.NUM_BLADES)
+        re, im = (np.asarray(part, dtype=np.complex128) for part in (flat.real, flat.imag))
+        # the companion's sign s = +1 as a product: by 1 + 0j, the real part
+        # of a (-0, -0) entry is -0 - (-0), that is +0, as in the definition
+        plus = 1.0 * (re @ e0 - im @ e12)
+        direct = (plus * even,) + tuple((plus @ m) * even for m in (e0, e12, e012))
+        re_ev, re_od, im_ev, im_od = re * even, re * odd, im * even, im * odd
+        closed = (re_od @ e0 - im_ev @ e12, re_ev - im_od @ e012,
+                  re_od @ e012 + im_ev, re_ev @ e12 + im_od @ e0)
+        for member, a, b in zip(members, direct, closed):
+            member[rows].reshape(-1, blades.NUM_BLADES)[:] = a
+            slab_maxima.append(np.max(np.abs(a - b)))
+    return tuple(_adopt(omega.dims, m) for m in members), worst(slab_maxima)
 
 
 def tag_label(tag: str) -> str:

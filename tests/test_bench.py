@@ -102,7 +102,7 @@ def test_peak_rows_at_2_4(bench, tmp_path, monkeypatch):
                      for name in ("before", "after"))
     assert set(after["rows"]) == {"solve", "gen", "verify", "apply_dk", "residual_dk",
                                   "residual_hestenes", "decompose", "quadruple",
-                                  "verify_large"}
+                                  "verify_large", "verify_16"}
     for row, result in after["rows"].items():
         assert [r["pair"] for r in result["runs"]] == [0, 1], row
         assert result["peak_mib"]["median"] > 0 and result["wall_s"]["median"] > 0
@@ -112,7 +112,8 @@ def test_peak_rows_at_2_4(bench, tmp_path, monkeypatch):
         assert len(digests) == 1, row
     written = {row: sorted(result["runs"][0]["files_sha256"])
                for row, result in after["rows"].items()}
-    assert written["verify"] == written["verify_large"] == written["residual_dk"] == []
+    assert written["verify"] == written["verify_large"] == written["verify_16"] == \
+        written["residual_dk"] == []
     assert written["apply_dk"] == ["out.json"]
     assert written["decompose"] == ["out.mm.json", "out.mp.json", "out.pm.json", "out.pp.json"]
     assert written["quadruple"] == ["out.q1.json", "out.q2.json", "out.q3.json", "out.q4.json"]

@@ -199,6 +199,10 @@ def test_residual_rms_of_a_huge_field_is_finite(tmp_path, capsys):
     (("residual", "dk", "-i", "{noise}", "--mass", "1.7e308,1.7e308"),
      {"max_abs=inf", "rms=inf", "scale=inf", "status=fail"}),
     (("solve", "-i", "{noise}", "--mass", "1.7e308,1.7e308", "-o", "{out}"), {"status=pass"}),
+    # q2 is the field itself, whose residual at mass 1 is minus the field:
+    # relative to the field, not to 1
+    (("quadruple", "-i", "{tiny}", "--mass", "1,0", "--out-prefix", "{out}"),
+     {"residual_q2=1", "status=fail"}),
 ])
 def test_every_finite_scale_reports_without_numpy_warnings(argv, expected, tmp_path, capsys):
     files = {name: tmp_path / f"{name}.json" for name in ("tiny", "noise", "out")}

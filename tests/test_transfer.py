@@ -12,7 +12,7 @@ from dklattice.fields import (Equation, EquationParams, FormField, constant_fiel
 from dklattice.lattice import LatticeDims
 from dklattice.spectral import eigen_solve
 from dklattice.transfer import (DECOMPOSITION_TAGS, RANK_THRESHOLD_RATIO, decompose,
-                                hestenes_quadruple, omega_pm, sum_parts,
+                                hestenes_quadruple, sum_parts,
                                 verify_prop4, verify_quadruple_independence)
 from dklattice.verify import _integer_field
 
@@ -57,34 +57,15 @@ def test_operator_commutes_with_constant_right_factor():
     assert max_abs(lhs - rhs) <= 1e-13 * max_abs(f)
 
 
-def test_omega_pm_is_real():
-    f = random_field(DIMS, 4)
-    plus = omega_pm(f, "+")
-    minus = omega_pm(f, "-")
-    assert np.max(np.abs(plus.coeffs.imag)) == 0.0
-    assert np.array_equal(minus.coeffs, (-plus).coeffs)
-
-
-def test_omega_pm_validates_sign():
-    with pytest.raises(ValueError):
-        omega_pm(ZERO, "x")
-
-
-def test_omega_pm_of_real_field():
-    f = FormField(DIMS, random_field(DIMS, 5).coeffs.real.astype(np.complex128))
-    plus = omega_pm(f, "+")
-    assert np.array_equal(plus.coeffs, right_mul(f, ConstantForm.e(0)).coeffs)
-
-
 def test_projector_parts_factor_through_companions():
     # omega P++ equals omega_plus P++, and omega P-- equals omega_minus P--
     f = random_field(DIMS, 6)
     scale = max_abs(f)
     lhs = right_mul(f, projector("++"))
-    rhs = right_mul(omega_pm(f, "+"), projector("++"))
+    rhs = right_mul(_omega_pm_definition(f, "+"), projector("++"))
     assert max_abs(lhs - rhs) <= 1e-14 * scale
     lhs = right_mul(f, projector("--"))
-    rhs = right_mul(omega_pm(f, "-"), projector("--"))
+    rhs = right_mul(_omega_pm_definition(f, "-"), projector("--"))
     assert max_abs(lhs - rhs) <= 1e-14 * scale
 
 
@@ -259,18 +240,19 @@ def _definition_inputs():
 
 
 @pytest.mark.parametrize("name, omega", list(_definition_inputs()))
-def test_companion_and_quadruple_bit_equal_to_definition(name, omega):
-    # zero signs included: the files the quadruple writes keep their bytes
+def test_companion_and_quadruple_bit_equal_to_definition(name, omega, monkeypatch):
+    # zero signs included: the files the quadruple writes keep their bytes,
+    # in slabs of the default size and of one site row, so slab edges count
     plus = _omega_pm_definition(omega, "+")
-    for sign in "+-":
-        assert omega_pm(omega, sign).coeffs.tobytes() == \
-            _omega_pm_definition(omega, sign).coeffs.tobytes(), sign
     e0, e1e2 = ConstantForm.e(0), ConstantForm.e(1) * ConstantForm.e(2)
     members = (even_part(plus),) + tuple(even_part(right_mul(plus, c))
                                          for c in (e0, e1e2, e0 * e1e2))
-    quad, route_deviation = hestenes_quadruple(omega)
-    assert len(quad) == 4
-    for i, (member, expected) in enumerate(zip(quad, members), start=1):
-        assert member.coeffs.tobytes() == expected.coeffs.tobytes(), f"q{i}"
-    if name == "gaussian-integer":
-        assert route_deviation == 0.0
+    for slab_bytes in (algebra.SLAB_BYTES, 1):
+        monkeypatch.setattr(algebra, "SLAB_BYTES", slab_bytes)
+        quad, route_deviation = hestenes_quadruple(omega)
+        assert len(quad) == 4
+        for i, (member, expected) in enumerate(zip(quad, members), start=1):
+            assert member.coeffs.tobytes() == expected.coeffs.tobytes(), (slab_bytes, f"q{i}")
+        if name == "gaussian-integer":
+            assert route_deviation == 0.0
+    assert len(algebra.site_slabs(omega.coeffs)) == omega.dims.shape[0]
